@@ -376,7 +376,6 @@ def make_parser() -> argparse.ArgumentParser:
                        help=f"path or bundled name ({', '.join(bundled_config_names())})")
     p_run.add_argument("--seed", type=int, default=None, help="override config seed")
     p_run.add_argument("--out", default="out", help="output directory")
-    p_run.add_argument("--threads", type=int, default=1, help="worker cap (advisory)")
     p_run.set_defaults(func=cmd_run)
 
     p_gc = sub.add_parser("gradcheck", help="finite-difference gradient audit")
@@ -391,7 +390,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_rc = sub.add_parser("reduce-check", help="MLP/RNN equivalence suites")
     p_rc.add_argument("--seed", type=int, default=0)
     p_rc.add_argument("--instances", type=int, default=50)
-    p_rc.add_argument("--threads", type=int, default=1)
     p_rc.set_defaults(func=cmd_reduce_check)
     return parser
 

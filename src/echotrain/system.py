@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
-from .signal import Kernel, Signal, adjoint_convolve, convolve
+from .signal import Kernel, Signal, _fft_pays, _partitioned_convolve, adjoint_convolve, convolve
 
 
 @dataclass(frozen=True)
@@ -194,6 +194,8 @@ def _causal_feedback(taps: np.ndarray, dt: float, drive: np.ndarray, gate):
     taps[0] must be zero; blocks of size = first nonzero lag keep the recursion
     explicit while staying vectorized.  gate maps a pre-activation block to the
     emitted block (and may record per-sample bookkeeping via its closure).
+    A long scalar kernel runs on the partitioned FFT engine with the same
+    blocks; matrix kernels step through their live lags directly.
     """
     n_state, n = drive.shape
     lags = np.flatnonzero(np.any(taps.reshape(taps.shape[0], -1) != 0.0, axis=1))
@@ -203,8 +205,13 @@ def _causal_feedback(taps: np.ndarray, dt: float, drive: np.ndarray, gate):
     if n == 0:
         return a
     block = int(lags[0]) if lags.size else n
-    pre_fb = np.zeros((n_state, n))
     scalar = n_state == 1 and taps.shape[2] == 1
+    if scalar and lags.size and _fft_pays(taps.shape[0], block, n):
+        a[0] = _partitioned_convolve(
+            dt * taps[:, 0, 0], drive[0], block,
+            gate=lambda x_blk, t0, t1: gate(x_blk[None, :], t0, t1)[0])
+        return a
+    pre_fb = np.zeros((n_state, n))
     w_flat = taps[:, 0, 0] if scalar else None
     for t0 in range(0, n, block):
         t1 = min(t0 + block, n)

@@ -9,6 +9,9 @@ descent, and a learning rate that decays linearly to zero.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import platform
 import time
 from dataclasses import dataclass, field
 
@@ -150,6 +153,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ConfigurationError("iterations must be >= 1")
+        if self.batch_len < 1:
+            raise ConfigurationError(f"batch_len must be >= 1, got {self.batch_len}")
         if not (self.lr0 >= 0.0):
             raise ConfigurationError("lr0 must be non-negative")
         if self.init_std_input_mask < 0 or self.init_std_output_mask < 0:
@@ -267,6 +272,26 @@ def apply_update(system: PhysicalSystem, masks: MaskSet, bundle: GradientBundle,
     return system, masks
 
 
+@functools.cache
+def _keep_freed_heap():
+    """Pin glibc's heap thresholds at the ceiling of their own dynamic range.
+
+    By default glibc maps each array above its mmap threshold afresh and hands
+    free memory at the top of the heap back to the kernel once it passes the
+    trim threshold (twice the mmap threshold, about 1.6 MB after the first
+    100k-sample trace is freed).  An iteration frees its traces when it ends,
+    so the next one faults every page in again: about 3500 minor faults
+    (14 MB) per 40 kHz iteration, a fifth of its time spent in the kernel at a
+    cost per fault that varies with the host's load.  Kept for reuse, freed
+    memory costs no faults.  No-op on C libraries other than glibc.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: glibc's dynamic maximum
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: twice that, as glibc pairs them
+
+
 def train(system: PhysicalSystem, mask_template: MaskSet, task: Task,
           cfg: TrainConfig, rng: np.random.Generator | None = None,
           update_fn=apply_update):
@@ -279,6 +304,7 @@ def train(system: PhysicalSystem, mask_template: MaskSet, task: Task,
     hook for alternative optimizers; the default is plain normalized gradient
     descent with the linear learning-rate decay.
     """
+    _keep_freed_heap()
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     masks = mask_template

@@ -66,6 +66,22 @@ def test_bad_value_reports_line_and_field(tmp_path):
         build_experiment(ConfigFile.parse(path))
 
 
+@pytest.mark.parametrize("batch_len", ["0", "-5"])
+def test_nonpositive_batch_len_exits_two(tmp_path, capsys, batch_len):
+    path = write_cfg(tmp_path, SMOKE.replace("train.batch_len = 20",
+                                             f"train.batch_len = {batch_len}"))
+    rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "batch_len" in capsys.readouterr().err
+
+
+def test_removed_threads_flags_are_usage_errors(tmp_path):
+    cfg = write_cfg(tmp_path, SMOKE)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--threads", "2"]) == 2
+    assert main(["reduce-check", "--instances", "2", "--threads", "2"]) == 2
+
+
 def test_duplicate_key_rejected(tmp_path):
     path = write_cfg(tmp_path, SMOKE + "seed = 8\n")
     with pytest.raises(UsageError, match="duplicate"):

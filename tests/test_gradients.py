@@ -119,6 +119,21 @@ def test_grad_check_rectifier_passes():
     assert max(err for _, err, _ in report.entries) < 1e-5
 
 
+def test_grad_check_default_seed_4_draw_is_stable():
+    # seed 4 once drew an exploding identity plant (cost ~5e21) on which
+    # central differences failed; the loop-gain bound keeps it stable
+    assert grad_check(GradCheckConfig(n_systems=1), 4).passed
+
+
+def test_toy_draws_bound_the_loop_gain():
+    cfg = GradCheckConfig()
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        sys, _, _, _ = random_toy_pipeline(cfg, rng)
+        gain = sys.dt * np.sum(np.linalg.norm(sys.w_aa.taps, ord=2, axis=(1, 2)))
+        assert gain <= 0.9 + 1e-12
+
+
 def test_grad_check_broken_adjoint_fails():
     cfg = GradCheckConfig(n_systems=2)
     report = grad_check(cfg, seed=11, break_adjoint=True)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from echotrain import signal as signal_mod
 from echotrain.errors import ConfigurationError, DimensionError, LengthError
 from echotrain.signal import (
     Kernel,
+    _fft_pays,
+    _partitioned_convolve,
     Signal,
     adjoint_convolve,
     concat_segments,
@@ -215,3 +218,92 @@ def test_kernel_csv_export(tmp_path):
     row1 = [float(v) for v in lines[2].split(",")]
     assert row1[0] == 1.0
     np.testing.assert_allclose(row1[1:], k.taps[1].ravel())
+
+
+# ---------------------------------------------------------------------------
+# partitioned FFT engine for long scalar kernels.  Oracle comparisons force
+# the engine onto small sizes (crossover 0); the plain tests run real sizes
+# above the crossover
+
+
+@pytest.fixture
+def fft_everywhere(monkeypatch):
+    monkeypatch.setattr(signal_mod, "_FFT_MIN_BLOCK_MACS", 0)
+
+
+def sparse_scalar_taps(rng, L, spans):
+    """Scalar taps of length L, nonzero only on the given [lo, hi) spans."""
+    w = np.zeros(L)
+    for lo, hi in spans:
+        w[lo:hi] = rng.standard_normal(hi - lo)
+    return w
+
+
+def test_convolve_fft_path_matches_oracle(fft_everywhere):
+    rng = np.random.default_rng(20)
+    L, n, dt = 240, 701, 0.05  # n is not a multiple of the block (2L)
+    k = Kernel.from_taps(sparse_scalar_taps(rng, L, [(3, 40), (150, 200)]), dt)
+    x = rand_signal(rng, 1, n, dt)
+    y = convolve(k, x).samples
+    expect = conv_direct(k.taps, dt, x.samples)
+    np.testing.assert_allclose(y, expect, rtol=0, atol=1e-12 * np.max(np.abs(expect)))
+    assert np.all(y[:, :3] == 0.0)  # before the first live tap: exact zeros
+
+
+def test_adjoint_convolve_fft_path_matches_oracle(fft_everywhere):
+    rng = np.random.default_rng(21)
+    L, n, dt = 240, 701, 0.05
+    k = Kernel.from_taps(sparse_scalar_taps(rng, L, [(5, 10), (120, 239)]), dt)
+    e = rand_signal(rng, 1, n, dt)
+    r = adjoint_convolve(k, e).samples
+    expect = adjoint_direct(k.taps, dt, e.samples)
+    np.testing.assert_allclose(r, expect, rtol=0, atol=1e-12 * np.max(np.abs(expect)))
+    assert np.all(r[:, -5:] == 0.0)
+
+
+def test_fft_path_matches_direct_path_above_crossover(monkeypatch):
+    rng = np.random.default_rng(23)
+    L, n, dt = 4200, 30_001, 1.0
+    assert _fft_pays(L, 2 * L, n)
+    k = Kernel.from_taps(sparse_scalar_taps(rng, L, [(652, 753), (2050, 2151)]), dt)
+    x = rand_signal(rng, 1, n, dt)
+    fast = convolve(k, x).samples, adjoint_convolve(k, x).samples
+    monkeypatch.setattr(signal_mod, "_FFT_MIN_BLOCK_MACS", np.inf)
+    slow = convolve(k, x).samples, adjoint_convolve(k, x).samples
+    for f, d in zip(fast, slow):
+        np.testing.assert_allclose(f, d, rtol=0, atol=1e-12 * np.max(np.abs(d)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fft_path_adjoint_inner_product_identity(seed):
+    rng = np.random.default_rng(200 + seed)
+    L = int(rng.integers(800, 3000))
+    n = int(rng.integers(2 * L, 6 * L))
+    dt = float(rng.uniform(0.01, 2.0))
+    assert _fft_pays(L, 2 * L, n)
+    k = Kernel.from_taps(sparse_scalar_taps(rng, L, [(1, L // 5), (L // 2, L)]), dt)
+    x = rand_signal(rng, 1, n, dt)
+    y = rand_signal(rng, 1, n, dt)
+    lhs = inner(convolve(k, x), y)
+    rhs = inner(x, adjoint_convolve(k, y))
+    assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
+
+
+@pytest.mark.parametrize("L, block, n", [
+    (50, 64, 30),    # n shorter than the block
+    (20, 64, 300),   # kernel shorter than the block: one partition
+    (97, 16, 333),   # many partitions, ragged last block
+    (40, 8, 8),      # a single full block
+])
+def test_partitioned_convolve_edge_cases(L, block, n):
+    rng = np.random.default_rng(L + block + n)
+    w = sparse_scalar_taps(rng, L, [(0, 5), (L // 2, L)])
+    x = rng.standard_normal(n)
+    expect = np.convolve(x, w)[:n]
+    np.testing.assert_allclose(_partitioned_convolve(w, x, block), expect,
+                               rtol=0, atol=1e-12 * np.max(np.abs(expect)))
+
+
+def test_partitioned_convolve_all_zero_kernel():
+    x = np.random.default_rng(22).standard_normal(100)
+    assert np.all(_partitioned_convolve(np.zeros(40), x, 16) == 0.0)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from echotrain import signal as signal_mod
 from echotrain.errors import ConfigurationError, DimensionError
-from echotrain.signal import Kernel, Signal, inner
+from echotrain.signal import Kernel, Signal, _fft_pays, inner
 from echotrain.system import (
     BackwardPath,
     NoiseModel,
@@ -272,3 +273,102 @@ def test_backward_length_mismatch_errors():
         backward(sys, tr, Signal.zeros(2, 19, sys.dt))
     with pytest.raises(DimensionError):
         backward(sys, tr, Signal.zeros(3, 20, sys.dt))
+
+
+# ---------------------------------------------------------------------------
+# scalar plant with a long, sparse feedback kernel: the partitioned FFT path.
+# Oracle comparisons force the engine onto small sizes (crossover 0)
+
+
+@pytest.fixture
+def fft_everywhere(monkeypatch):
+    monkeypatch.setattr(signal_mod, "_FFT_MIN_BLOCK_MACS", 0)
+
+
+def long_sparse_scalar_system(rng, kind, first=96, L=600, dt=0.5):
+    """Feedback taps live on [first, first + 40) and [L - 140, L - 80): with
+    blocks of `first` taps the partitions between them are all zero."""
+    aa = np.zeros((L, 1, 1))
+    aa[first : first + 40, 0, 0] = rng.standard_normal(40)
+    aa[L - 140 : L - 80, 0, 0] = rng.standard_normal(60)
+    aa *= 0.8 / (dt * np.sum(np.abs(aa)))  # loop gain 0.8: a stable plant
+    f = {"rectifier": Nonlinearity.rectifier(),
+         "identity": Nonlinearity.identity(),
+         "clip": Nonlinearity.clip(-1.0, 1.0)}[kind]
+    return PhysicalSystem(
+        w_sa=Kernel(rng.standard_normal((2, 1, 1)), dt),
+        w_aa=Kernel(aa, dt),
+        w_so=Kernel(rng.standard_normal((1, 1, 1)), dt),
+        w_ao=Kernel(rng.standard_normal((2, 1, 1)), dt),
+        f=f,
+    )
+
+
+@pytest.mark.parametrize("kind", ["rectifier", "clip"])
+def test_long_scalar_feedback_fft_path_matches_naive(fft_everywhere, kind):
+    rng = np.random.default_rng(30)
+    sys = long_sparse_scalar_system(rng, kind)
+    n = 700  # not a multiple of the 96-sample block
+    assert sys.w_aa.first_nonzero_lag() == 96
+    s = Signal(rng.standard_normal((1, n)), sys.dt)
+    tr = forward(sys, s)
+    taps = (sys.w_sa.taps, sys.w_aa.taps, sys.w_so.taps, sys.w_ao.taps)
+    a, o, jac = plant_forward_naive(*taps, sys.dt, naive_f(sys.f), s.samples)
+    np.testing.assert_array_equal(tr.jac, jac)
+    np.testing.assert_allclose(tr.a.samples, a, rtol=0, atol=1e-11 * np.max(np.abs(a)))
+    np.testing.assert_allclose(tr.o.samples, o, rtol=0, atol=1e-11 * np.max(np.abs(o)))
+
+    e_o = Signal(rng.standard_normal((1, n)), sys.dt)
+    bw = backward(sys, tr, e_o)
+    e_a, e_s = plant_backward_naive(*taps, sys.dt, tr.jac, e_o.samples)
+    np.testing.assert_allclose(bw.e_a.samples, e_a, rtol=0, atol=1e-11 * np.max(np.abs(e_a)))
+    np.testing.assert_allclose(bw.e_s.samples, e_s, rtol=0, atol=1e-11 * np.max(np.abs(e_s)))
+
+
+def test_long_scalar_plant_all_zero_feedback(fft_everywhere):
+    rng = np.random.default_rng(32)
+    sys = long_sparse_scalar_system(rng, "rectifier")
+    sys = PhysicalSystem(sys.w_aa, Kernel.zero(1, 1, sys.dt, length=600), sys.w_so,
+                         sys.w_ao, sys.f)
+    n = 700
+    s = Signal(rng.standard_normal((1, n)), sys.dt)
+    tr = forward(sys, s)
+    taps = (sys.w_sa.taps, sys.w_aa.taps, sys.w_so.taps, sys.w_ao.taps)
+    a, o, jac = plant_forward_naive(*taps, sys.dt, naive_f(sys.f), s.samples)
+    np.testing.assert_array_equal(tr.jac, jac)
+    np.testing.assert_allclose(tr.o.samples, o, rtol=0, atol=1e-11 * np.max(np.abs(o)))
+
+
+def test_long_scalar_plant_fft_matches_direct_above_crossover(monkeypatch):
+    # 40 kHz tube geometry: first live lag 652, 4200 taps
+    rng = np.random.default_rng(33)
+    sys = long_sparse_scalar_system(rng, "rectifier", first=652, L=4200, dt=1.0)
+    sys = PhysicalSystem(sys.w_aa, sys.w_aa, sys.w_so, sys.w_ao, sys.f)
+    n = 10_001
+    assert _fft_pays(4200, 652, n)
+    s = Signal(rng.standard_normal((1, n)), sys.dt)
+    e_o = Signal(rng.standard_normal((1, n)), sys.dt)
+    tr = forward(sys, s)
+    bw = backward(sys, tr, e_o)
+    monkeypatch.setattr(signal_mod, "_FFT_MIN_BLOCK_MACS", np.inf)
+    tr_d = forward(sys, s)
+    bw_d = backward(sys, tr_d, e_o)
+    np.testing.assert_array_equal(tr.jac, tr_d.jac)
+    for fast, slow in ((tr.a, tr_d.a), (tr.o, tr_d.o), (bw.e_a, bw_d.e_a), (bw.e_s, bw_d.e_s)):
+        np.testing.assert_allclose(fast.samples, slow.samples, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(slow.samples)))
+
+
+def test_long_scalar_plant_adjoint_identity_on_fft_path():
+    # f identity: o is linear in s and backward is its adjoint
+    rng = np.random.default_rng(31)
+    sys = long_sparse_scalar_system(rng, "identity", first=652, L=4200)
+    sys = PhysicalSystem(sys.w_aa, sys.w_aa, sys.w_so, sys.w_ao, sys.f)
+    n = 20 * 652 + 7
+    assert _fft_pays(4200, 652, n)
+    s = Signal(rng.standard_normal((1, n)), sys.dt)
+    y = Signal(rng.standard_normal((1, n)), sys.dt)
+    tr = forward(sys, s)
+    lhs = inner(tr.o, y)
+    rhs = inner(s, backward(sys, tr, y).e_s)
+    assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))

@@ -1,6 +1,10 @@
+import platform
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from echotrain.cli import ConfigFile, build_experiment, resolve_config_path
 from echotrain.errors import ConfigurationError
 from echotrain.gradients import GradCheckConfig, pipeline_gradients, random_toy_pipeline, relative_error
 from echotrain.masking import MaskSet, decode_outputs, encode_inputs
@@ -228,6 +232,9 @@ def test_train_config_validation():
         TrainConfig(trainable=("m", "nope"))
     with pytest.raises(ConfigurationError):
         TrainConfig(noise_repeats=0)
+    for bad in (0, -5):
+        with pytest.raises(ConfigurationError, match="batch_len"):
+            TrainConfig(batch_len=bad)
 
 
 def test_optical_weight_projection_during_training():
@@ -268,3 +275,17 @@ def test_divergence_raises_with_log_intact():
     with pytest.raises(DivergenceError) as excinfo:
         train(sys, zero_mask_template(10), variable_delay_task(), cfg)
     assert excinfo.value.log is not None
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap thresholds")
+def test_iterations_reuse_freed_memory():
+    # once train() has run, a 40 kHz iteration (100 000-sample traces) maps no
+    # fresh pages; with glibc's default trimming each one faults about 3500
+    import resource
+
+    exp = build_experiment(ConfigFile.parse(resolve_config_path("acoustic_delay_task_40khz")))
+    cfg = replace(exp.train_cfg, iterations=2)
+    train(exp.system, exp.template, exp.task, cfg)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train(exp.system, exp.template, exp.task, cfg)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
