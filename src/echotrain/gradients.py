@@ -77,11 +77,18 @@ class GradientBundle:
         return self
 
 
-def _tap_gradient(e_dst: np.ndarray, src: np.ndarray, L: int, dt: float) -> np.ndarray:
-    """G[k] = dt^2 * e_dst[:, k:] @ src[:, :n-k].T for k = 0..L-1."""
+def _tap_gradient(e_dst: np.ndarray, src: np.ndarray, L: int, dt: float,
+                  lags=None) -> np.ndarray:
+    """G[k] = dt^2 * e_dst[:, k:] @ src[:, :n-k].T for k = 0..L-1.
+
+    lags (ascending) restricts the products to those lags; G keeps its full
+    (L, rows, cols) shape and is zero at every other lag.
+    """
     n = src.shape[1]
     out = np.zeros((L, e_dst.shape[0], src.shape[0]))
-    for k in range(min(L, n)):
+    for k in range(min(L, n)) if lags is None else lags:
+        if k >= n:
+            break
         out[k] = e_dst[:, k:] @ src[:, : n - k].T
     return dt * dt * out
 
@@ -90,25 +97,35 @@ def kernel_gradients(sys: PhysicalSystem, fwd: ForwardTrace, bwd: BackwardTrace,
                      s: Signal, blocks=KERNEL_BLOCKS) -> GradientBundle:
     """Tap gradients from one recorded forward/backward run.
 
-    blocks restricts the computation (a training loop only pays for the
-    kernels it actually updates); omitted blocks stay None in the bundle.
+    blocks restricts the computation to what the caller uses: either kernel
+    names (every lag of each), or a dict from kernel name to the ascending
+    lags to compute, the rest of that block left zero.  A training loop
+    passes each trainable kernel's live lags, the only ones its update keeps;
+    the gradient at a structurally zero lag is still real and the audit
+    (no restriction) checks it.  Omitted blocks stay None in the bundle.
     """
     n = s.n_samples
     if not (fwd.a.n_samples == n == bwd.e_a.n_samples == bwd.e_s.n_samples
             == bwd.e_o.n_samples):
         raise DimensionError("forward/backward traces and input disagree on length")
+    if not isinstance(blocks, dict):
+        blocks = dict.fromkeys(blocks)  # None: every lag
     dt = s.dt
     out = GradientBundle()
     if "w_sa" in blocks:
-        out.d_w_sa = _tap_gradient(bwd.e_a.samples, s.samples, sys.w_sa.length, dt)
+        out.d_w_sa = _tap_gradient(bwd.e_a.samples, s.samples, sys.w_sa.length, dt,
+                                   blocks["w_sa"])
     if "w_aa" in blocks:
-        d = _tap_gradient(bwd.e_a.samples, fwd.a.samples, sys.w_aa.length, dt)
+        d = _tap_gradient(bwd.e_a.samples, fwd.a.samples, sys.w_aa.length, dt,
+                          blocks["w_aa"])
         d[0] = 0.0  # tap 0 is structurally zero (strict causality), not a parameter
         out.d_w_aa = d
     if "w_so" in blocks:
-        out.d_w_so = _tap_gradient(bwd.e_o.samples, s.samples, sys.w_so.length, dt)
+        out.d_w_so = _tap_gradient(bwd.e_o.samples, s.samples, sys.w_so.length, dt,
+                                   blocks["w_so"])
     if "w_ao" in blocks:
-        out.d_w_ao = _tap_gradient(bwd.e_o.samples, fwd.a.samples, sys.w_ao.length, dt)
+        out.d_w_ao = _tap_gradient(bwd.e_o.samples, fwd.a.samples, sys.w_ao.length, dt,
+                                   blocks["w_ao"])
     return out
 
 

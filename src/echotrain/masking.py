@@ -113,7 +113,7 @@ def encode_inputs(xs, masks: MaskSet) -> Signal:
     # (n, N, P) = instances x channels x segment clock
     segs = np.einsum("rcp,ic->irp", masks.m, xs) + masks.s_b[None, :, :]
     n, N, P = segs.shape
-    return Signal(segs.transpose(1, 0, 2).reshape(N, n * P), masks.dt)
+    return Signal._own(segs.transpose(1, 0, 2).reshape(N, n * P), masks.dt)
 
 
 def decode_outputs(o: Signal, masks: MaskSet) -> np.ndarray:
@@ -135,7 +135,7 @@ def encode_output_errors(errs, masks: MaskSet) -> Signal:
     errs = _as_instances(errs, masks.dim_y, "errs")
     segs = np.einsum("dcp,id->icp", masks.u, errs)  # (n, M, P)
     n, M, P = segs.shape
-    return Signal(segs.transpose(1, 0, 2).reshape(M, n * P), masks.dt)
+    return Signal._own(segs.transpose(1, 0, 2).reshape(M, n * P), masks.dt)
 
 
 def _segments_of(sig: Signal, count: int, name: str):

@@ -35,7 +35,9 @@ def _hexrow(values) -> str:
     return " ".join(_hex(v) for v in np.asarray(values, dtype=np.float64).ravel())
 
 
-def _parse_row(tokens) -> np.ndarray:
+def _parse_row(tokens, count: int) -> np.ndarray:
+    if len(tokens) != count:
+        raise ValueError(f"expected {count} values, got {len(tokens)}")
     return np.array([float.fromhex(t) for t in tokens])
 
 
@@ -75,68 +77,87 @@ def save_system(path, system: PhysicalSystem, masks: MaskSet | None = None) -> N
 
 
 def load_system(path):
-    """Returns (PhysicalSystem, MaskSet | None)."""
+    """Returns (PhysicalSystem, MaskSet | None).
+
+    Any malformed content raises ConfigurationError naming the file and, where
+    one line is at fault, its line number.
+    """
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != _FORMAT_LINE:
+        lines = [(no, ln.split()) for no, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines or " ".join(lines[0][1]) != _FORMAT_LINE:
         raise ConfigurationError(f"{path}: not an echotrain system file")
+    at = 0  # index into lines of the line being parsed
+
+    def line(i, tag=None):
+        """Tokens of lines[i] (after its leading tag, which must match)."""
+        nonlocal at
+        if i >= len(lines):
+            at = len(lines) - 1
+            raise ValueError("unexpected end of file")
+        at = i
+        tok = lines[i][1]
+        if tag is None:
+            return tok
+        if tok[0] != tag:
+            raise ValueError(f"expected a {tag!r} record, got {tok[0]!r}")
+        return tok[1:]
+
+    dt = f = noise = backward_path = mask_data = None
+    taps = {}
     i = 1
-    dt = None
-    f = None
-    noise = None
-    backward_path = None
-    kernels = {}
-    masks = None
-    while i < len(lines):
-        tok = lines[i].split()
-        key = tok[0]
-        if key == "dt":
-            dt = float.fromhex(tok[1])
-            i += 1
-        elif key == "nonlinearity":
-            if tok[1] == "clip":
-                f = Nonlinearity.clip(float.fromhex(tok[2]), float.fromhex(tok[3]))
+    try:
+        while i < len(lines):
+            tok = line(i)
+            key = tok[0]
+            if key == "dt":
+                dt = float.fromhex(tok[1])
+                i += 1
+            elif key == "nonlinearity":
+                if tok[1] == "clip":
+                    f = Nonlinearity.clip(float.fromhex(tok[2]), float.fromhex(tok[3]))
+                else:
+                    f = Nonlinearity(tok[1])
+                i += 1
+            elif key == "noise":
+                noise = NoiseModel(float.fromhex(tok[1]), bool(int(tok[2])), bool(int(tok[3])))
+                i += 1
+            elif key == "backward_path":
+                peak = None if tok[1] == "none" else float.fromhex(tok[1])
+                backward_path = BackwardPath(peak, float.fromhex(tok[2]), bool(int(tok[3])))
+                i += 1
+            elif key == "kernel":
+                name, rows, cols, L = tok[1], int(tok[2]), int(tok[3]), int(tok[4])
+                taps[name] = np.array([_parse_row(line(i + 1 + k), rows * cols)
+                                       for k in range(L)]).reshape(L, rows, cols)
+                i += 1 + L
+            elif key == "maskset":
+                dim_x, dim_y, period = int(tok[1]), int(tok[2]), int(tok[3])
+                n_in, n_out = (int(t) for t in line(i + 1, "mask_channels"))
+                base = i + 2
+                rows = [_parse_row(line(base + t, "m"), n_in * dim_x) for t in range(period)]
+                m = np.stack(rows, axis=-1).reshape(n_in, dim_x, period)
+                rows = [_parse_row(line(base + period + t, "sb"), n_in) for t in range(period)]
+                s_b = np.stack(rows, axis=-1)
+                rows = [_parse_row(line(base + 2 * period + t, "u"), dim_y * n_out)
+                        for t in range(period)]
+                u = np.stack(rows, axis=-1).reshape(dim_y, n_out, period)
+                y_b = _parse_row(line(base + 3 * period, "yb"), dim_y)
+                mask_data = dict(m=m, u=u, s_b=s_b, y_b=y_b, period=period)
+                i = base + 3 * period + 1
             else:
-                f = Nonlinearity(tok[1])
-            i += 1
-        elif key == "noise":
-            noise = NoiseModel(float.fromhex(tok[1]), bool(int(tok[2])), bool(int(tok[3])))
-            i += 1
-        elif key == "backward_path":
-            peak = None if tok[1] == "none" else float.fromhex(tok[1])
-            backward_path = BackwardPath(peak, float.fromhex(tok[2]), bool(int(tok[3])))
-            i += 1
-        elif key == "kernel":
-            name, rows, cols, L = tok[1], int(tok[2]), int(tok[3]), int(tok[4])
-            taps = np.empty((L, rows, cols))
-            for k in range(L):
-                taps[k] = _parse_row(lines[i + 1 + k].split()).reshape(rows, cols)
-            kernels[name] = Kernel(taps, dt)
-            i += 1 + L
-        elif key == "maskset":
-            dim_x, dim_y, period = int(tok[1]), int(tok[2]), int(tok[3])
-            ctok = lines[i + 1].split()
-            if ctok[0] != "mask_channels":
-                raise ConfigurationError(f"{path}: malformed maskset block")
-            n_in, n_out = int(ctok[1]), int(ctok[2])
-            base = i + 2
-            m = np.empty((n_in, dim_x, period))
-            s_b = np.empty((n_in, period))
-            u = np.empty((dim_y, n_out, period))
-            for t in range(period):
-                m[:, :, t] = _parse_row(lines[base + t].split()[1:]).reshape(n_in, dim_x)
-            for t in range(period):
-                s_b[:, t] = _parse_row(lines[base + period + t].split()[1:])
-            for t in range(period):
-                u[:, :, t] = _parse_row(lines[base + 2 * period + t].split()[1:]).reshape(dim_y, n_out)
-            y_b = _parse_row(lines[base + 3 * period].split()[1:])
-            masks = MaskSet(m=m, u=u, s_b=s_b, y_b=y_b, period=period, dt=dt)
-            i = base + 3 * period + 1
-        else:
-            raise ConfigurationError(f"{path}: unknown record {key!r}")
-    missing = {"w_sa", "w_aa", "w_so", "w_ao"} - set(kernels)
-    if dt is None or f is None or missing:
-        raise ConfigurationError(f"{path}: incomplete system (missing {sorted(missing)})")
-    system = PhysicalSystem(kernels["w_sa"], kernels["w_aa"], kernels["w_so"],
-                            kernels["w_ao"], f, noise=noise, backward_path=backward_path)
+                raise ValueError(f"unknown record {key!r}")
+    except IndexError:
+        raise ConfigurationError(f"{path}:{lines[at][0]}: record is missing a value") from None
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigurationError(f"{path}:{lines[at][0]}: {exc}") from None
+    missing = sorted({"w_sa", "w_aa", "w_so", "w_ao"} - set(taps))
+    missing += [name for name, value in (("dt", dt), ("nonlinearity", f)) if value is None]
+    if missing:
+        raise ConfigurationError(f"{path}: incomplete system (missing {missing})")
+    try:
+        system = PhysicalSystem(*(Kernel(taps[k], dt) for k in ("w_sa", "w_aa", "w_so", "w_ao")),
+                                f, noise=noise, backward_path=backward_path)
+        masks = None if mask_data is None else MaskSet(dt=dt, **mask_data)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
     return system, masks

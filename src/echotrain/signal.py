@@ -53,6 +53,27 @@ class Signal:
             raise ConfigurationError(f"dt must be positive, got {self.dt}")
         object.__setattr__(self, "dt", float(self.dt))
 
+    @classmethod
+    def _own(cls, samples: np.ndarray, dt: float) -> "Signal":
+        """Internal constructor that takes over an array its caller has just
+        built and keeps no other writeable reference to: the same shape and
+        finiteness checks as Signal(...), and the array is made read-only,
+        but a C-ordered float64 array is not copied.  Signal(...) copies."""
+        out = np.asarray(samples, dtype=np.float64, order="C")
+        if out.ndim != 2:
+            raise DimensionError(f"samples must be 2-D, got shape {out.shape}")
+        if not np.all(np.isfinite(out)):
+            raise NumericError("samples contains non-finite values")
+        if out.shape[0] < 1:
+            raise DimensionError("a Signal needs at least one channel")
+        if not (float(dt) > 0.0):
+            raise ConfigurationError(f"dt must be positive, got {dt}")
+        out.flags.writeable = False
+        sig = object.__new__(cls)
+        object.__setattr__(sig, "samples", out)
+        object.__setattr__(sig, "dt", float(dt))
+        return sig
+
     @property
     def channels(self) -> int:
         return self.samples.shape[0]
@@ -210,13 +231,21 @@ def _partitioned_convolve(w: np.ndarray, x: np.ndarray, block: int, gate=None) -
     return y
 
 
+def _dense_scalar(kernel: Kernel) -> bool:
+    """Whether a kernel takes the scalar convolution paths (np.convolve or the
+    FFT engine).  Matrix kernels, and scalar ones with at most one live tap,
+    take the lag-sparse loop: one product per live lag and sample, which for
+    a single tap is exactly what np.convolve computes, without its cost."""
+    return kernel.rows == kernel.cols == 1 and kernel.nonzero_lags().size > 1
+
+
 def convolve(kernel: Kernel, x: Signal) -> Signal:
     """Causal discrete convolution y[i] = dt * sum_k W[k] @ x[i-k]."""
     _check_pair(kernel, x, expect_cols=True)
     n = x.n_samples
     y = np.zeros((kernel.rows, n))
     if n:
-        if kernel.rows == 1 and kernel.cols == 1:
+        if _dense_scalar(kernel):
             # long scalar kernels: one FFT block of about twice the kernel;
             # short ones: np.convolve, the direct sum
             w, block = kernel.taps[:, 0, 0], 2 * kernel.length
@@ -230,7 +259,8 @@ def convolve(kernel: Kernel, x: Signal) -> Signal:
                 if k >= n:
                     break
                 y[:, k:] += kernel.taps[k] @ xs[:, : n - k]
-    return Signal(y * kernel.dt, x.dt)
+    y *= kernel.dt
+    return Signal._own(y, x.dt)
 
 
 def adjoint_convolve(kernel: Kernel, e: Signal) -> Signal:
@@ -239,7 +269,7 @@ def adjoint_convolve(kernel: Kernel, e: Signal) -> Signal:
     n = e.n_samples
     r = np.zeros((kernel.cols, n))
     if n:
-        if kernel.rows == 1 and kernel.cols == 1:
+        if _dense_scalar(kernel):
             w, L = kernel.taps[:, 0, 0], kernel.length
             if _fft_pays(L, 2 * L, n):
                 # the adjoint is the convolution of the time-reversed trace
@@ -252,7 +282,8 @@ def adjoint_convolve(kernel: Kernel, e: Signal) -> Signal:
                 if k >= n:
                     break
                 r[:, : n - k] += kernel.taps[k].T @ es[:, k:]
-    return Signal(r * kernel.dt, e.dt)
+    r *= kernel.dt
+    return Signal._own(r, e.dt)
 
 
 def time_reverse(x: Signal) -> Signal:

@@ -254,18 +254,25 @@ def forward(sys: PhysicalSystem, s: Signal, rng: np.random.Generator | None = No
         jac[:, t0:t1] = j
         return val
 
-    a = _causal_feedback(sys.w_aa.taps, sys.dt, pre_in, gate)
-    a_sig = Signal(a, s.dt)
-    o = convolve(sys.w_so, s).samples + convolve(sys.w_ao, a_sig).samples
+    a = Signal._own(_causal_feedback(sys.w_aa.taps, sys.dt, pre_in, gate), s.dt)
+    del pre_in
+    o = convolve(sys.w_so, s).samples + convolve(sys.w_ao, a).samples
 
     if sys.noise is not None and sys.noise.on_forward:
         if rng is None:
             raise ConfigurationError("forward noise configured but no rng given")
-        a = a + rng.normal(0.0, sys.noise.std_for(a), a.shape)
-        o = o + rng.normal(0.0, sys.noise.std_for(o), o.shape)
-        a_sig = Signal(a, s.dt)
+        a = Signal._own(_add_noise(sys.noise, a.samples, rng), s.dt)
+        o = _add_noise(sys.noise, o, rng)
 
-    return ForwardTrace(a=a_sig, o=Signal(o, s.dt), jac=jac)
+    return ForwardTrace(a=a, o=Signal._own(o, s.dt), jac=jac)
+
+
+def _add_noise(noise: NoiseModel, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """x plus a fresh draw of measurement noise, summed into the draw itself
+    (x + n == n + x exactly, so this is x + n without a third trace)."""
+    n = rng.normal(0.0, noise.std_for(x), x.shape)
+    n += x
+    return n
 
 
 def backward(
@@ -301,7 +308,10 @@ def backward(
             e_o_arr = e_o_arr * (bp.normalize_peak / peak)
     if bp.scale != 1.0:
         e_o_arr = e_o_arr * bp.scale
-    e_o_used = Signal(e_o_arr, e_o.dt)
+    e_o_used = e_o if e_o_arr is e_o.samples else Signal._own(e_o_arr, e_o.dt)
+    # On CPython 3.11+ this frees the unscaled trace when the caller passed e_o
+    # as a temporary; on 3.10 the caller's frame keeps it alive for the call.
+    del e_o, e_o_arr
 
     def maybe_t(taps):
         return taps.transpose(0, 2, 1) if transpose_kernels else taps
@@ -326,14 +336,15 @@ def backward(
         return jac_rev[:, t0:t1] * x_blk
 
     e_a_rev = _causal_feedback(maybe_t(sys.w_aa.taps), sys.dt, contrib_o[:, ::-1], gate)
-    e_a_arr = e_a_rev[:, ::-1]
-    e_s_arr = adj(sys.w_sa, Signal(e_a_arr, e_o.dt)).samples + adj(sys.w_so, e_o_used).samples
+    del contrib_o
+    e_a = Signal._own(e_a_rev[:, ::-1].copy(), sys.dt)
+    del e_a_rev
+    e_s_arr = adj(sys.w_sa, e_a).samples + adj(sys.w_so, e_o_used).samples
 
     if sys.noise is not None and sys.noise.on_backward:
         if rng is None:
             raise ConfigurationError("backward noise configured but no rng given")
-        e_a_arr = e_a_arr + rng.normal(0.0, sys.noise.std_for(e_a_arr), e_a_arr.shape)
-        e_s_arr = e_s_arr + rng.normal(0.0, sys.noise.std_for(e_s_arr), e_s_arr.shape)
+        e_a = Signal._own(_add_noise(sys.noise, e_a.samples, rng), sys.dt)
+        e_s_arr = _add_noise(sys.noise, e_s_arr, rng)
 
-    return BackwardTrace(e_a=Signal(e_a_arr, e_o.dt), e_s=Signal(e_s_arr, e_o.dt),
-                         e_o=e_o_used)
+    return BackwardTrace(e_a=e_a, e_s=Signal._own(e_s_arr, sys.dt), e_o=e_o_used)

@@ -78,17 +78,6 @@ def gen_variable_delay(n: int, rng: np.random.Generator,
     return SequenceDataset(inputs, y[:, None], mask)
 
 
-@dataclass(frozen=True)
-class LabelProcessParams:
-    """Smooth AR(1) trajectories; the label quantizes a short moving window,
-    so correct labeling needs memory of past frames."""
-
-    n_classes: int = 4
-    input_dim: int = 8
-    window: int = 3
-    ar_coeff: float = 0.8
-
-
 def gen_synthetic_labels(n: int, n_classes: int, input_dim: int,
                          rng: np.random.Generator, window: int = 3,
                          ar_coeff: float = 0.8) -> SequenceDataset:

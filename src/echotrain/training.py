@@ -212,15 +212,11 @@ def _batch_gradients(system, masks, task, data, trainable, rng_noise):
     tr = forward(system, s, rng_noise)
     ys = decode_outputs(tr.o, masks)
     cost, errs = task.cost(ys, data)
-    e_o = encode_output_errors(errs, masks)
-    bw = backward(system, tr, e_o, rng_noise)
+    bw = backward(system, tr, encode_output_errors(errs, masks), rng_noise)
 
-    bundle = GradientBundle()
-    wanted = tuple(k for k in KERNEL_BLOCKS if k in trainable)
-    if wanted:
-        kb = kernel_gradients(system, tr, bw, s, blocks=wanted)
-        for name in wanted:
-            bundle.set_block(name, kb.block(name))
+    # tap gradients only at the live lags, the only ones apply_update keeps
+    wanted = {k: getattr(system, k).nonzero_lags() for k in KERNEL_BLOCKS if k in trainable}
+    bundle = kernel_gradients(system, tr, bw, s, blocks=wanted) if wanted else GradientBundle()
     if "m" in trainable or "s_b" in trainable:
         dm, dsb = input_mask_gradient(bw.e_s, data.inputs)
         if "m" in trainable:
@@ -293,16 +289,14 @@ def _keep_freed_heap():
 
 
 def train(system: PhysicalSystem, mask_template: MaskSet, task: Task,
-          cfg: TrainConfig, rng: np.random.Generator | None = None,
-          update_fn=apply_update):
+          cfg: TrainConfig, rng: np.random.Generator | None = None):
     """Run the training loop; returns (TrainingLog, final system, final masks).
 
     Each iteration draws a fresh batch, runs it through the plant, injects the
     output error backwards, and updates every trainable block with the
     normalized gradient.  cfg.noise_repeats > 1 re-measures the same batch and
-    averages the noisy gradient estimates before the update.  update_fn is the
-    hook for alternative optimizers; the default is plain normalized gradient
-    descent with the linear learning-rate decay.
+    averages the noisy gradient estimates before the update (apply_update:
+    plain normalized gradient descent with the linear learning-rate decay).
     """
     _keep_freed_heap()
     if rng is None:
@@ -342,7 +336,7 @@ def train(system: PhysicalSystem, mask_template: MaskSet, task: Task,
             raise DivergenceError(f"cost diverged at iteration {it}", log=log)
         metric = task.metric(ys_first, data)
         lr = cfg.lr(it)
-        system, masks = update_fn(system, masks, total, lr, cfg)
+        system, masks = apply_update(system, masks, total, lr, cfg)
         log.append(it, cost, metric, lr, time.perf_counter() - t0)
     return log, system, masks
 

@@ -222,3 +222,23 @@ train.batch_len = 20
     rc = main(["run", "--config", str(cfg), "--out", str(out)])
     assert rc == 1
     assert (out / "log.csv").exists()  # partial log retained
+
+
+def test_run_on_truncated_plant_file_exits_two(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SMOKE)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "first")]) == 0
+    lines = (tmp_path / "first" / "system.txt").read_text().splitlines()
+    plant = tmp_path / "cut.txt"
+    plant.write_text("\n".join(lines[:5]) + "\n")
+    custom = write_cfg(tmp_path, f"""\
+seed = 3
+plant.kind = custom-file
+plant.file = {plant}
+mask.period = 10
+task.kind = variable_delay
+train.iterations = 3
+""", name="custom.cfg")
+    capsys.readouterr()
+    assert main(["run", "--config", str(custom), "--out", str(tmp_path / "second")]) == 2
+    err = capsys.readouterr().err
+    assert f"{plant}:5:" in err and "Traceback" not in err

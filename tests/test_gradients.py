@@ -4,6 +4,7 @@ import pytest
 from echotrain.errors import NumericError
 from echotrain.gradients import (
     ALL_BLOCKS,
+    KERNEL_BLOCKS,
     GradCheckConfig,
     GradCheckReport,
     finite_difference_gradient,
@@ -14,6 +15,7 @@ from echotrain.gradients import (
     random_toy_pipeline,
     relative_error,
 )
+from echotrain.masking import decode_outputs, encode_inputs, encode_output_errors
 from echotrain.signal import Kernel, Signal
 from echotrain.system import Nonlinearity, PhysicalSystem, backward, forward
 
@@ -178,3 +180,27 @@ def test_batch_gradient_linearity():
         acc = g if acc is None else acc.add_(g)
     for name, arr in full.items():
         assert relative_error(arr, acc.block(name)) < 1e-12, name
+
+
+def test_kernel_gradients_lag_restriction():
+    # a dict of lags computes only those lags, each the same product as the
+    # full computation; kernel names alone still give every lag
+    rng = np.random.default_rng(5)
+    cfg = GradCheckConfig(n_systems=1, kernel_len=6)
+    sys, masks, xs, targets = random_toy_pipeline(cfg, rng)
+    s = encode_inputs(xs, masks)
+    tr = forward(sys, s)
+    errs = decode_outputs(tr.o, masks) - targets
+    bw = backward(sys, tr, encode_output_errors(errs, masks))
+    full = kernel_gradients(sys, tr, bw, s)
+    assert all(full.block(name) is not None for name in KERNEL_BLOCKS)
+    part = kernel_gradients(sys, tr, bw, s, blocks={"w_sa": np.array([1, 4]),
+                                                    "w_aa": np.array([0, 2]),
+                                                    "w_ao": np.array([], dtype=int)})
+    assert part.d_w_so is None
+    for name, lags in (("w_sa", [1, 4]), ("w_aa", [2]), ("w_ao", [])):
+        got, want = part.block(name), full.block(name)
+        assert got.shape == want.shape
+        assert np.array_equal(got[lags], want[lags])
+        rest = np.setdiff1d(np.arange(want.shape[0]), lags)
+        assert np.all(got[rest] == 0.0)

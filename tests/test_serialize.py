@@ -77,3 +77,66 @@ def test_rejects_truncated_file(tmp_path):
     (tmp_path / "cut.txt").write_text("\n".join(lines[:4]) + "\n")
     with pytest.raises(ConfigurationError):
         load_system(tmp_path / "cut.txt")
+
+
+def saved_lines(tmp_path, masks=False):
+    rng = np.random.default_rng(3)
+    sys = rand_system(rng)
+    ms = None
+    if masks:
+        ms = MaskSet(m=rng.standard_normal((2, 2, 3)), u=rng.standard_normal((2, 2, 3)),
+                     s_b=rng.standard_normal((2, 3)), y_b=rng.standard_normal(2),
+                     period=3, dt=sys.dt)
+    path = tmp_path / "system.txt"
+    save_system(path, sys, ms)
+    return path.read_text().splitlines()
+
+
+def load_lines(tmp_path, lines):
+    path = tmp_path / "edited.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return load_system(path)
+
+
+def test_truncated_file_names_the_file_and_line(tmp_path):
+    lines = saved_lines(tmp_path)
+    cut = lines.index("kernel w_sa 3 2 4") + 2  # header and one of four taps
+    with pytest.raises(ConfigurationError, match=rf"edited\.txt:{cut}: unexpected end of file"):
+        load_lines(tmp_path, lines[:cut])
+
+
+def test_every_truncation_is_a_configuration_error(tmp_path):
+    lines = saved_lines(tmp_path, masks=True)
+    whole_plant = next(i for i, ln in enumerate(lines) if ln.startswith("maskset"))
+    for cut in range(1, len(lines)):
+        if cut == whole_plant:  # the plant alone, without its masks, is a valid file
+            assert load_lines(tmp_path, lines[:cut])[1] is None
+            continue
+        with pytest.raises(ConfigurationError, match=r"edited\.txt"):
+            load_lines(tmp_path, lines[:cut])
+
+
+def test_bad_hex_token_names_its_line(tmp_path):
+    lines = saved_lines(tmp_path)
+    at = lines.index("kernel w_aa 3 3 4") + 2
+    tokens = lines[at].split()
+    tokens[4] = "0xZZp+1"
+    lines[at] = " ".join(tokens)
+    with pytest.raises(ConfigurationError, match=rf"edited\.txt:{at + 1}: .*hexadecimal"):
+        load_lines(tmp_path, lines)
+
+
+def test_wrong_tap_count_names_the_line(tmp_path):
+    lines = saved_lines(tmp_path)
+    head = lines.index("kernel w_sa 3 2 4")
+    more, fewer = list(lines), list(lines)
+    more[head] = "kernel w_sa 3 2 5"  # reads the next kernel's header as a tap
+    with pytest.raises(ConfigurationError, match=rf"edited\.txt:{head + 6}: expected 6 values, got 5"):
+        load_lines(tmp_path, more)
+    fewer[head] = "kernel w_sa 3 2 3"  # the fourth tap is read as a record
+    with pytest.raises(ConfigurationError, match=rf"edited\.txt:{head + 5}: unknown record"):
+        load_lines(tmp_path, fewer)
+    short = list(lines)
+    short[head + 1] = " ".join(short[head + 1].split()[:-1])
+    with pytest.raises(ConfigurationError, match=rf"edited\.txt:{head + 2}: expected 6 values, got 5"):
+        load_lines(tmp_path, short)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from echotrain import signal as signal_mod
-from echotrain.errors import ConfigurationError, DimensionError, LengthError
+from echotrain.errors import ConfigurationError, DimensionError, LengthError, NumericError
 from echotrain.signal import (
     Kernel,
     _fft_pays,
@@ -307,3 +307,67 @@ def test_partitioned_convolve_edge_cases(L, block, n):
 def test_partitioned_convolve_all_zero_kernel():
     x = np.random.default_rng(22).standard_normal(100)
     assert np.all(_partitioned_convolve(np.zeros(40), x, 16) == 0.0)
+
+
+@pytest.mark.parametrize("L, live", [
+    (1, None),   # all-zero single tap (the acoustic plant's w_so)
+    (1, 0),      # unit delta at lag 0 (the acoustic plant's w_ao)
+    (6, None),   # all-zero, several taps
+    (7, 3),      # one live tap behind a delay
+    (80, 70),    # one live tap beyond the trace: no output at all
+])
+def test_trivial_scalar_kernels_skip_np_convolve(monkeypatch, L, live):
+    # at most one live tap: the lag-sparse loop, one product per sample, which
+    # matches the oracles and is bit for bit what np.convolve gave
+    rng = np.random.default_rng(L)
+    n, dt = 60, 0.3
+    w = np.zeros(L)
+    if live is not None:
+        w[live] = rng.standard_normal()
+    k = Kernel.from_taps(w, dt)
+    x, e = rand_signal(rng, 1, n, dt), rand_signal(rng, 1, n, dt)
+    via_np = (dt * np.convolve(x.samples[0], w)[:n],
+              dt * np.convolve(e.samples[0], w[::-1])[L - 1 : L - 1 + n])
+
+    def no_convolve(*args, **kwargs):
+        raise AssertionError("np.convolve called for a trivial scalar kernel")
+
+    monkeypatch.setattr(np, "convolve", no_convolve)
+    y, r = convolve(k, x).samples, adjoint_convolve(k, e).samples
+    np.testing.assert_allclose(y, conv_direct(k.taps, dt, x.samples), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(r, adjoint_direct(k.taps, dt, e.samples), rtol=0, atol=1e-14)
+    assert np.array_equal(y[0], via_np[0]) and np.array_equal(r[0], via_np[1])
+
+
+def test_public_signal_copies_its_input():
+    arr = np.arange(10.0).reshape(2, 5)
+    sig = Signal(arr, 1.0)
+    arr[0, 0] = 99.0
+    assert sig.samples[0, 0] == 0.0
+    assert arr.flags.writeable
+    assert not sig.samples.flags.writeable
+
+
+def test_internal_constructor_keeps_checks_without_copying():
+    arr = np.ones((2, 4))
+    sig = Signal._own(arr, 0.5)
+    assert sig.samples is arr and not arr.flags.writeable and sig.dt == 0.5
+    with pytest.raises(DimensionError):
+        Signal._own(np.ones(4), 1.0)
+    with pytest.raises(DimensionError):
+        Signal._own(np.ones((0, 4)), 1.0)
+    with pytest.raises(NumericError):
+        Signal._own(np.array([[1.0, np.inf]]), 1.0)
+    with pytest.raises(ConfigurationError):
+        Signal._own(np.ones((1, 4)), 0.0)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3)])
+def test_convolution_outputs_are_read_only(shape):
+    rng = np.random.default_rng(3)
+    k = rand_kernel(rng, *shape, L=4)
+    for out in (convolve(k, rand_signal(rng, shape[1], 30)),
+                adjoint_convolve(k, rand_signal(rng, shape[0], 30))):
+        assert not out.samples.flags.writeable
+        with pytest.raises(ValueError):
+            out.samples[0, 0] = 1.0

@@ -372,3 +372,38 @@ def test_long_scalar_plant_adjoint_identity_on_fft_path():
     lhs = inner(tr.o, y)
     rhs = inner(s, backward(sys, tr, y).e_s)
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
+
+
+@pytest.mark.parametrize("noise", [None, NoiseModel(18.0, on_forward=True, on_backward=True)])
+def test_plant_traces_are_read_only(noise):
+    rng = np.random.default_rng(15)
+    sys = rand_system(rng, kind="clip", noise=noise,
+                      backward_path=BackwardPath(normalize_peak=0.5, scale=0.5, clip=True))
+    s = Signal(rng.standard_normal((2, 30)), sys.dt)
+    tr = forward(sys, s, np.random.default_rng(1))
+    bw = backward(sys, tr, Signal(rng.standard_normal((2, 30)), sys.dt),
+                  np.random.default_rng(2))
+    for sig in (tr.a, tr.o, bw.e_a, bw.e_s, bw.e_o):
+        assert not sig.samples.flags.writeable
+        assert sig.samples.flags.c_contiguous
+
+
+def test_measurement_noise_is_added_to_the_clean_trace():
+    # the noisy trace is the clean one plus the draws, bit for bit
+    rng = np.random.default_rng(16)
+    noise = NoiseModel(10.0, on_forward=True, on_backward=True)
+    sys = rand_system(rng, noise=noise)
+    clean_sys = PhysicalSystem(sys.w_sa, sys.w_aa, sys.w_so, sys.w_ao, sys.f)
+    s = Signal(rng.standard_normal((2, 40)), sys.dt)
+    e_o = Signal(rng.standard_normal((2, 40)), sys.dt)
+    clean, noisy = forward(clean_sys, s), forward(sys, s, np.random.default_rng(5))
+    draws = np.random.default_rng(5)
+    for got, x in ((noisy.a, clean.a), (noisy.o, clean.o)):
+        n = draws.normal(0.0, noise.std_for(x.samples), x.samples.shape)
+        assert np.array_equal(got.samples, x.samples + n)
+    clean_bw = backward(clean_sys, noisy, e_o)
+    noisy_bw = backward(sys, noisy, e_o, np.random.default_rng(6))
+    draws = np.random.default_rng(6)
+    for got, x in ((noisy_bw.e_a, clean_bw.e_a), (noisy_bw.e_s, clean_bw.e_s)):
+        n = draws.normal(0.0, noise.std_for(x.samples), x.samples.shape)
+        assert np.array_equal(got.samples, x.samples + n)

@@ -6,16 +6,25 @@ import pytest
 
 from echotrain.cli import ConfigFile, build_experiment, resolve_config_path
 from echotrain.errors import ConfigurationError
-from echotrain.gradients import GradCheckConfig, pipeline_gradients, random_toy_pipeline, relative_error
-from echotrain.masking import MaskSet, decode_outputs, encode_inputs
+from echotrain.gradients import (
+    GradCheckConfig,
+    kernel_gradients,
+    pipeline_gradients,
+    random_toy_pipeline,
+    relative_error,
+)
+from echotrain.masking import MaskSet, decode_outputs, encode_inputs, encode_output_errors
+from echotrain.models import OpticalParams, make_optical_system
 from echotrain.signal import Kernel
-from echotrain.system import Nonlinearity, PhysicalSystem, forward
+from echotrain.system import Nonlinearity, PhysicalSystem, backward, forward
 from echotrain.training import (
     TrainConfig,
+    _batch_gradients,
     delayed_copy_task,
     mse_cost,
     normalize_gradient,
     softmax_ce_cost,
+    synthetic_label_task,
     train,
     variable_delay_task,
     window_means,
@@ -259,8 +268,9 @@ def test_optical_weight_projection_during_training():
 def test_divergence_raises_with_log_intact():
     from echotrain.errors import DivergenceError
 
-    # identity feedback with gain 10 explodes within ~100 samples
-    # (non-finite signals surface as a DivergenceError carrying the log)
+    # identity feedback with gain 10 explodes within ~100 samples; the trace
+    # constructor's finiteness check (kept on the no-copy internal path)
+    # surfaces it as a DivergenceError carrying the log
     dt = 1.0
     aa = np.zeros((2, 1, 1))
     aa[1, 0, 0] = 10.0
@@ -272,7 +282,7 @@ def test_divergence_raises_with_log_intact():
         f=Nonlinearity.identity(),
     )
     cfg = TrainConfig(iterations=5, batch_len=20, lr0=0.25, seed=1)
-    with pytest.raises(DivergenceError) as excinfo:
+    with pytest.raises(DivergenceError, match="iteration 0: .*non-finite") as excinfo:
         train(sys, zero_mask_template(10), variable_delay_task(), cfg)
     assert excinfo.value.log is not None
 
@@ -289,3 +299,50 @@ def test_iterations_reuse_freed_memory():
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     train(exp.system, exp.template, exp.task, cfg)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+
+
+def test_batch_gradients_compute_live_lags_only():
+    # the training pass asks for the tap gradient at the live lag alone; there
+    # it is the very same product as the full computation, elsewhere zero
+    p = OpticalParams(n_nodes=6, delay_samples=13, dt=1.0)
+    system = make_optical_system(p, rng=np.random.default_rng(0))
+    task = synthetic_label_task(n_classes=3, input_dim=4)
+    masks = MaskSet(m=0.3 * np.ones((6, 4, 10)), u=0.2 * np.ones((3, 6, 10)),
+                    s_b=np.zeros((6, 10)), y_b=np.zeros(3), period=10, dt=1.0)
+    data = task.sample(40, np.random.default_rng(1))
+    _, _, bundle = _batch_gradients(system, masks, task, data, ("w_aa", "m"),
+                                    np.random.default_rng(2))
+
+    rng = np.random.default_rng(2)  # the same noise draws, in the same order
+    s = encode_inputs(data.inputs, masks)
+    tr = forward(system, s, rng)
+    _, errs = task.cost(decode_outputs(tr.o, masks), data)
+    bw = backward(system, tr, encode_output_errors(errs, masks), rng)
+    full = kernel_gradients(system, tr, bw, s).d_w_aa
+
+    live = system.w_aa.nonzero_lags()
+    assert list(live) == [13]
+    assert np.array_equal(bundle.d_w_aa[live], full[live])
+    assert np.any(full[:13] != 0.0)  # the structural lags do carry gradient...
+    dead = np.ones(full.shape[0], dtype=bool)
+    dead[live] = False
+    assert np.all(bundle.d_w_aa[dead] == 0.0)  # ...which training does not compute
+    assert bundle.d_w_sa is None and bundle.d_u is None
+
+
+def test_optical_iteration_memory_peak():
+    # one optical_labels iteration holds each 20 x 10 000 trace once: the
+    # traced peak stays below 17 MB (about ten such traces)
+    import tracemalloc
+
+    exp = build_experiment(ConfigFile.parse(resolve_config_path("optical_labels")))
+    cfg = replace(exp.train_cfg, iterations=1)
+    rng = np.random.default_rng(0)
+    _, system, masks = train(exp.system, exp.template, exp.task, cfg, rng)  # warm-up
+    tracemalloc.start()
+    try:
+        train(system, masks, exp.task, replace(cfg, init_masks=False), rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17e6, f"traced peak {peak / 1e6:.1f} MB"
