@@ -9,7 +9,7 @@ dense implementations to machine precision.
 import numpy as np
 
 from echotrain import DenseNet, DenseRNN, Nonlinearity, mlp_settled_output, rnn_state_trajectory
-from echotrain.reductions import mlp_equivalence_suite, rnn_equivalence_suite
+from echotrain.reductions import _dense_mlp_reference, mlp_equivalence_suite, rnn_equivalence_suite
 
 rng = np.random.default_rng(3)
 
@@ -18,7 +18,7 @@ sizes = [4, 6, 5, 4, 2]
 ws = tuple(rng.standard_normal((sizes[i + 1], sizes[i])) for i in range(4))
 net = DenseNet(ws, Nonlinearity.rectifier())
 x = rng.standard_normal(4)
-dense = net.evaluate(x)
+dense = _dense_mlp_reference(net.weights, net.activation, x)
 plant = mlp_settled_output(net, x)
 print("deep net, dense vs settled plant:")
 print("  dense :", np.round(dense, 6))

@@ -39,14 +39,6 @@ class DenseNet:
     def depth(self) -> int:
         return len(self.weights) - 1  # number of hidden layers
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        from .system import apply_nonlinearity
-
-        h = np.asarray(x, dtype=np.float64)
-        for W in self.weights[:-1]:
-            h, _ = apply_nonlinearity(self.activation, W @ h)
-        return self.weights[-1] @ h
-
 
 @dataclass(frozen=True)
 class DenseRNN:
@@ -83,7 +75,7 @@ def build_mlp_system(net: DenseNet, dt: float = 1.0) -> PhysicalSystem:
         W_aa = blocks W_j on the subdiagonal  (lag 1)
         W_ao = [0 ... 0 W_L]            (lag 0)
 
-    After L+1 samples of a held input the output equals net.evaluate(x).
+    After L+1 samples of a held input the output equals the dense chain's.
     """
     ws = net.weights
     L = net.depth

@@ -25,6 +25,7 @@ from .signal import Kernel
 from .system import BackwardPath, NoiseModel, Nonlinearity, PhysicalSystem
 
 _FORMAT_LINE = "format echotrain-system 1"
+_KERNELS = ("w_sa", "w_aa", "w_so", "w_ao")
 
 
 def _hex(v: float) -> str:
@@ -55,7 +56,7 @@ def save_system(path, system: PhysicalSystem, masks: MaskSet | None = None) -> N
         bp = system.backward_path
         peak = "none" if bp.normalize_peak is None else _hex(bp.normalize_peak)
         lines.append(f"backward_path {peak} {_hex(bp.scale)} {int(bp.clip)}")
-    for name in ("w_sa", "w_aa", "w_so", "w_ao"):
+    for name in _KERNELS:
         k: Kernel = getattr(system, name)
         lines.append(f"kernel {name} {k.rows} {k.cols} {k.length}")
         for tap in k.taps:
@@ -79,13 +80,22 @@ def save_system(path, system: PhysicalSystem, masks: MaskSet | None = None) -> N
 def load_system(path):
     """Returns (PhysicalSystem, MaskSet | None).
 
-    Any malformed content raises ConfigurationError naming the file and, where
-    one line is at fault, its line number.
+    Any malformed content raises ConfigurationError naming the file and the
+    line at fault: the record's first line for a bad value or an inconsistent
+    record, the last line when records are missing.
     """
-    with open(path) as fh:
-        lines = [(no, ln.split()) for no, ln in enumerate(fh, 1) if ln.strip()]
+    lines = []
+    with open(path, "rb") as fh:
+        for no, raw in enumerate(fh, 1):
+            try:
+                tok = raw.decode("utf-8").split()
+            except UnicodeDecodeError:
+                raise ConfigurationError(f"{path}:{no}: not UTF-8 text") from None
+            if tok:
+                lines.append((no, tok))
     if not lines or " ".join(lines[0][1]) != _FORMAT_LINE:
-        raise ConfigurationError(f"{path}: not an echotrain system file")
+        raise ConfigurationError(
+            f"{path}:{lines[0][0] if lines else 1}: not an echotrain system file")
     at = 0  # index into lines of the line being parsed
 
     def line(i, tag=None):
@@ -102,15 +112,19 @@ def load_system(path):
             raise ValueError(f"expected a {tag!r} record, got {tok[0]!r}")
         return tok[1:]
 
-    dt = f = noise = backward_path = mask_data = None
-    taps = {}
+    dt = f = noise = backward_path = masks = kernel_at = None
+    kernels = {}
     i = 1
     try:
         while i < len(lines):
             tok = line(i)
             key = tok[0]
+            if key in ("kernel", "maskset") and dt is None:
+                raise ValueError(f"{key} record before the dt record")
             if key == "dt":
                 dt = float.fromhex(tok[1])
+                if not 0.0 < dt < np.inf:
+                    raise ValueError(f"dt must be positive and finite, got {dt}")
                 i += 1
             elif key == "nonlinearity":
                 if tok[1] == "clip":
@@ -127,8 +141,12 @@ def load_system(path):
                 i += 1
             elif key == "kernel":
                 name, rows, cols, L = tok[1], int(tok[2]), int(tok[3]), int(tok[4])
-                taps[name] = np.array([_parse_row(line(i + 1 + k), rows * cols)
-                                       for k in range(L)]).reshape(L, rows, cols)
+                if name not in _KERNELS:
+                    raise ValueError(f"unknown kernel {name!r}")
+                taps = [_parse_row(line(i + 1 + k), rows * cols) for k in range(L)]
+                at = i  # a bad tap array as a whole is the record's fault
+                kernels[name] = Kernel(np.array(taps).reshape(L, rows, cols), dt)
+                kernel_at = i
                 i += 1 + L
             elif key == "maskset":
                 dim_x, dim_y, period = int(tok[1]), int(tok[2]), int(tok[3])
@@ -142,22 +160,24 @@ def load_system(path):
                         for t in range(period)]
                 u = np.stack(rows, axis=-1).reshape(dim_y, n_out, period)
                 y_b = _parse_row(line(base + 3 * period, "yb"), dim_y)
-                mask_data = dict(m=m, u=u, s_b=s_b, y_b=y_b, period=period)
+                at = i
+                masks = MaskSet(m=m, u=u, s_b=s_b, y_b=y_b, period=period, dt=dt)
                 i = base + 3 * period + 1
             else:
                 raise ValueError(f"unknown record {key!r}")
+        at = len(lines) - 1
+        missing = [k for k in _KERNELS if k not in kernels]
+        missing += [name for name, value in (("dt", dt), ("nonlinearity", f)) if value is None]
+        if missing:
+            raise ValueError(f"file ends without {missing}")
+        # plant-wide checks (shapes, causality, dt) fall on the last kernel record
+        at = kernel_at
+        system = PhysicalSystem(*(kernels[k] for k in _KERNELS), f,
+                                noise=noise, backward_path=backward_path)
+        if masks is not None and masks.dt != system.dt:
+            raise ValueError("mask set dt differs from the plant dt")
     except IndexError:
         raise ConfigurationError(f"{path}:{lines[at][0]}: record is missing a value") from None
     except (ValueError, ArithmeticError) as exc:
         raise ConfigurationError(f"{path}:{lines[at][0]}: {exc}") from None
-    missing = sorted({"w_sa", "w_aa", "w_so", "w_ao"} - set(taps))
-    missing += [name for name, value in (("dt", dt), ("nonlinearity", f)) if value is None]
-    if missing:
-        raise ConfigurationError(f"{path}: incomplete system (missing {missing})")
-    try:
-        system = PhysicalSystem(*(Kernel(taps[k], dt) for k in ("w_sa", "w_aa", "w_so", "w_ao")),
-                                f, noise=noise, backward_path=backward_path)
-        masks = None if mask_data is None else MaskSet(dt=dt, **mask_data)
-    except (ValueError, ArithmeticError) as exc:
-        raise ConfigurationError(f"{path}: {exc}") from None
     return system, masks

@@ -87,11 +87,6 @@ class Signal:
         return self.n_samples * self.dt
 
     @staticmethod
-    def from_rows(rows, dt: float) -> "Signal":
-        """Build from anything 2-D-like (channels x samples)."""
-        return Signal(np.atleast_2d(np.asarray(rows, dtype=np.float64)), dt)
-
-    @staticmethod
     def zeros(channels: int, n_samples: int, dt: float) -> "Signal":
         return Signal(np.zeros((channels, n_samples)), dt)
 
@@ -110,6 +105,10 @@ class Kernel:
         if not (float(self.dt) > 0.0):
             raise ConfigurationError(f"dt must be positive, got {self.dt}")
         object.__setattr__(self, "dt", float(self.dt))
+        # the taps are read-only, so their live lags are found once
+        lags = np.flatnonzero(np.any(self.taps != 0.0, axis=(1, 2)))
+        lags.flags.writeable = False
+        object.__setattr__(self, "_lags", lags)
 
     @property
     def length(self) -> int:
@@ -124,8 +123,8 @@ class Kernel:
         return self.taps.shape[2]
 
     def nonzero_lags(self) -> np.ndarray:
-        """Indices k with W[k] != 0; empty for an all-zero kernel."""
-        return np.flatnonzero(np.any(self.taps != 0.0, axis=(1, 2)))
+        """Indices k with W[k] != 0 (read-only); empty for an all-zero kernel."""
+        return self._lags
 
     def first_nonzero_lag(self):
         """Smallest k with W[k] != 0, or None for an all-zero kernel."""
@@ -210,7 +209,8 @@ def _partitioned_convolve(w: np.ndarray, x: np.ndarray, block: int, gate=None) -
     if gate is not None and live.size and live[0] == 0:
         raise ConfigurationError("gated partitioned convolution needs w zero below the block")
     nfft = _fft.next_fast_len(2 * block, real=True)
-    spectra = _fft.rfft(parts[live], nfft)
+    # (partition index, spectrum) of each live partition
+    reach = list(zip(live.tolist(), _fft.rfft(parts[live], nfft)))
     acc = np.zeros((n_parts, nfft // 2 + 1), dtype=complex)  # ring: block j in slot j % n_parts
     win = np.zeros(nfft)  # [previous block | current block | zero pad]
     for j, t0 in enumerate(range(0, n, block)):
@@ -224,7 +224,9 @@ def _partitioned_convolve(w: np.ndarray, x: np.ndarray, block: int, gate=None) -
         # by causality they reach only outputs past the end of the trace
         win[:block] = win[block : 2 * block]
         win[block : block + t1 - t0] = (x if gate is None else out)[t0:t1]
-        acc[(j + live) % n_parts] += _fft.rfft(win) * spectra
+        spec = _fft.rfft(win)
+        for p, part in reach:
+            acc[(j + p) % n_parts] += spec * part
         if gate is None:
             out[t0:t1] = _fft.irfft(acc[slot], nfft)[block : block + t1 - t0]
             acc[slot] = 0.0

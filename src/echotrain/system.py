@@ -66,13 +66,28 @@ def apply_nonlinearity(f: Nonlinearity, x: np.ndarray):
     """Return (f(x), jac_diag).  jac is 0 at the rectifier origin and at clip
     boundaries (fixed subgradient choice, keeps reruns deterministic)."""
     x = np.asarray(x, dtype=np.float64)
-    if f.kind == "identity":
-        return x.copy(), np.ones_like(x)
+    val = _activate(f, x)
+    return (x.copy() if val is x else val), _jacobian(f, val)
+
+
+def _activate(f: Nonlinearity, x: np.ndarray) -> np.ndarray:
+    """f(x) alone, by plain ufuncs; the identity returns x itself."""
     if f.kind == "rectifier":
-        jac = (x > 0.0).astype(np.float64)
-        return x * jac, jac
-    jac = ((x > f.lo) & (x < f.hi)).astype(np.float64)
-    return np.clip(x, f.lo, f.hi), jac
+        return x * (x > 0.0).astype(np.float64)
+    if f.kind == "clip":
+        return np.minimum(np.maximum(x, f.lo), f.hi)
+    return x
+
+
+def _jacobian(f: Nonlinearity, a: np.ndarray) -> np.ndarray:
+    """Jacobian diagonal of f read off its output a = f(x).  f is locally the
+    identity exactly where a lies strictly inside f's range, so this is 1
+    where x > 0 (rectifier) or lo < x < hi (clip), the same as from x."""
+    if f.kind == "rectifier":
+        return (a > 0.0).astype(np.float64)
+    if f.kind == "clip":
+        return ((a > f.lo) & (a < f.hi)).astype(np.float64)
+    return np.ones_like(a)
 
 
 @dataclass(frozen=True)
@@ -188,19 +203,22 @@ class BackwardTrace:
     e_o: Signal
 
 
-def _causal_feedback(taps: np.ndarray, dt: float, drive: np.ndarray, gate):
-    """Solve a[:, i] = gate(drive[:, i] + dt * sum_k taps[k] @ a[:, i-k]) blockwise.
+def _causal_feedback(kernel: Kernel, drive: np.ndarray, gate, transpose: bool = False):
+    """Solve a[:, i] = gate(drive[:, i] + dt * sum_k W[k] @ a[:, i-k]) blockwise,
+    with W the kernel's taps (transposed per lag when transpose is set).
 
-    taps[0] must be zero; blocks of size = first nonzero lag keep the recursion
-    explicit while staying vectorized.  gate maps a pre-activation block to the
-    emitted block (and may record per-sample bookkeeping via its closure).
-    A long scalar kernel runs on the partitioned FFT engine with the same
-    blocks; matrix kernels step through their live lags directly.
+    W[0] must be zero; blocks of size = first nonzero lag keep the recursion
+    explicit while staying vectorized.  gate maps a pre-activation block and
+    its sample range t0:t1 to the emitted block.  A long scalar kernel runs on
+    the partitioned FFT engine with the same blocks; matrix kernels step
+    through their live lags directly.
     """
-    n_state, n = drive.shape
-    lags = np.flatnonzero(np.any(taps.reshape(taps.shape[0], -1) != 0.0, axis=1))
+    taps, dt, lags = kernel.taps, kernel.dt, kernel.nonzero_lags()
+    if transpose:
+        taps = taps.transpose(0, 2, 1)
     if lags.size and lags[0] == 0:
         raise ConfigurationError("feedback taps must be strictly causal (tap 0 zero)")
+    n_state, n = drive.shape
     a = np.zeros((n_state, n))
     if n == 0:
         return a
@@ -212,24 +230,21 @@ def _causal_feedback(taps: np.ndarray, dt: float, drive: np.ndarray, gate):
             gate=lambda x_blk, t0, t1: gate(x_blk[None, :], t0, t1)[0])
         return a
     pre_fb = np.zeros((n_state, n))
-    w_flat = taps[:, 0, 0] if scalar else None
+    w_flat = taps[:, 0, 0] if scalar and lags.size else None
+    live = [] if scalar else [(int(k), taps[k]) for k in lags if k < n]
     for t0 in range(0, n, block):
         t1 = min(t0 + block, n)
-        a[:, t0:t1] = gate(drive[:, t0:t1] + pre_fb[:, t0:t1], t0, t1)
-        if not lags.size:
-            continue
-        if scalar:
-            contrib = np.convolve(a[0, t0:t1], w_flat)
+        a[:, t0:t1] = blk = gate(drive[:, t0:t1] + pre_fb[:, t0:t1], t0, t1)
+        if w_flat is not None:
+            contrib = np.convolve(blk[0], w_flat)
             hi = min(n, t0 + contrib.size)
             pre_fb[0, t0:hi] += dt * contrib[: hi - t0]
-        else:
-            blk = a[:, t0:t1]
-            for k in lags:
-                lo = t0 + int(k)
-                if lo >= n:
-                    break
-                hi = min(n, t1 + int(k))
-                pre_fb[:, lo:hi] += dt * (taps[k] @ blk[:, : hi - lo])
+        for k, w in live:
+            lo = t0 + k
+            if lo >= n:
+                break
+            hi = min(n, t1 + k)
+            pre_fb[:, lo:hi] += dt * (w @ blk[:, : hi - lo])
     return a
 
 
@@ -245,17 +260,13 @@ def forward(sys: PhysicalSystem, s: Signal, rng: np.random.Generator | None = No
     if s.dt != sys.dt:
         raise ConfigurationError(f"dt mismatch: signal {s.dt} vs system {sys.dt}")
 
+    f = sys.f
     pre_in = convolve(sys.w_sa, s).samples
-    n = s.n_samples
-    jac = np.zeros((sys.n_state, n))
-
-    def gate(x_blk, t0, t1):
-        val, j = apply_nonlinearity(sys.f, x_blk)
-        jac[:, t0:t1] = j
-        return val
-
-    a = Signal._own(_causal_feedback(sys.w_aa.taps, sys.dt, pre_in, gate), s.dt)
+    # each block pays for f alone; the Jacobian is read off the state once
+    a = Signal._own(_causal_feedback(sys.w_aa, pre_in, lambda x_blk, t0, t1: _activate(f, x_blk)),
+                    s.dt)
     del pre_in
+    jac = _jacobian(f, a.samples)
     o = convolve(sys.w_so, s).samples + convolve(sys.w_ao, a).samples
 
     if sys.noise is not None and sys.noise.on_forward:
@@ -313,9 +324,6 @@ def backward(
     # as a temporary; on 3.10 the caller's frame keeps it alive for the call.
     del e_o, e_o_arr
 
-    def maybe_t(taps):
-        return taps.transpose(0, 2, 1) if transpose_kernels else taps
-
     def adj(kernel: Kernel, sig: Signal) -> Signal:
         if transpose_kernels or kernel.rows != kernel.cols:
             # the corruption is only expressible where shapes permit (square)
@@ -332,10 +340,10 @@ def backward(
 
     def gate(x_blk, t0, t1):
         if clip_f is not None:
-            x_blk = np.clip(x_blk, clip_f.lo, clip_f.hi)
+            x_blk = _activate(clip_f, x_blk)
         return jac_rev[:, t0:t1] * x_blk
 
-    e_a_rev = _causal_feedback(maybe_t(sys.w_aa.taps), sys.dt, contrib_o[:, ::-1], gate)
+    e_a_rev = _causal_feedback(sys.w_aa, contrib_o[:, ::-1], gate, transpose=transpose_kernels)
     del contrib_o
     e_a = Signal._own(e_a_rev[:, ::-1].copy(), sys.dt)
     del e_a_rev

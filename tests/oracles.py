@@ -35,6 +35,21 @@ def adjoint_direct(taps, dt, e):
     return dt * r
 
 
+def nonlinearity_naive(kind, lo=-1.0, hi=1.0):
+    """x -> (f(x), jac) by the textbook definitions: the Jacobian is 0 at the
+    rectifier origin and at the clip bounds."""
+    def f(x):
+        x = np.asarray(x, dtype=np.float64)
+        if kind == "identity":
+            return x.copy(), np.ones_like(x)
+        if kind == "rectifier":
+            jac = (x > 0.0).astype(np.float64)
+            return x * jac, jac
+        jac = ((x > lo) & (x < hi)).astype(np.float64)
+        return np.clip(x, lo, hi), jac
+    return f
+
+
 def plant_forward_naive(w_sa, w_aa, w_so, w_ao, dt, f, s):
     """Sample-by-sample recursion for the full plant; f maps vector -> (value, jac)."""
     n = s.shape[1]

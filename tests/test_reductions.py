@@ -5,6 +5,7 @@ from echotrain.gradients import kernel_gradients, relative_error
 from echotrain.reductions import (
     DenseNet,
     DenseRNN,
+    _dense_mlp_reference,
     build_mlp_system,
     build_rnn_system,
     mlp_settled_output,
@@ -59,7 +60,8 @@ def test_mlp_settling_time_by_perturbation():
     base = forward(sys, Signal(np.tile(x0[:, None], (1, n)), 1.0))
     diff = np.flatnonzero(np.any(tr.o.samples != base.o.samples, axis=0))
     assert diff[0] == i0 + L
-    np.testing.assert_allclose(tr.o.samples[:, -1], net.evaluate(x1), rtol=1e-12)
+    np.testing.assert_allclose(tr.o.samples[:, -1], _dense_mlp_reference(net.weights, net.activation, x1),
+                               rtol=1e-12)
 
 
 def test_mlp_forward_equivalence_many_instances():

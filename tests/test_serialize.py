@@ -1,6 +1,11 @@
+import contextlib
+import io
+import re
+
 import numpy as np
 import pytest
 
+from echotrain.cli import main
 from echotrain.errors import ConfigurationError
 from echotrain.masking import MaskSet
 from echotrain.models import OpticalParams, make_optical_system
@@ -59,6 +64,25 @@ def test_system_with_masks_roundtrip_exact(tmp_path):
     np.testing.assert_array_equal(back_masks.s_b, masks.s_b)
     np.testing.assert_array_equal(back_masks.y_b, masks.y_b)
     assert back_masks.period == 5 and back_masks.dt == 1.0
+
+
+def test_live_lags_are_recomputed_for_new_and_loaded_kernels(tmp_path):
+    rng = np.random.default_rng(4)
+    sys = rand_system(rng)
+    taps = sys.w_aa.taps.copy()
+    taps[1] = 0.0
+    taps[3, 2, 1] = 0.0
+    edited = sys.with_kernel("w_aa", taps)
+    np.testing.assert_array_equal(edited.w_aa.nonzero_lags(), [2, 3])
+    np.testing.assert_array_equal(sys.w_aa.nonzero_lags(), [1, 2, 3])
+    path = tmp_path / "system.txt"
+    save_system(path, edited)
+    back, _ = load_system(path)
+    for name in ("w_sa", "w_aa", "w_so", "w_ao"):
+        lags = getattr(back, name).nonzero_lags()
+        np.testing.assert_array_equal(
+            lags, np.flatnonzero(np.any(getattr(edited, name).taps != 0, axis=(1, 2))))
+        assert not lags.flags.writeable
 
 
 def test_rejects_foreign_file(tmp_path):
@@ -126,6 +150,15 @@ def test_bad_hex_token_names_its_line(tmp_path):
         load_lines(tmp_path, lines)
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "-0x1p-5", "0x0p+0"])
+def test_bad_dt_names_its_line(tmp_path, value):
+    lines = saved_lines(tmp_path)
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("dt "))
+    lines[at] = f"dt {value}"
+    with pytest.raises(ConfigurationError, match=rf"edited\.txt:{at + 1}: dt must be positive"):
+        load_lines(tmp_path, lines)
+
+
 def test_wrong_tap_count_names_the_line(tmp_path):
     lines = saved_lines(tmp_path)
     head = lines.index("kernel w_sa 3 2 4")
@@ -140,3 +173,49 @@ def test_wrong_tap_count_names_the_line(tmp_path):
     short[head + 1] = " ".join(short[head + 1].split()[:-1])
     with pytest.raises(ConfigurationError, match=rf"edited\.txt:{head + 2}: expected 6 values, got 5"):
         load_lines(tmp_path, short)
+
+
+def damaged(data: bytes):
+    """Strategy: the saved bytes cut short, or with one to three bytes
+    replaced (mostly by characters the format uses, so that many damaged
+    files still tokenize)."""
+    st = pytest.importorskip("hypothesis.strategies")
+    byte = st.one_of(st.sampled_from(b"0123456789abcdefpx.+- \nkmsu"), st.integers(0, 255))
+    cut = st.integers(0, len(data) - 1).map(lambda i: data[:i])
+    spot = st.tuples(st.integers(0, len(data) - 1), byte)
+
+    def mutate(spots):
+        out = bytearray(data)
+        for i, b in spots:
+            out[i] = b
+        return bytes(out)
+
+    return st.one_of(cut, st.lists(spot, min_size=1, max_size=3).map(mutate))
+
+
+def test_damaged_system_file_loads_or_names_its_line(tmp_path_factory):
+    hypothesis = pytest.importorskip("hypothesis")
+    root = tmp_path_factory.mktemp("fuzz")
+    data = "\n".join(saved_lines(root, masks=True)).encode() + b"\n"
+    plant = root / "system.txt"
+    cfg = root / "custom.cfg"
+    cfg.write_text(f"seed = 3\nplant.kind = custom-file\nplant.file = {plant}\n"
+                   "task.kind = variable_delay\ntrain.iterations = 1\n")
+    at_line = re.compile(rf"^{re.escape(str(plant))}:\d+: ")
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(damaged(data))
+    def check(content):
+        plant.write_bytes(content)
+        try:
+            load_system(plant)
+        except ConfigurationError as exc:
+            assert at_line.match(str(exc)), str(exc)
+        else:
+            return
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["run", "--config", str(cfg), "--out", str(root / "out")])
+        assert code == 2 and "Traceback" not in err.getvalue(), err.getvalue()
+
+    check()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -152,7 +154,7 @@ def test_adjoint_equals_reversed_convolution_of_transposed_taps():
 
 
 def test_time_reverse_examples():
-    s = Signal.from_rows([[1.0, 2.0, 3.0]], dt=1.0)
+    s = Signal([[1.0, 2.0, 3.0]], dt=1.0)
     np.testing.assert_array_equal(time_reverse(s).samples, [[3.0, 2.0, 1.0]])
     empty = Signal.zeros(2, 0, 1.0)
     assert time_reverse(empty).n_samples == 0
@@ -184,6 +186,26 @@ def test_signal_validation():
         Signal(np.zeros((0, 4)), 0.1)
     with pytest.raises(DimensionError):
         Kernel(np.zeros((0, 2, 2)), 0.1)
+
+
+def fresh_lags(taps):
+    return np.flatnonzero(np.any(taps != 0, axis=(1, 2)))
+
+
+def test_kernel_live_lags_are_cached_read_only_and_follow_the_taps():
+    rng = np.random.default_rng(12)
+    taps = rng.standard_normal((9, 2, 3))
+    taps[[0, 3, 4, 5, 8]] = 0.0
+    taps[5, 1, 2] = -0.0  # a negative zero is not a live tap
+    k = Kernel(taps, 0.1)
+    np.testing.assert_array_equal(k.nonzero_lags(), fresh_lags(taps))
+    np.testing.assert_array_equal(k.nonzero_lags(), [1, 2, 6, 7])
+    assert k.first_nonzero_lag() == 1
+    with pytest.raises(ValueError):
+        k.nonzero_lags()[0] = 0
+    moved = replace(k, taps=np.roll(taps, 2, axis=0))
+    np.testing.assert_array_equal(moved.nonzero_lags(), fresh_lags(moved.taps))
+    assert Kernel.zero(2, 2, 0.1, length=4).nonzero_lags().size == 0
 
 
 def test_signal_immutable():

@@ -14,7 +14,16 @@ from echotrain.system import (
     forward,
 )
 
-from oracles import fd_gradient, plant_backward_naive, plant_forward_naive, rel_err
+from oracles import (
+    fd_gradient,
+    nonlinearity_naive,
+    plant_backward_naive,
+    plant_forward_naive,
+    rel_err,
+)
+
+NONLINEARITIES = {"rectifier": Nonlinearity.rectifier(), "clip": Nonlinearity.clip(-1.0, 1.0),
+                  "identity": Nonlinearity.identity()}
 
 
 def rand_system(rng, n_in=2, n_state=3, n_out=2, L=4, dt=0.1, kind="rectifier",
@@ -25,15 +34,12 @@ def rand_system(rng, n_in=2, n_state=3, n_out=2, L=4, dt=0.1, kind="rectifier",
 
     aa = k(n_state, n_state)
     aa[0] = 0.0
-    f = {"rectifier": Nonlinearity.rectifier(),
-         "identity": Nonlinearity.identity(),
-         "clip": Nonlinearity.clip(-1.0, 1.0)}[kind]
     return PhysicalSystem(
         w_sa=Kernel(k(n_state, n_in), dt),
         w_aa=Kernel(aa, dt),
         w_so=Kernel(k(n_out, n_in), dt),
         w_ao=Kernel(k(n_out, n_state), dt),
-        f=f,
+        f=NONLINEARITIES[kind],
         noise=noise,
         backward_path=backward_path,
     )
@@ -276,6 +282,68 @@ def test_backward_length_mismatch_errors():
 
 
 # ---------------------------------------------------------------------------
+# the forward gate and its Jacobian on every recursion branch; kink
+# points: at lo and hi (clip) and at +-0 (rectifier origin) the
+# Jacobian is 0; the values must be the textbook ones bit for bit
+EDGES = np.array([-1.0, 1.0, -0.0, 0.0, -3.0, 3.0, 0.25, -0.25, 5e-324, -5e-324])
+
+
+def same_bits(x, y):
+    return x.shape == y.shape and np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+@pytest.mark.parametrize("kind", NONLINEARITIES)
+def test_apply_nonlinearity_at_kinks_matches_textbook_bits(kind):
+    v, j = apply_nonlinearity(NONLINEARITIES[kind], EDGES)
+    v_ref, j_ref = nonlinearity_naive(kind)(EDGES)
+    assert same_bits(v, v_ref) and same_bits(j, j_ref)
+    if kind != "identity":
+        kinks = [0, 1] if kind == "clip" else [2, 3]
+        assert np.all(j[kinks] == 0.0)
+
+
+def edge_plant(rng, kind, n_state, L, first, dt=1.0):
+    """w_sa is the identity at lag 0 and dt = 1, so before the first live
+    feedback lag the pre-activation is the input sample itself."""
+    aa = np.zeros((L, n_state, n_state))
+    aa[first:] = rng.standard_normal((L - first, n_state, n_state))
+    aa *= 0.8 / (dt * np.sum(np.abs(aa)))
+    return PhysicalSystem(
+        w_sa=Kernel.delta(np.eye(n_state), dt),
+        w_aa=Kernel(aa, dt),
+        w_so=Kernel(rng.standard_normal((2, 2, n_state)), dt),
+        w_ao=Kernel(rng.standard_normal((3, 2, n_state)), dt),
+        f=NONLINEARITIES[kind],
+    )
+
+
+@pytest.mark.parametrize("kind", NONLINEARITIES)
+@pytest.mark.parametrize("branch", ["matrix", "scalar_direct", "fft"])
+def test_forward_gate_and_jacobian_match_naive_on_every_branch(monkeypatch, kind, branch):
+    rng = np.random.default_rng(40)
+    n_state, L, first, n = {"matrix": (3, 20, 12, 90), "scalar_direct": (1, 40, 12, 101),
+                            "fft": (1, 60, 12, 130)}[branch]
+    monkeypatch.setattr(signal_mod, "_FFT_MIN_BLOCK_MACS", 0 if branch == "fft" else np.inf)
+    sys = edge_plant(rng, kind, n_state, L, first)
+    x = rng.standard_normal((n_state, n))
+    x[:, : EDGES.size] = EDGES  # the first block has no feedback yet
+    tr = forward(sys, Signal(x, sys.dt))
+    taps = (sys.w_sa.taps, sys.w_aa.taps, sys.w_so.taps, sys.w_ao.taps)
+    a, o, jac = plant_forward_naive(*taps, sys.dt, nonlinearity_naive(kind), x)
+    np.testing.assert_array_equal(tr.jac, jac)
+    np.testing.assert_allclose(tr.a.samples, a, rtol=1e-11, atol=1e-12)
+    np.testing.assert_allclose(tr.o.samples, o, rtol=1e-11, atol=1e-12)
+    # the drive adds the (zero) feedback, so the first block sees x + 0.0
+    pre = x[:, :first] + 0.0
+    a_ref, jac_ref = nonlinearity_naive(kind)(pre)
+    assert same_bits(tr.a.samples[:, :first], a_ref)
+    assert same_bits(tr.jac[:, :first], jac_ref)
+    if kind != "identity":
+        kinks = [0, 1] if kind == "clip" else [2, 3]
+        assert np.all(tr.jac[:, kinks] == 0.0)
+
+
+# ---------------------------------------------------------------------------
 # scalar plant with a long, sparse feedback kernel: the partitioned FFT path.
 # Oracle comparisons force the engine onto small sizes (crossover 0)
 
@@ -292,15 +360,12 @@ def long_sparse_scalar_system(rng, kind, first=96, L=600, dt=0.5):
     aa[first : first + 40, 0, 0] = rng.standard_normal(40)
     aa[L - 140 : L - 80, 0, 0] = rng.standard_normal(60)
     aa *= 0.8 / (dt * np.sum(np.abs(aa)))  # loop gain 0.8: a stable plant
-    f = {"rectifier": Nonlinearity.rectifier(),
-         "identity": Nonlinearity.identity(),
-         "clip": Nonlinearity.clip(-1.0, 1.0)}[kind]
     return PhysicalSystem(
         w_sa=Kernel(rng.standard_normal((2, 1, 1)), dt),
         w_aa=Kernel(aa, dt),
         w_so=Kernel(rng.standard_normal((1, 1, 1)), dt),
         w_ao=Kernel(rng.standard_normal((2, 1, 1)), dt),
-        f=f,
+        f=NONLINEARITIES[kind],
     )
 
 
