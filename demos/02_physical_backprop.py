@@ -2,9 +2,10 @@
 
 Build a random nonlinear-feedback plant, push a signal through it, inject the
 cost gradient backwards, and compare the returned input-error signal against
-central finite differences.  Then break the physics on purpose (skip the
-kernel transposition) and watch the agreement collapse -- the transpose IS
-the reciprocity.
+central finite differences.  Then break the physics on purpose (play the
+error back through a non-reciprocal medium, every square kernel's taps
+transposed per lag) and watch the agreement collapse -- the transpose IS the
+reciprocity.
 """
 
 import numpy as np
@@ -45,9 +46,17 @@ trace = forward(plant, Signal(s0, dt))
 # error signals are gradient densities: dC/do[i] = dt * e_o[i]
 e_o = Signal((trace.o.samples - target) / dt, dt)
 
-for transpose, label in ((True, "reciprocal (transposed) medium"),
-                         (False, "broken medium (transpose skipped)")):
-    bw = backward(plant, trace, e_o, transpose_kernels=transpose)
+# the backward run transposes every kernel; a medium whose square kernels are
+# already transposed per lag hands it W[k] where the adjoint needs W[k].T
+broken = plant
+for name in ("w_sa", "w_aa", "w_so", "w_ao"):
+    kern = getattr(plant, name)
+    if kern.rows == kern.cols:
+        broken = broken.with_kernel(name, kern.taps.transpose(0, 2, 1))
+
+for medium, label in ((plant, "reciprocal (transposed) medium"),
+                      (broken, "non-reciprocal medium")):
+    bw = backward(medium, trace, e_o)
     grad = dt * bw.e_s.samples
     # spot-check ten random input samples against central differences
     err = 0.0

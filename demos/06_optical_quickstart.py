@@ -35,8 +35,7 @@ recovered = intensity_recombine(W1, W2, a) - intensity_bias(params.n_nodes)
 print(f"intensity split round trip: max err {np.max(np.abs(recovered - W @ a)):.2e}")
 
 task = synthetic_label_task(n_classes=4, input_dim=8, window=3)
-template = MaskSet(m=np.zeros((20, 8, 100)), u=np.zeros((4, 20, 100)),
-                   s_b=np.zeros((20, 100)), y_b=np.zeros(4), period=100, dt=1.0)
+template = MaskSet.zeros(20, 8, 20, 4, period=100, dt=1.0)
 cfg = TrainConfig(iterations=300, batch_len=100, lr0=1.0, seed=7,
                   trainable=("m", "u", "y_b", "w_aa"), w_aa_gain_bound=2.0)
 log, sys2, masks2 = train(system, template, task, cfg, rng)

@@ -21,7 +21,6 @@ from .errors import (
 from .gradients import (
     GradCheckConfig,
     GradCheckReport,
-    GradientBundle,
     finite_difference_gradient,
     grad_check,
     kernel_gradients,

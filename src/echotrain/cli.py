@@ -202,24 +202,18 @@ def build_experiment(cfg: ConfigFile, seed_override=None) -> Experiment:
                                    scale=weight_scale)
         noise_on = cfg.get_bool("plant.noise", default=True)
         system = make_optical_system(params, W=W, noise=noise_on)
-        n = params.n_nodes
-        template = MaskSet(m=np.zeros((n, 1, period)), u=np.zeros((1, n, period)),
-                           s_b=np.zeros((n, period)), y_b=np.zeros(1),
-                           period=period, dt=params.dt)
+        template = None
     else:
         path = cfg.get_str("plant.file", required=True)
         if not Path(path).exists():
             raise UsageError(f"{cfg.path}: plant.file {path!r} does not exist")
-        system, loaded_masks = load_system(path)
-        if loaded_masks is None and period is None:
+        system, template = load_system(path)
+        if template is None and period is None:
             raise UsageError(f"{cfg.path}: mask.period required when the plant "
                              "file carries no mask set")
-        template = loaded_masks
-        if template is None:
-            template = MaskSet(m=np.zeros((system.n_inputs, 1, period)),
-                               u=np.zeros((1, system.n_outputs, period)),
-                               s_b=np.zeros((system.n_inputs, period)),
-                               y_b=np.zeros(1), period=period, dt=system.dt)
+    if template is None:
+        # with train.init_masks on, train() reads only its channel counts, period and dt
+        template = MaskSet.zeros(system.n_inputs, 1, system.n_outputs, 1, period, system.dt)
 
     task_kind = cfg.get_str("task.kind", required=True, choices=set(TASKS))
     if task_kind == "synthetic_labels":
@@ -234,14 +228,7 @@ def build_experiment(cfg: ConfigFile, seed_override=None) -> Experiment:
         task = TASKS[task_kind]()
 
     init_masks = cfg.get_bool("train.init_masks", default=True)
-    if init_masks:
-        # template channel shapes follow the task dims
-        template = template.replace(
-            m=np.zeros((template.n_in, task.dim_x, template.period)),
-            u=np.zeros((task.dim_y, template.n_out, template.period)),
-            y_b=np.zeros(task.dim_y),
-        )
-    elif template.dim_x != task.dim_x or template.dim_y != task.dim_y:
+    if not init_masks and (template.dim_x != task.dim_x or template.dim_y != task.dim_y):
         raise UsageError(
             f"{cfg.path}: loaded masks are {template.dim_x}->{template.dim_y} "
             f"dimensional but the task is {task.dim_x}->{task.dim_y}")
@@ -249,23 +236,24 @@ def build_experiment(cfg: ConfigFile, seed_override=None) -> Experiment:
     trainable = tuple(
         t.strip() for t in cfg.get_str("train.trainable", default="m,u").split(","))
     gain_bound = cfg.get_float("train.w_aa_gain_bound")
-    try:
-        train_cfg = TrainConfig(
-            iterations=cfg.get_int("train.iterations", required=True),
-            batch_len=cfg.get_int("train.batch_len", default=100),
-            lr0=cfg.get_float("train.lr0", default=0.25),
-            init_std_input_mask=cfg.get_float("train.init_std_input_mask",
-                                              default=float(np.sqrt(0.2))),
-            init_std_output_mask=cfg.get_float("train.init_std_output_mask",
-                                               default=float(np.sqrt(0.1))),
-            trainable=trainable,
-            seed=seed,
-            noise_repeats=cfg.get_int("train.noise_repeats", default=1),
-            w_aa_gain_bound=gain_bound,
-            init_masks=init_masks,
-        )
-    except ConfigurationError as exc:
-        raise UsageError(f"{cfg.path}: {exc}")
+    train_cfg = TrainConfig(
+        iterations=cfg.get_int("train.iterations", required=True),
+        batch_len=cfg.get_int("train.batch_len", default=100),
+        lr0=cfg.get_float("train.lr0", default=0.25),
+        init_std_input_mask=cfg.get_float("train.init_std_input_mask",
+                                          default=float(np.sqrt(0.2))),
+        init_std_output_mask=cfg.get_float("train.init_std_output_mask",
+                                           default=float(np.sqrt(0.1))),
+        trainable=trainable,
+        seed=seed,
+        noise_repeats=cfg.get_int("train.noise_repeats", default=1),
+        w_aa_gain_bound=gain_bound,
+        init_masks=init_masks,
+    )
+    eval_instances = cfg.get_int("eval.instances", default=0)
+    if eval_instances < 0:
+        raise UsageError(f"{cfg.path}:{cfg.values['eval.instances'][1]}: "
+                         f"eval.instances must be >= 0, got {eval_instances}")
 
     exp = Experiment(
         system=system,
@@ -273,7 +261,7 @@ def build_experiment(cfg: ConfigFile, seed_override=None) -> Experiment:
         task=task,
         train_cfg=train_cfg,
         seed=seed,
-        eval_instances=cfg.get_int("eval.instances", default=0),
+        eval_instances=eval_instances,
         eval_seed=cfg.get_int("eval.seed", default=12345),
     )
     cfg.reject_unknown()
@@ -282,7 +270,10 @@ def build_experiment(cfg: ConfigFile, seed_override=None) -> Experiment:
 
 def cmd_run(args) -> int:
     cfg = ConfigFile.parse(resolve_config_path(args.config))
-    exp = build_experiment(cfg, seed_override=args.seed)
+    try:
+        exp = build_experiment(cfg, seed_override=args.seed)
+    except ConfigurationError as exc:  # a value the plant, task or training rejects
+        raise UsageError(f"{cfg.path}: {exc}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -37,46 +37,6 @@ MASK_BLOCKS = ("m", "s_b", "u", "y_b")
 ALL_BLOCKS = KERNEL_BLOCKS + MASK_BLOCKS
 
 
-@dataclass
-class GradientBundle:
-    """One array per parameter block, shaped like the parameter; None = absent."""
-
-    d_w_sa: np.ndarray | None = None
-    d_w_aa: np.ndarray | None = None
-    d_w_so: np.ndarray | None = None
-    d_w_ao: np.ndarray | None = None
-    d_m: np.ndarray | None = None
-    d_s_b: np.ndarray | None = None
-    d_u: np.ndarray | None = None
-    d_y_b: np.ndarray | None = None
-
-    def block(self, name: str) -> np.ndarray | None:
-        return getattr(self, "d_" + name)
-
-    def set_block(self, name: str, value) -> None:
-        setattr(self, "d_" + name, value)
-
-    def items(self):
-        for name in ALL_BLOCKS:
-            arr = self.block(name)
-            if arr is not None:
-                yield name, arr
-
-    def add_(self, other: "GradientBundle") -> "GradientBundle":
-        for name in ALL_BLOCKS:
-            mine, theirs = self.block(name), other.block(name)
-            if (mine is None) != (theirs is None):
-                raise DimensionError(f"gradient bundles disagree on block {name}")
-            if mine is not None:
-                self.set_block(name, mine + theirs)
-        return self
-
-    def scale_(self, c: float) -> "GradientBundle":
-        for name, arr in self.items():
-            self.set_block(name, c * arr)
-        return self
-
-
 def _tap_gradient(e_dst: np.ndarray, src: np.ndarray, L: int, dt: float,
                   lags=None) -> np.ndarray:
     """G[k] = dt^2 * e_dst[:, k:] @ src[:, :n-k].T for k = 0..L-1.
@@ -94,15 +54,15 @@ def _tap_gradient(e_dst: np.ndarray, src: np.ndarray, L: int, dt: float,
 
 
 def kernel_gradients(sys: PhysicalSystem, fwd: ForwardTrace, bwd: BackwardTrace,
-                     s: Signal, blocks=KERNEL_BLOCKS) -> GradientBundle:
-    """Tap gradients from one recorded forward/backward run.
+                     s: Signal, blocks=KERNEL_BLOCKS) -> dict:
+    """Tap gradients from one recorded forward/backward run, keyed by kernel name.
 
     blocks restricts the computation to what the caller uses: either kernel
     names (every lag of each), or a dict from kernel name to the ascending
     lags to compute, the rest of that block left zero.  A training loop
     passes each trainable kernel's live lags, the only ones its update keeps;
     the gradient at a structurally zero lag is still real and the audit
-    (no restriction) checks it.  Omitted blocks stay None in the bundle.
+    (no restriction) checks it.  Omitted blocks are absent from the result.
     """
     n = s.n_samples
     if not (fwd.a.n_samples == n == bwd.e_a.n_samples == bwd.e_s.n_samples
@@ -110,22 +70,16 @@ def kernel_gradients(sys: PhysicalSystem, fwd: ForwardTrace, bwd: BackwardTrace,
         raise DimensionError("forward/backward traces and input disagree on length")
     if not isinstance(blocks, dict):
         blocks = dict.fromkeys(blocks)  # None: every lag
-    dt = s.dt
-    out = GradientBundle()
-    if "w_sa" in blocks:
-        out.d_w_sa = _tap_gradient(bwd.e_a.samples, s.samples, sys.w_sa.length, dt,
-                                   blocks["w_sa"])
-    if "w_aa" in blocks:
-        d = _tap_gradient(bwd.e_a.samples, fwd.a.samples, sys.w_aa.length, dt,
-                          blocks["w_aa"])
-        d[0] = 0.0  # tap 0 is structurally zero (strict causality), not a parameter
-        out.d_w_aa = d
-    if "w_so" in blocks:
-        out.d_w_so = _tap_gradient(bwd.e_o.samples, s.samples, sys.w_so.length, dt,
-                                   blocks["w_so"])
-    if "w_ao" in blocks:
-        out.d_w_ao = _tap_gradient(bwd.e_o.samples, fwd.a.samples, sys.w_ao.length, dt,
-                                   blocks["w_ao"])
+    pairs = {"w_sa": (bwd.e_a, s), "w_aa": (bwd.e_a, fwd.a),
+             "w_so": (bwd.e_o, s), "w_ao": (bwd.e_o, fwd.a)}
+    out = {}
+    for name in KERNEL_BLOCKS:
+        if name in blocks:
+            dst, src = pairs[name]
+            out[name] = _tap_gradient(dst.samples, src.samples, getattr(sys, name).length,
+                                      s.dt, blocks[name])
+    if "w_aa" in out:
+        out["w_aa"][0] = 0.0  # tap 0 is structurally zero (strict causality), not a parameter
     return out
 
 
@@ -283,32 +237,50 @@ def pipeline_cost(sys: PhysicalSystem, masks: MaskSet, xs, targets) -> float:
 
 
 def pipeline_gradients(sys: PhysicalSystem, masks: MaskSet, xs, targets,
-                       transpose_kernels: bool = True) -> GradientBundle:
-    """Physically-backpropagated gradients of pipeline_cost for all 8 blocks."""
+                       medium: PhysicalSystem | None = None) -> dict:
+    """Physically-backpropagated gradients of pipeline_cost for all 8 blocks.
+
+    medium is the plant the error is played back through (default: sys
+    itself, whose reciprocity makes the backward run the exact adjoint).
+    """
     s = encode_inputs(xs, masks)
     tr = forward(sys, s)
     ys = decode_outputs(tr.o, masks)
     errs = ys - np.asarray(targets, dtype=np.float64)
     e_o = encode_output_errors(errs, masks)
-    bw = backward(sys, tr, e_o, transpose_kernels=transpose_kernels)
-    bundle = kernel_gradients(sys, tr, bw, s)
-    bundle.d_m, bundle.d_s_b = input_mask_gradient(bw.e_s, xs)
-    bundle.d_u, bundle.d_y_b = output_mask_gradient(errs, tr.o)
-    return bundle
+    bw = backward(sys if medium is None else medium, tr, e_o)
+    grads = kernel_gradients(sys, tr, bw, s)
+    grads["m"], grads["s_b"] = input_mask_gradient(bw.e_s, xs)
+    grads["u"], grads["y_b"] = output_mask_gradient(errs, tr.o)
+    return grads
+
+
+def _non_reciprocal(sys: PhysicalSystem) -> PhysicalSystem:
+    """The plant with every square kernel's taps transposed per lag.
+
+    Played back through this medium the error meets W[k] where the adjoint
+    needs W[k].T: a broken backward pass (negative control for audits).
+    """
+    for name in KERNEL_BLOCKS:
+        kern = getattr(sys, name)
+        if kern.rows == kern.cols:
+            sys = sys.with_kernel(name, kern.taps.transpose(0, 2, 1))
+    return sys
 
 
 def grad_check(cfg: GradCheckConfig, seed: int, break_adjoint: bool = False) -> GradCheckReport:
     """Compare physical gradients to the FD oracle over random toy pipelines.
 
-    break_adjoint skips the kernel transposition in the backward pass -- a
+    break_adjoint plays the error back through _non_reciprocal(plant) -- a
     deliberate corruption that must make the check fail (negative control).
+    Forward runs and the FD losses stay on the true plant.
     """
     rng = np.random.default_rng(seed)
     worst = {name: 0.0 for name in ALL_BLOCKS}
     for _ in range(cfg.n_systems):
         sys, masks, xs, targets = random_toy_pipeline(cfg, rng)
-        bundle = pipeline_gradients(sys, masks, xs, targets,
-                                    transpose_kernels=not break_adjoint)
+        grads = pipeline_gradients(sys, masks, xs, targets,
+                                   medium=_non_reciprocal(sys) if break_adjoint else None)
 
         for name in KERNEL_BLOCKS:
             kern: Kernel = getattr(sys, name)
@@ -325,8 +297,7 @@ def grad_check(cfg: GradCheckConfig, seed: int, break_adjoint: bool = False) -> 
 
             fd = finite_difference_gradient(loss, free.ravel(), cfg.eps,
                                             threads=cfg.threads)
-            worst[name] = max(worst[name],
-                              relative_error(bundle.block(name)[lag0:], fd))
+            worst[name] = max(worst[name], relative_error(grads[name][lag0:], fd))
 
         for name in MASK_BLOCKS:
             ref = getattr(masks, name)
@@ -337,7 +308,7 @@ def grad_check(cfg: GradCheckConfig, seed: int, break_adjoint: bool = False) -> 
 
             fd = finite_difference_gradient(loss, ref.ravel(), cfg.eps,
                                             threads=cfg.threads)
-            worst[name] = max(worst[name], relative_error(bundle.block(name), fd))
+            worst[name] = max(worst[name], relative_error(grads[name], fd))
 
     report = GradCheckReport(threshold=cfg.threshold)
     for name in ALL_BLOCKS:

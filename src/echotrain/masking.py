@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, LengthError, NumericError
-from .signal import Signal
+from .signal import Signal, _positive_dt
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,17 @@ class MaskSet:
         object.__setattr__(self, "s_b", s_b)
         object.__setattr__(self, "y_b", y_b)
         object.__setattr__(self, "period", P)
-        object.__setattr__(self, "dt", float(self.dt))
+        object.__setattr__(self, "dt", _positive_dt(self.dt))
+
+    @staticmethod
+    def zeros(n_in: int, dim_x: int, n_out: int, dim_y: int, period: int,
+              dt: float) -> "MaskSet":
+        """All-zero masks of the given shape (a template for train())."""
+        if period < 1:
+            raise ConfigurationError(f"period must be positive, got {period}")
+        return MaskSet(m=np.zeros((n_in, dim_x, period)), u=np.zeros((dim_y, n_out, period)),
+                       s_b=np.zeros((n_in, period)), y_b=np.zeros(dim_y),
+                       period=period, dt=dt)
 
     @property
     def n_in(self) -> int:

@@ -36,8 +36,9 @@ class TubeParams:
     filter_taps: int = 101
 
     def __post_init__(self):
-        if min(self.length_m, self.speed_of_sound, self.sample_rate) <= 0:
-            raise ConfigurationError("tube geometry values must be positive")
+        if not all(0.0 < v < np.inf for v in (self.length_m, self.speed_of_sound,
+                                              self.sample_rate)):
+            raise ConfigurationError("tube geometry values must be positive and finite")
         if not (0.0 < self.reflection_coeff < 1.0):
             raise ConfigurationError(
                 f"reflection_coeff must lie in (0, 1), got {self.reflection_coeff}")
@@ -45,6 +46,8 @@ class TubeParams:
             raise ConfigurationError("need at least one echo")
         if not (0.0 < self.loop_gain < 1.0):
             raise ConfigurationError("loop_gain must lie in (0, 1)")
+        if self.filter_taps < 1:
+            raise ConfigurationError(f"filter_taps must be >= 1, got {self.filter_taps}")
 
     @property
     def dt(self) -> float:
@@ -141,15 +144,7 @@ def make_acoustic_system(kernel: Kernel, period: int | None = None,
         noise=noise,
         backward_path=backward_path,
     )
-    template = MaskSet(
-        m=np.zeros((1, 1, period)),
-        u=np.zeros((1, 1, period)),
-        s_b=np.zeros((1, period)),
-        y_b=np.zeros(1),
-        period=period,
-        dt=kernel.dt,
-    )
-    return system, template
+    return system, MaskSet.zeros(1, 1, 1, 1, period, kernel.dt)
 
 
 @dataclass(frozen=True)
@@ -166,6 +161,11 @@ class OpticalParams:
     dt: float = 1.0
 
     def __post_init__(self):
+        if self.n_nodes < 1:
+            raise ConfigurationError(f"n_nodes must be >= 1, got {self.n_nodes}")
+        if not (0.0 <= self.weight_bound < np.inf):
+            raise ConfigurationError(
+                f"weight_bound must be non-negative and finite, got {self.weight_bound}")
         if self.delay_samples < 1:
             raise ConfigurationError("delay must be at least one sample")
         if not np.isfinite(self.snr_db):
@@ -177,6 +177,8 @@ class OpticalParams:
 def random_optical_weights(p: OpticalParams, rng: np.random.Generator,
                            scale: float = 0.5) -> np.ndarray:
     """Random mixing matrix with spectral-radius-ish scaling, inside the bound."""
+    if not np.isfinite(scale):
+        raise ConfigurationError(f"weight scale must be finite, got {scale}")
     W = rng.standard_normal((p.n_nodes, p.n_nodes)) * (scale / np.sqrt(p.n_nodes))
     return np.clip(W, -p.weight_bound, p.weight_bound)
 

@@ -243,7 +243,7 @@ def rnn_equivalence_suite(instances: int, rng: np.random.Generator,
         bw = backward(sys, tr, Signal(e, 1.0))
         g = kernel_gradients(sys, tr, bw, s)
         _, _, dense = _dense_rnn_reference(rnn, xs, e_os)
-        for got, want in zip((g.d_w_sa[0], g.d_w_aa[period], g.d_w_ao[0]), dense):
+        for got, want in zip((g["w_sa"][0], g["w_aa"][period], g["w_ao"][0]), dense):
             denom = max(float(np.linalg.norm(want)), 1e-12)
             worst_grad = max(worst_grad, float(np.linalg.norm(got - want)) / denom)
     return worst_fwd, worst_grad

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .masking import MaskSet
-from .signal import Kernel
+from .signal import Kernel, _positive_dt
 from .system import BackwardPath, NoiseModel, Nonlinearity, PhysicalSystem
 
 _FORMAT_LINE = "format echotrain-system 1"
@@ -122,9 +122,7 @@ def load_system(path):
             if key in ("kernel", "maskset") and dt is None:
                 raise ValueError(f"{key} record before the dt record")
             if key == "dt":
-                dt = float.fromhex(tok[1])
-                if not 0.0 < dt < np.inf:
-                    raise ValueError(f"dt must be positive and finite, got {dt}")
+                dt = _positive_dt(float.fromhex(tok[1]))
                 i += 1
             elif key == "nonlinearity":
                 if tok[1] == "clip":

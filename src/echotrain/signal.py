@@ -38,6 +38,14 @@ def _as_readonly_f64(arr, ndim, name):
     return out
 
 
+def _positive_dt(dt) -> float:
+    """dt as a float, which must be positive and finite."""
+    dt = float(dt)
+    if not 0.0 < dt < np.inf:
+        raise ConfigurationError(f"dt must be positive and finite, got {dt}")
+    return dt
+
+
 @dataclass(frozen=True)
 class Signal:
     """Multichannel trace: samples has shape (channels, n_samples)."""
@@ -49,9 +57,7 @@ class Signal:
         object.__setattr__(self, "samples", _as_readonly_f64(self.samples, 2, "samples"))
         if self.samples.shape[0] < 1:
             raise DimensionError("a Signal needs at least one channel")
-        if not (float(self.dt) > 0.0):
-            raise ConfigurationError(f"dt must be positive, got {self.dt}")
-        object.__setattr__(self, "dt", float(self.dt))
+        object.__setattr__(self, "dt", _positive_dt(self.dt))
 
     @classmethod
     def _own(cls, samples: np.ndarray, dt: float) -> "Signal":
@@ -66,12 +72,10 @@ class Signal:
             raise NumericError("samples contains non-finite values")
         if out.shape[0] < 1:
             raise DimensionError("a Signal needs at least one channel")
-        if not (float(dt) > 0.0):
-            raise ConfigurationError(f"dt must be positive, got {dt}")
         out.flags.writeable = False
         sig = object.__new__(cls)
         object.__setattr__(sig, "samples", out)
-        object.__setattr__(sig, "dt", float(dt))
+        object.__setattr__(sig, "dt", _positive_dt(dt))
         return sig
 
     @property
@@ -81,10 +85,6 @@ class Signal:
     @property
     def n_samples(self) -> int:
         return self.samples.shape[1]
-
-    @property
-    def duration(self) -> float:
-        return self.n_samples * self.dt
 
     @staticmethod
     def zeros(channels: int, n_samples: int, dt: float) -> "Signal":
@@ -102,9 +102,7 @@ class Kernel:
         object.__setattr__(self, "taps", _as_readonly_f64(self.taps, 3, "taps"))
         if self.taps.shape[0] < 1:
             raise DimensionError("a Kernel needs at least one tap")
-        if not (float(self.dt) > 0.0):
-            raise ConfigurationError(f"dt must be positive, got {self.dt}")
-        object.__setattr__(self, "dt", float(self.dt))
+        object.__setattr__(self, "dt", _positive_dt(self.dt))
         # the taps are read-only, so their live lags are found once
         lags = np.flatnonzero(np.any(self.taps != 0.0, axis=(1, 2)))
         lags.flags.writeable = False

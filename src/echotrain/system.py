@@ -124,10 +124,9 @@ class BackwardPath:
     def __post_init__(self):
         if not (0.0 < self.scale <= 1.0):
             raise ConfigurationError(f"scale must be in (0, 1], got {self.scale}")
-
-    @property
-    def is_identity(self) -> bool:
-        return self.normalize_peak is None and self.scale == 1.0 and not self.clip
+        if self.normalize_peak is not None and not (0.0 < self.normalize_peak < np.inf):
+            raise ConfigurationError(
+                f"normalize_peak must be positive and finite, got {self.normalize_peak}")
 
 
 @dataclass(frozen=True)
@@ -291,15 +290,12 @@ def backward(
     trace: ForwardTrace,
     e_o: Signal,
     rng: np.random.Generator | None = None,
-    transpose_kernels: bool = True,
 ) -> BackwardTrace:
     """Adjoint pass: inject e_o time-reversed through the reciprocal medium.
 
     e_o is the gradient density of the cost w.r.t. o (dC/do[i] = dt * e_o[i]);
     e_a and e_s come back with the same convention.  The Jacobian gate uses the
-    recorded trace, not a re-evaluation of f.  transpose_kernels=False is a
-    debugging switch that skips the tap transposition (negative control for
-    gradient checks) and is never correct for real use.
+    recorded trace, not a re-evaluation of f.
     """
     if e_o.channels != sys.n_outputs:
         raise DimensionError(
@@ -324,14 +320,7 @@ def backward(
     # as a temporary; on 3.10 the caller's frame keeps it alive for the call.
     del e_o, e_o_arr
 
-    def adj(kernel: Kernel, sig: Signal) -> Signal:
-        if transpose_kernels or kernel.rows != kernel.cols:
-            # the corruption is only expressible where shapes permit (square)
-            return adjoint_convolve(kernel, sig)
-        # corrupted variant: contraction without the tap transpose
-        return adjoint_convolve(Kernel(kernel.taps.transpose(0, 2, 1), kernel.dt), sig)
-
-    contrib_o = adj(sys.w_ao, e_o_used).samples
+    contrib_o = adjoint_convolve(sys.w_ao, e_o_used).samples
 
     # anti-causal recursion == causal recursion on time-reversed traces with
     # transposed taps; reuse the blocked forward engine
@@ -343,11 +332,12 @@ def backward(
             x_blk = _activate(clip_f, x_blk)
         return jac_rev[:, t0:t1] * x_blk
 
-    e_a_rev = _causal_feedback(sys.w_aa, contrib_o[:, ::-1], gate, transpose=transpose_kernels)
+    e_a_rev = _causal_feedback(sys.w_aa, contrib_o[:, ::-1], gate, transpose=True)
     del contrib_o
     e_a = Signal._own(e_a_rev[:, ::-1].copy(), sys.dt)
     del e_a_rev
-    e_s_arr = adj(sys.w_sa, e_a).samples + adj(sys.w_so, e_o_used).samples
+    e_s_arr = (adjoint_convolve(sys.w_sa, e_a).samples
+               + adjoint_convolve(sys.w_so, e_o_used).samples)
 
     if sys.noise is not None and sys.noise.on_backward:
         if rng is None:

@@ -92,6 +92,8 @@ def gen_synthetic_labels(n: int, n_classes: int, input_dim: int,
     """
     if n_classes < 2:
         raise ConfigurationError(f"need at least 2 classes, got {n_classes}")
+    if input_dim < 1:
+        raise ConfigurationError(f"need at least 1 input channel, got {input_dim}")
     if window < 1 or n < window:
         raise ConfigurationError("window must satisfy 1 <= window <= n")
     from scipy.stats import norm

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, NumericError, UndefinedMetricError
-from .gradients import ALL_BLOCKS, KERNEL_BLOCKS, GradientBundle, kernel_gradients
+from .gradients import ALL_BLOCKS, KERNEL_BLOCKS, kernel_gradients
 from .masking import (
     MaskSet,
     decode_outputs,
@@ -109,6 +109,10 @@ def variable_delay_task(one_hot: bool = False) -> Task:
 
 def synthetic_label_task(n_classes: int = 4, input_dim: int = 8,
                          window: int = 3) -> Task:
+    if n_classes < 2 or input_dim < 1 or window < 1:
+        raise ConfigurationError("synthetic labels need n_classes >= 2, input_dim >= 1 and "
+                                 f"window >= 1, got {n_classes}, {input_dim} and {window}")
+
     def sample(n, rng):
         return gen_synthetic_labels(n, n_classes, input_dim, rng, window=window)
 
@@ -155,10 +159,13 @@ class TrainConfig:
             raise ConfigurationError("iterations must be >= 1")
         if self.batch_len < 1:
             raise ConfigurationError(f"batch_len must be >= 1, got {self.batch_len}")
-        if not (self.lr0 >= 0.0):
-            raise ConfigurationError("lr0 must be non-negative")
-        if self.init_std_input_mask < 0 or self.init_std_output_mask < 0:
-            raise ConfigurationError("mask init stds must be non-negative")
+        if not (0.0 <= self.lr0 < np.inf):
+            raise ConfigurationError("lr0 must be non-negative and finite")
+        if not all(0.0 <= v < np.inf for v in (self.init_std_input_mask,
+                                               self.init_std_output_mask)):
+            raise ConfigurationError("mask init stds must be non-negative and finite")
+        if self.w_aa_gain_bound is not None and not (0.0 <= self.w_aa_gain_bound < np.inf):
+            raise ConfigurationError("w_aa_gain_bound must be non-negative and finite")
         if self.noise_repeats < 1:
             raise ConfigurationError("noise_repeats must be >= 1")
         bad = set(self.trainable) - set(ALL_BLOCKS)
@@ -216,23 +223,15 @@ def _batch_gradients(system, masks, task, data, trainable, rng_noise):
 
     # tap gradients only at the live lags, the only ones apply_update keeps
     wanted = {k: getattr(system, k).nonzero_lags() for k in KERNEL_BLOCKS if k in trainable}
-    bundle = kernel_gradients(system, tr, bw, s, blocks=wanted) if wanted else GradientBundle()
+    grads = kernel_gradients(system, tr, bw, s, blocks=wanted) if wanted else {}
     if "m" in trainable or "s_b" in trainable:
-        dm, dsb = input_mask_gradient(bw.e_s, data.inputs)
-        if "m" in trainable:
-            bundle.d_m = dm
-        if "s_b" in trainable:
-            bundle.d_s_b = dsb
+        grads["m"], grads["s_b"] = input_mask_gradient(bw.e_s, data.inputs)
     if "u" in trainable or "y_b" in trainable:
-        du, dyb = output_mask_gradient(errs, tr.o)
-        if "u" in trainable:
-            bundle.d_u = du
-        if "y_b" in trainable:
-            bundle.d_y_b = dyb
-    return cost, ys, bundle
+        grads["u"], grads["y_b"] = output_mask_gradient(errs, tr.o)
+    return cost, ys, {k: grads[k] for k in trainable}
 
 
-def apply_update(system: PhysicalSystem, masks: MaskSet, bundle: GradientBundle,
+def apply_update(system: PhysicalSystem, masks: MaskSet, grads: dict,
                  lr: float, cfg: TrainConfig):
     """theta <- theta - lr * g/|g| per block, plus constraint projections.
 
@@ -242,14 +241,14 @@ def apply_update(system: PhysicalSystem, masks: MaskSet, bundle: GradientBundle,
     """
     mask_updates = {}
     for name in ("m", "s_b", "u", "y_b"):
-        g = bundle.block(name)
+        g = grads.get(name)
         if g is not None:
             mask_updates[name] = getattr(masks, name) - lr * normalize_gradient(g)
     if mask_updates:
         masks = masks.replace(**mask_updates)
 
     for name in KERNEL_BLOCKS:
-        g = bundle.block(name)
+        g = grads.get(name)
         if g is None:
             continue
         kern: Kernel = getattr(system, name)
@@ -320,14 +319,14 @@ def train(system: PhysicalSystem, mask_template: MaskSet, task: Task,
         ys_first = None
         try:
             for r in range(cfg.noise_repeats):
-                cost, ys, bundle = _batch_gradients(
+                cost, ys, grads = _batch_gradients(
                     system, masks, task, data, cfg.trainable, rng if noisy else None)
                 cost_acc += cost
                 if r == 0:
                     ys_first = ys
-                    total = bundle
+                    total = grads
                 else:
-                    total.add_(bundle)
+                    total = {k: total[k] + g for k, g in grads.items()}
         except NumericError as exc:
             # the plant or its parameters blew up mid-simulation
             raise DivergenceError(f"diverged at iteration {it}: {exc}", log=log)

@@ -227,8 +227,8 @@ def test_criterion_8_error_scale_invariance():
         from echotrain.masking import output_mask_gradient
 
         bundle = kernel_gradients(sys, tr, bw, s)
-        bundle.d_m, bundle.d_s_b = input_mask_gradient(bw.e_s, xs)
-        bundle.d_u, bundle.d_y_b = (c * g for g in output_mask_gradient(errs, tr.o))
+        bundle["m"], bundle["s_b"] = input_mask_gradient(bw.e_s, xs)
+        bundle["u"], bundle["y_b"] = (c * g for g in output_mask_gradient(errs, tr.o))
         normed = {name: normalize_gradient(g) for name, g in bundle.items()}
         if grads_ref is None:
             grads_ref = normed

@@ -242,3 +242,28 @@ train.iterations = 3
     assert main(["run", "--config", str(custom), "--out", str(tmp_path / "second")]) == 2
     err = capsys.readouterr().err
     assert f"{plant}:5:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("base,key,value", [
+    ("toy_delay_smoke", "plant.filter_taps", "0"),
+    ("toy_delay_smoke", "plant.sample_rate", "nan"),
+    ("toy_delay_smoke", "mask.period", "-3"),
+    ("optical_labels", "mask.period", "-3"),
+    ("optical_labels", "plant.weight_bound", "nan"),
+    ("optical_labels", "plant.weight_bound", "-1"),
+    ("optical_labels", "plant.weight_scale", "nan"),
+    ("optical_labels", "plant.n_nodes", "0"),
+    ("optical_labels", "task.input_dim", "0"),
+    ("toy_delay_smoke", "eval.instances", "-5"),
+    ("toy_delay_smoke", "train.init_std_input_mask", "nan"),
+    ("toy_delay_smoke", "train.lr0", "inf"),
+    ("optical_labels", "train.w_aa_gain_bound", "nan"),
+])
+def test_out_of_range_config_value_exits_two_naming_the_file(tmp_path, capsys, base, key, value):
+    lines = resolve_config_path(base).read_text().splitlines()
+    lines = [ln for ln in lines if not ln.startswith(key + " ")] + [f"{key} = {value}"]
+    path = write_cfg(tmp_path, "\n".join(lines) + "\n")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "log.csv").exists()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from echotrain.errors import LengthError
+from echotrain.errors import ConfigurationError, LengthError
 from echotrain.masking import (
     MaskSet,
     decode_outputs,
@@ -239,3 +239,16 @@ def test_init_masks_and_csv(tmp_path):
     assert len(lines) == 5
     assert lines[0].split(",")[0] == "t"
     assert len(lines[1].split(",")) == 1 + 2 * 1 + 2 + 3 * 2
+
+
+def test_zero_masks_have_the_given_shape():
+    masks = MaskSet.zeros(3, 2, 4, 5, period=6, dt=0.5)
+    assert masks.m.shape == (3, 2, 6) and masks.u.shape == (5, 4, 6)
+    assert masks.s_b.shape == (3, 6) and masks.y_b.shape == (5,)
+    assert masks.dt == 0.5 and not any(np.any(getattr(masks, k)) for k in ("m", "u", "s_b", "y_b"))
+
+
+@pytest.mark.parametrize("period", [0, -3])
+def test_zero_masks_reject_a_nonpositive_period(period):
+    with pytest.raises(ConfigurationError, match="period must be positive"):
+        MaskSet.zeros(1, 1, 1, 1, period=period, dt=1.0)

@@ -203,7 +203,7 @@ def test_optical_gradients_match_fd_with_distortion_off():
         return pipeline_cost(sys, masks.replace(m=flat.reshape(masks.m.shape)), xs, targets)
 
     fd = fd_gradient(loss_m, masks.m.ravel(), eps=1e-5)
-    assert relative_error(bundle.d_m, fd) < 1e-5
+    assert relative_error(bundle["m"], fd) < 1e-5
 
     # trainable mixing matrix: the w_aa tap at lag D
     def loss_w(flat):
@@ -212,7 +212,7 @@ def test_optical_gradients_match_fd_with_distortion_off():
         return pipeline_cost(sys.with_kernel("w_aa", taps), masks, xs, targets)
 
     fd_w = fd_gradient(loss_w, sys.w_aa.taps[4].ravel(), eps=1e-5)
-    assert relative_error(bundle.d_w_aa[4], fd_w) < 1e-5
+    assert relative_error(bundle["w_aa"][4], fd_w) < 1e-5
 
 
 def test_optical_weight_bound_enforced():

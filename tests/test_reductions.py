@@ -116,7 +116,7 @@ def rnn_physical_bptt(rnn, xs, targets, dt=1.0):
     bw = backward(sys, tr, Signal(e, dt))
     g = kernel_gradients(sys, tr, bw, s)
     # tap gradient -> dense weight gradient: tap = W/dt, so dW = d_tap/dt
-    return (g.d_w_sa[0] / dt, g.d_w_aa[P] / dt, g.d_w_ao[0] / dt)
+    return (g["w_sa"][0] / dt, g["w_aa"][P] / dt, g["w_ao"][0] / dt)
 
 
 def test_rnn_bptt_gradients_match_dense_oracle():

@@ -159,6 +159,16 @@ def test_bad_dt_names_its_line(tmp_path, value):
         load_lines(tmp_path, lines)
 
 
+def test_negative_backward_peak_names_its_line(tmp_path):
+    lines = saved_lines(tmp_path)
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("backward_path "))
+    tokens = lines[at].split()
+    tokens[1] = (-0.5).hex()
+    lines[at] = " ".join(tokens)
+    with pytest.raises(ConfigurationError, match=rf"edited\.txt:{at + 1}: normalize_peak"):
+        load_lines(tmp_path, lines)
+
+
 def test_wrong_tap_count_names_the_line(tmp_path):
     lines = saved_lines(tmp_path)
     head = lines.index("kernel w_sa 3 2 4")

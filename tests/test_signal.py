@@ -393,3 +393,12 @@ def test_convolution_outputs_are_read_only(shape):
         assert not out.samples.flags.writeable
         with pytest.raises(ValueError):
             out.samples[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("dt", [float("inf"), float("nan"), 0.0, -1.0])
+def test_every_constructor_rejects_a_non_finite_or_nonpositive_dt(dt):
+    for build in (lambda: Signal(np.ones((1, 4)), dt),
+                  lambda: Signal._own(np.ones((1, 4)), dt),
+                  lambda: Kernel(np.ones((1, 1, 1)), dt)):
+        with pytest.raises(ConfigurationError, match="dt must be positive and finite"):
+            build()

@@ -270,6 +270,13 @@ def test_backward_path_normalize_and_scale():
                                rtol=1e-12, atol=1e-14)
 
 
+@pytest.mark.parametrize("peak", [-0.5, 0.0, float("nan"), float("inf")])
+def test_backward_path_rejects_a_bad_normalize_peak(peak):
+    # a negative peak would flip the injected error, a NaN one poison it
+    with pytest.raises(ConfigurationError, match="normalize_peak"):
+        BackwardPath(normalize_peak=peak)
+
+
 def test_backward_length_mismatch_errors():
     rng = np.random.default_rng(15)
     sys = rand_system(rng)

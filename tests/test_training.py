@@ -318,16 +318,16 @@ def test_batch_gradients_compute_live_lags_only():
     tr = forward(system, s, rng)
     _, errs = task.cost(decode_outputs(tr.o, masks), data)
     bw = backward(system, tr, encode_output_errors(errs, masks), rng)
-    full = kernel_gradients(system, tr, bw, s).d_w_aa
+    full = kernel_gradients(system, tr, bw, s)["w_aa"]
 
     live = system.w_aa.nonzero_lags()
     assert list(live) == [13]
-    assert np.array_equal(bundle.d_w_aa[live], full[live])
+    assert np.array_equal(bundle["w_aa"][live], full[live])
     assert np.any(full[:13] != 0.0)  # the structural lags do carry gradient...
     dead = np.ones(full.shape[0], dtype=bool)
     dead[live] = False
-    assert np.all(bundle.d_w_aa[dead] == 0.0)  # ...which training does not compute
-    assert bundle.d_w_sa is None and bundle.d_u is None
+    assert np.all(bundle["w_aa"][dead] == 0.0)  # ...which training does not compute
+    assert "w_sa" not in bundle and "u" not in bundle
 
 
 def test_optical_iteration_memory_peak():
