@@ -14,9 +14,6 @@ from echotrain import (
     OpticalParams,
     TrainConfig,
     evaluate,
-    intensity_bias,
-    intensity_recombine,
-    intensity_split,
     make_optical_system,
     synthetic_label_task,
     train,
@@ -27,12 +24,15 @@ params = OpticalParams()  # 20 nodes, D = 109, 18 dB, clipped backward path
 rng = np.random.default_rng(7)
 system = make_optical_system(params, rng=rng)
 
-# the signed mixing matrix as two non-negative modulator arrays
+# the signed mixing matrix as two non-negative modulator arrays W1 = 1 + W/2 and
+# W2 = 1 - W/2 (|W| <= 2); the summed intensity W1 (1 + a) + W2 (1 - a) is
+# W a plus the constant bias 2 n
 W = system.w_aa.taps[params.delay_samples] * system.dt
-W1, W2 = intensity_split(W)
+W1, W2 = 1.0 + W / 2.0, 1.0 - W / 2.0
 a = rng.uniform(-1, 1, params.n_nodes)
-recovered = intensity_recombine(W1, W2, a) - intensity_bias(params.n_nodes)
-print(f"intensity split round trip: max err {np.max(np.abs(recovered - W @ a)):.2e}")
+err = np.max(np.abs(W1 @ (1.0 + a) + W2 @ (1.0 - a) - 2.0 * params.n_nodes - W @ a))
+assert np.all(W1 >= 0.0) and np.all(W2 >= 0.0) and err < 1e-12
+print(f"intensity split round trip: max err {err:.2e}")
 
 task = synthetic_label_task(n_classes=4, input_dim=8, window=3)
 template = MaskSet.zeros(20, 8, 20, 4, period=100, dt=1.0)

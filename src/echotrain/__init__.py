@@ -39,10 +39,6 @@ from .masking import (
 from .models import (
     OpticalParams,
     TubeParams,
-    add_measurement_noise,
-    intensity_bias,
-    intensity_recombine,
-    intensity_split,
     make_acoustic_system,
     make_optical_system,
     make_tube_kernel,
@@ -61,11 +57,8 @@ from .signal import (
     Kernel,
     Signal,
     adjoint_convolve,
-    concat_segments,
     convolve,
     inner,
-    signal_from_csv,
-    signal_to_csv,
     split_segments,
     time_reverse,
 )

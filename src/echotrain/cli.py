@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
@@ -72,6 +72,10 @@ class ConfigFile:
                 cfg.values[key] = (val, lineno)
         return cfg
 
+    def where(self, key) -> str:
+        """'file:line' of key, or the file alone when key is not in it."""
+        return f"{self.path}:{self.values[key][1]}" if key in self.values else self.path
+
     def _fetch(self, key, required, default):
         if key in self.values:
             self.consumed.add(key)
@@ -84,8 +88,7 @@ class ConfigFile:
         val = self._fetch(key, required, default)
         if val is not None and choices is not None and val not in choices:
             raise UsageError(
-                f"{self.path}:{self.values[key][1]}: {key} must be one of "
-                f"{sorted(choices)}, got {val!r}")
+                f"{self.where(key)}: {key} must be one of {sorted(choices)}, got {val!r}")
         return val
 
     def get_float(self, key, required=False, default=None):
@@ -95,18 +98,18 @@ class ConfigFile:
         try:
             return float(val)
         except ValueError:
-            raise UsageError(
-                f"{self.path}:{self.values[key][1]}: {key} must be a number, got {val!r}")
+            raise UsageError(f"{self.where(key)}: {key} must be a number, got {val!r}")
 
-    def get_int(self, key, required=False, default=None):
+    def get_int(self, key, required=False, default=None, minimum=None):
         val = self._fetch(key, required, default)
-        if val is None or isinstance(val, int):
-            return val
-        try:
-            return int(val)
-        except ValueError:
-            raise UsageError(
-                f"{self.path}:{self.values[key][1]}: {key} must be an integer, got {val!r}")
+        if isinstance(val, str):
+            try:
+                val = int(val)
+            except ValueError:
+                raise UsageError(f"{self.where(key)}: {key} must be an integer, got {val!r}")
+        if minimum is not None and val is not None and val < minimum:
+            raise UsageError(f"{self.where(key)}: {key} must be >= {minimum}, got {val}")
+        return val
 
     def get_bool(self, key, default=False):
         val = self._fetch(key, False, None)
@@ -116,15 +119,13 @@ class ConfigFile:
             return True
         if val.lower() in ("0", "false", "off", "no"):
             return False
-        raise UsageError(
-            f"{self.path}:{self.values[key][1]}: {key} must be a boolean, got {val!r}")
+        raise UsageError(f"{self.where(key)}: {key} must be a boolean, got {val!r}")
 
     def reject_unknown(self):
         left = set(self.values) - self.consumed
         if left:
             key = sorted(left)[0]
-            raise UsageError(
-                f"{self.path}:{self.values[key][1]}: unknown field {key!r}")
+            raise UsageError(f"{self.where(key)}: unknown field {key!r}")
 
 
 def resolve_config_path(name_or_path: str) -> Path:
@@ -154,7 +155,7 @@ class Experiment:
 
 
 def build_experiment(cfg: ConfigFile, seed_override=None) -> Experiment:
-    seed = cfg.get_int("seed", required=True)
+    seed = cfg.get_int("seed", required=True, minimum=0)
     if seed_override is not None:
         seed = seed_override
 
@@ -184,7 +185,7 @@ def build_experiment(cfg: ConfigFile, seed_override=None) -> Experiment:
         units = cfg.get_str("plant.time_units", default="samples",
                             choices={"samples", "seconds"})
         dt = 1.0 if units == "samples" else params.dt
-        kernel_seed = cfg.get_int("plant.kernel_seed", default=seed)
+        kernel_seed = cfg.get_int("plant.kernel_seed", default=seed, minimum=0)
         kernel = make_tube_kernel(params, np.random.default_rng(kernel_seed), dt=dt)
         system, template = make_acoustic_system(kernel, period=period)
     elif kind == "optical":
@@ -196,7 +197,7 @@ def build_experiment(cfg: ConfigFile, seed_override=None) -> Experiment:
             backward_clip=cfg.get_bool("plant.backward_clip", default=True),
             backward_error_scale=cfg.get_float("plant.backward_error_scale", default=0.5),
         )
-        weight_seed = cfg.get_int("plant.weight_seed", default=seed)
+        weight_seed = cfg.get_int("plant.weight_seed", default=seed, minimum=0)
         weight_scale = cfg.get_float("plant.weight_scale", default=0.5)
         W = random_optical_weights(params, np.random.default_rng(weight_seed),
                                    scale=weight_scale)
@@ -235,6 +236,9 @@ def build_experiment(cfg: ConfigFile, seed_override=None) -> Experiment:
 
     trainable = tuple(
         t.strip() for t in cfg.get_str("train.trainable", default="m,u").split(","))
+    if kind == "acoustic" and {"w_sa", "w_aa"} & set(trainable):
+        raise UsageError(f"{cfg.where('train.trainable')}: the acoustic plant's one tube "
+                         "kernel is both w_sa and w_aa; training either would untie them")
     gain_bound = cfg.get_float("train.w_aa_gain_bound")
     train_cfg = TrainConfig(
         iterations=cfg.get_int("train.iterations", required=True),
@@ -250,10 +254,13 @@ def build_experiment(cfg: ConfigFile, seed_override=None) -> Experiment:
         w_aa_gain_bound=gain_bound,
         init_masks=init_masks,
     )
-    eval_instances = cfg.get_int("eval.instances", default=0)
-    if eval_instances < 0:
-        raise UsageError(f"{cfg.path}:{cfg.values['eval.instances'][1]}: "
-                         f"eval.instances must be >= 0, got {eval_instances}")
+    try:  # one batch from a throwaway generator: the run's own stays untouched
+        batch = task.sample(train_cfg.batch_len, np.random.default_rng(0))
+        if not batch.cost_mask.any():
+            raise ConfigurationError("no instance of a batch enters the cost")
+    except ConfigurationError as exc:
+        raise UsageError(f"{cfg.where('train.batch_len')}: train.batch_len = "
+                         f"{train_cfg.batch_len} is too short for {task.name}: {exc}") from None
 
     exp = Experiment(
         system=system,
@@ -261,8 +268,8 @@ def build_experiment(cfg: ConfigFile, seed_override=None) -> Experiment:
         task=task,
         train_cfg=train_cfg,
         seed=seed,
-        eval_instances=eval_instances,
-        eval_seed=cfg.get_int("eval.seed", default=12345),
+        eval_instances=cfg.get_int("eval.instances", default=0, minimum=0),
+        eval_seed=cfg.get_int("eval.seed", default=12345, minimum=0),
     )
     cfg.reject_unknown()
     return exp
@@ -315,22 +322,18 @@ def cmd_run(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    cfg_path = args.config and resolve_config_path(args.config)
-    kw = {}
-    if cfg_path is not None:
-        cfg = ConfigFile.parse(cfg_path)
-        kw = dict(
-            n_systems=cfg.get_int("gradcheck.n_systems", default=5),
-            n_in=cfg.get_int("gradcheck.n_in", default=2),
-            n_state=cfg.get_int("gradcheck.n_state", default=3),
-            n_out=cfg.get_int("gradcheck.n_out", default=2),
-            kernel_len=cfg.get_int("gradcheck.kernel_len", default=3),
-            period=cfg.get_int("gradcheck.period", default=8),
-            instances=cfg.get_int("gradcheck.instances", default=6),
-            threshold=cfg.get_float("gradcheck.threshold", default=1e-4),
-        )
+    check_cfg = GradCheckConfig(threads=args.threads)
+    if args.config:
+        cfg = ConfigFile.parse(resolve_config_path(args.config))
+        kw = {name: cfg.get_int(f"gradcheck.{name}", default=getattr(check_cfg, name))
+              for name in ("n_systems", "n_in", "n_state", "n_out", "kernel_len", "period",
+                           "instances")}
+        kw["threshold"] = cfg.get_float("gradcheck.threshold", default=check_cfg.threshold)
         cfg.reject_unknown()
-    check_cfg = GradCheckConfig(threads=args.threads, **kw)
+        try:
+            check_cfg = replace(check_cfg, **kw)
+        except ConfigurationError as exc:  # a gradcheck.* value out of range
+            raise UsageError(f"{cfg.path}: {exc}") from None
     report = grad_check(check_cfg, seed=args.seed, break_adjoint=args.break_adjoint)
     print(report.to_text())
     if args.out:
@@ -356,6 +359,19 @@ def cmd_reduce_check(args) -> int:
     return 0 if ok else FAIL_EXIT
 
 
+def _at_least(minimum):
+    """argparse type of an integer >= minimum."""
+    def parse(text) -> int:
+        val = int(text)
+        if val < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {val}")
+        return val
+    return parse
+
+
+_seed = _at_least(0)  # numpy takes non-negative seeds only
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="echotrain",
@@ -365,22 +381,23 @@ def make_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a training experiment from a config")
     p_run.add_argument("--config", required=True,
                        help=f"path or bundled name ({', '.join(bundled_config_names())})")
-    p_run.add_argument("--seed", type=int, default=None, help="override config seed")
+    p_run.add_argument("--seed", type=_seed, default=None, help="override config seed")
     p_run.add_argument("--out", default="out", help="output directory")
     p_run.set_defaults(func=cmd_run)
 
     p_gc = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     p_gc.add_argument("--config", default=None, help="optional gradcheck.* config")
-    p_gc.add_argument("--seed", type=int, default=0)
+    p_gc.add_argument("--seed", type=_seed, default=0)
     p_gc.add_argument("--out", default=None, help="directory for gradcheck.csv")
     p_gc.add_argument("--threads", type=int, default=1)
     p_gc.add_argument("--break-adjoint", action="store_true",
-                      help="negative control: skip kernel transposition")
+                      help="negative control: play the error back through a "
+                           "non-reciprocal medium")
     p_gc.set_defaults(func=cmd_gradcheck)
 
     p_rc = sub.add_parser("reduce-check", help="MLP/RNN equivalence suites")
-    p_rc.add_argument("--seed", type=int, default=0)
-    p_rc.add_argument("--instances", type=int, default=50)
+    p_rc.add_argument("--seed", type=_seed, default=0)
+    p_rc.add_argument("--instances", type=_at_least(1), default=50)  # 0 passes vacuously
     p_rc.set_defaults(func=cmd_reduce_check)
     return parser
 

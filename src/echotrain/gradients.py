@@ -142,6 +142,17 @@ class GradCheckConfig:
     kink_margin: float = 1e-3  # resample margin; comfortably above 10*eps
     threads: int = 1
 
+    def __post_init__(self):
+        for name in ("n_systems", "n_in", "n_state", "n_out", "dim_x", "dim_y",
+                     "kernel_len", "period", "instances", "threads"):
+            val = getattr(self, name)
+            if not (isinstance(val, (int, np.integer)) and val >= 1):
+                raise ConfigurationError(f"{name} must be an integer >= 1, got {val!r}")
+        for name in ("eps", "threshold"):
+            val = getattr(self, name)
+            if not 0.0 < val < np.inf:
+                raise ConfigurationError(f"{name} must be positive and finite, got {val}")
+
 
 @dataclass
 class GradCheckReport:
@@ -164,18 +175,6 @@ class GradCheckReport:
             fh.write("block,max_rel_err,pass\n")
             for block, err, ok in self.entries:
                 fh.write(f"{block},{err!r},{int(ok)}\n")
-
-    @staticmethod
-    def from_csv(path) -> "GradCheckReport":
-        report = GradCheckReport()
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != "block,max_rel_err,pass":
-                raise ConfigurationError(f"{path}: unexpected report header {header!r}")
-            for line in fh:
-                block, err, ok = line.strip().split(",")
-                report.entries.append((block, float(err), bool(int(ok))))
-        return report
 
 
 def random_toy_pipeline(cfg: GradCheckConfig, rng: np.random.Generator):

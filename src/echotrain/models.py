@@ -17,7 +17,7 @@ import scipy.signal as sps
 
 from .errors import ConfigurationError, ConstraintError, DimensionError
 from .masking import MaskSet
-from .signal import Kernel, Signal
+from .signal import Kernel
 from .system import BackwardPath, NoiseModel, Nonlinearity, PhysicalSystem
 
 
@@ -48,6 +48,10 @@ class TubeParams:
             raise ConfigurationError("loop_gain must lie in (0, 1)")
         if self.filter_taps < 1:
             raise ConfigurationError(f"filter_taps must be >= 1, got {self.filter_taps}")
+        arrival = self.length_m / self.speed_of_sound * self.sample_rate
+        if not 0.5 <= arrival < np.inf:  # else every echo lands on lag 1, or none fits
+            raise ConfigurationError(
+                f"the first echo must arrive 0.5 or more (finite) samples in, got {arrival:.3g}")
 
     @property
     def dt(self) -> float:
@@ -76,8 +80,12 @@ def make_tube_kernel(p: TubeParams, rng: np.random.Generator | None = None,
     if dt is None:
         dt = p.dt
     d0 = p.first_arrival
+    pad = (p.filter_taps - 1) // 2 if p.passband is not None else 0
+    # the jitter moves an echo at most 2 samples earlier, so a kernel too short
+    # for the last echo is known before the loop, however many echoes are asked
+    last = d0 * (2 * p.n_echoes - 1) - (2 if rng is not None else 0)
     delays, amps = [], []
-    for j in range(p.n_echoes):
+    for j in range(p.n_echoes if last + pad < p.kernel_len else 0):
         delay = d0 * (2 * j + 1)
         amp = p.reflection_coeff ** j
         if rng is not None:
@@ -86,11 +94,11 @@ def make_tube_kernel(p: TubeParams, rng: np.random.Generator | None = None,
         delays.append(max(1, delay))
         amps.append(amp)
 
-    pad = (p.filter_taps - 1) // 2 if p.passband is not None else 0
-    if max(delays) + pad >= p.kernel_len:
+    last = max(delays, default=last)
+    if last + pad >= p.kernel_len:
         raise ConfigurationError(
             f"kernel_len {p.kernel_len} too short for the last echo at "
-            f"{max(delays)} samples (+{pad} filter tail)")
+            f"{last} samples (+{pad} filter tail)")
 
     train = np.zeros(p.kernel_len)
     for d, a in zip(delays, amps):
@@ -168,8 +176,7 @@ class OpticalParams:
                 f"weight_bound must be non-negative and finite, got {self.weight_bound}")
         if self.delay_samples < 1:
             raise ConfigurationError("delay must be at least one sample")
-        if not np.isfinite(self.snr_db):
-            raise ConfigurationError("snr_db must be finite")
+        NoiseModel(self.snr_db)  # checks snr_db even when the noise is switched off
         if not (0.0 < self.backward_error_scale <= 1.0):
             raise ConfigurationError("backward_error_scale must lie in (0, 1]")
 
@@ -211,42 +218,3 @@ def make_optical_system(p: OpticalParams, W: np.ndarray | None = None,
             clip=p.backward_clip,
         ),
     )
-
-
-def intensity_split(W: np.ndarray):
-    """Represent a signed matrix by two non-negative modulator arrays
-    W1 = K + W/2, W2 = K - W/2 (K all ones); requires entries in [-2, 2]."""
-    W = np.asarray(W, dtype=np.float64)
-    if np.max(np.abs(W)) > 2.0:
-        raise ConstraintError("intensity split needs entries in [-2, 2]")
-    K = np.ones_like(W)
-    return K + W / 2.0, K - W / 2.0
-
-
-def intensity_recombine(W1: np.ndarray, W2: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Summed intensity after the modulators: W1 (k + a) + W2 (k - a).
-
-    Equals W a plus the constant bias intensity_bias(n); subtracting the bias
-    recovers the signed matrix-vector product exactly.
-    """
-    k = np.ones(W1.shape[1])
-    return W1 @ (k + a) + W2 @ (k - a)
-
-
-def intensity_bias(n: int) -> np.ndarray:
-    """The constant term (W1 + W2) k = 2 K k of the recombined intensity."""
-    return 2.0 * n * np.ones(n)
-
-
-def add_measurement_noise(x: Signal, snr_db: float, rng: np.random.Generator) -> Signal:
-    """Additive Gaussian noise with variance = signal power / 10^(snr/10).
-
-    Zero-power signals get zero noise; snr -> +inf behaves as identity.
-    """
-    model = NoiseModel(snr_db) if np.isfinite(snr_db) else None
-    if model is None:
-        return x
-    std = model.std_for(x.samples)
-    if std == 0.0:
-        return x
-    return Signal(x.samples + rng.normal(0.0, std, x.samples.shape), x.dt)

@@ -28,8 +28,10 @@ from scipy import fft as _fft
 from .errors import ConfigurationError, DimensionError, LengthError, NumericError
 
 
-def _as_readonly_f64(arr, ndim, name):
-    out = np.array(arr, dtype=np.float64, order="C")
+def _as_readonly_f64(arr, ndim, name, copy=True):
+    """arr as a read-only C-ordered float64 array of ndim dimensions, checked
+    finite; without copy, an array that already is one is taken over as is."""
+    out = (np.array if copy else np.asarray)(arr, dtype=np.float64, order="C")
     if out.ndim != ndim:
         raise DimensionError(f"{name} must be {ndim}-D, got shape {out.shape}")
     if not np.all(np.isfinite(out)):
@@ -54,29 +56,25 @@ class Signal:
     dt: float
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", _as_readonly_f64(self.samples, 2, "samples"))
-        if self.samples.shape[0] < 1:
-            raise DimensionError("a Signal needs at least one channel")
-        object.__setattr__(self, "dt", _positive_dt(self.dt))
+        self._set(self.samples, self.dt, copy=True)
 
     @classmethod
     def _own(cls, samples: np.ndarray, dt: float) -> "Signal":
         """Internal constructor that takes over an array its caller has just
-        built and keeps no other writeable reference to: the same shape and
-        finiteness checks as Signal(...), and the array is made read-only,
-        but a C-ordered float64 array is not copied.  Signal(...) copies."""
-        out = np.asarray(samples, dtype=np.float64, order="C")
-        if out.ndim != 2:
-            raise DimensionError(f"samples must be 2-D, got shape {out.shape}")
-        if not np.all(np.isfinite(out)):
-            raise NumericError("samples contains non-finite values")
-        if out.shape[0] < 1:
-            raise DimensionError("a Signal needs at least one channel")
-        out.flags.writeable = False
+        built and keeps no other writeable reference to: the checks of
+        Signal(...), but a C-ordered float64 array is made read-only in place
+        instead of copied.  Signal(...) copies."""
         sig = object.__new__(cls)
-        object.__setattr__(sig, "samples", out)
-        object.__setattr__(sig, "dt", _positive_dt(dt))
+        sig._set(samples, dt, copy=False)
         return sig
+
+    def _set(self, samples, dt, copy: bool):
+        """The one validation path of both constructors."""
+        samples = _as_readonly_f64(samples, 2, "samples", copy)
+        if samples.shape[0] < 1:
+            raise DimensionError("a Signal needs at least one channel")
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "dt", _positive_dt(dt))
 
     @property
     def channels(self) -> int:
@@ -128,13 +126,6 @@ class Kernel:
         """Smallest k with W[k] != 0, or None for an all-zero kernel."""
         lags = self.nonzero_lags()
         return int(lags[0]) if lags.size else None
-
-    @staticmethod
-    def from_taps(taps, dt: float) -> "Kernel":
-        taps = np.asarray(taps, dtype=np.float64)
-        if taps.ndim == 1:  # scalar kernel given as a flat tap list
-            taps = taps[:, None, None]
-        return Kernel(taps, dt)
 
     @staticmethod
     def delta(gain_matrix, dt: float, lag: int = 0, length: int | None = None) -> "Kernel":
@@ -305,60 +296,8 @@ def split_segments(x: Signal, period_samples: int) -> list[Signal]:
     ]
 
 
-def concat_segments(segments) -> Signal:
-    """Inverse of split_segments."""
-    segments = list(segments)
-    if not segments:
-        raise LengthError("cannot concatenate zero segments")
-    dt = segments[0].dt
-    ch = segments[0].channels
-    for s in segments[1:]:
-        if s.dt != dt or s.channels != ch:
-            raise DimensionError("segments disagree in dt or channel count")
-    return Signal(np.concatenate([s.samples for s in segments], axis=1), dt)
-
-
 def inner(x: Signal, y: Signal) -> float:
     """Plain sample inner product sum_i x[i].y[i]."""
     if x.samples.shape != y.samples.shape:
         raise DimensionError(f"shape mismatch {x.samples.shape} vs {y.samples.shape}")
     return float(np.vdot(x.samples, y.samples))
-
-
-def signal_to_csv(x: Signal, path) -> None:
-    """Write one row per sample: t,ch0,ch1,...  (t in seconds at dt resolution)."""
-    with open(path, "w") as fh:
-        fh.write("t," + ",".join(f"ch{c}" for c in range(x.channels)) + "\n")
-        for i in range(x.n_samples):
-            row = ",".join(repr(float(v)) for v in x.samples[:, i])
-            fh.write(f"{i * x.dt!r},{row}\n")
-
-
-def kernel_to_csv(kernel: Kernel, path) -> None:
-    """One row per tap: lag, then rows*cols columns w_<r>_<c> (for spectrum
-    plots and inspection; not a round-trip format)."""
-    with open(path, "w") as fh:
-        header = ["lag"] + [f"w_{r}_{c}" for r in range(kernel.rows)
-                            for c in range(kernel.cols)]
-        fh.write(",".join(header) + "\n")
-        for k in range(kernel.length):
-            vals = [str(k)] + [repr(float(v)) for v in kernel.taps[k].ravel()]
-            fh.write(",".join(vals) + "\n")
-
-
-def signal_from_csv(path, dt: float | None = None) -> Signal:
-    """Read the format written by signal_to_csv; dt inferred from t unless given."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if not header or header[0] != "t":
-            raise ConfigurationError(f"{path}: expected header starting with 't'")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    ts = np.array([float(r[0]) for r in rows])
-    data = np.array([[float(v) for v in r[1:]] for r in rows]).T
-    if dt is None:
-        if len(ts) < 2:
-            raise ConfigurationError(f"{path}: cannot infer dt from {len(ts)} samples")
-        dt = float(ts[1] - ts[0])
-    if data.size == 0:
-        data = np.zeros((len(header) - 1, 0))
-    return Signal(data, dt)

@@ -99,8 +99,10 @@ class NoiseModel:
     on_backward: bool = False
 
     def __post_init__(self):
-        if not np.isfinite(self.snr_db):
-            raise ConfigurationError("snr_db must be finite")
+        # noise 10^30 times above or below the signal is no measurement, and
+        # far enough out 10^(snr/10) is not even a float
+        if not -300.0 <= self.snr_db <= 300.0:
+            raise ConfigurationError(f"snr_db must lie in [-300, 300], got {self.snr_db}")
 
     def std_for(self, samples: np.ndarray) -> float:
         power = float(np.mean(np.square(samples))) if samples.size else 0.0

@@ -32,29 +32,6 @@ class SequenceDataset:
     def __len__(self) -> int:
         return len(self.inputs)
 
-    def to_csv(self, path) -> None:
-        dx, dy = self.inputs.shape[1], self.targets.shape[1]
-        with open(path, "w") as fh:
-            fh.write(",".join([f"x{i}" for i in range(dx)]
-                              + [f"y{i}" for i in range(dy)] + ["mask"]) + "\n")
-            for i in range(len(self)):
-                vals = [repr(float(v)) for v in self.inputs[i]]
-                vals += [repr(float(v)) for v in self.targets[i]]
-                vals.append(str(int(self.cost_mask[i])))
-                fh.write(",".join(vals) + "\n")
-
-    @staticmethod
-    def from_csv(path) -> "SequenceDataset":
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-            dx = sum(1 for h in header if h.startswith("x"))
-            dy = sum(1 for h in header if h.startswith("y"))
-            rows = [line.strip().split(",") for line in fh if line.strip()]
-        inp = np.array([[float(v) for v in r[:dx]] for r in rows])
-        tgt = np.array([[float(v) for v in r[dx : dx + dy]] for r in rows])
-        msk = np.array([bool(int(r[-1])) for r in rows])
-        return SequenceDataset(inp, tgt, msk)
-
 
 def gen_variable_delay(n: int, rng: np.random.Generator,
                        one_hot: bool = False) -> SequenceDataset:

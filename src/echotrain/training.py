@@ -122,6 +122,8 @@ def synthetic_label_task(n_classes: int = 4, input_dim: int = 8,
 
 def delayed_copy_task(delay: int = 1) -> Task:
     """Linear sanity task: reproduce the input from `delay` instances ago."""
+    if delay < 0:  # np.roll would wrap the batch's first inputs round to its end
+        raise ConfigurationError(f"delayed copy needs delay >= 0, got {delay}")
 
     def sample(n, rng):
         x = rng.standard_normal(n)

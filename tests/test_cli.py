@@ -1,3 +1,6 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from echotrain.cli import (
     main,
     resolve_config_path,
 )
+from echotrain.errors import ConfigurationError
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -244,9 +248,17 @@ train.iterations = 3
     assert f"{plant}:5:" in err and "Traceback" not in err
 
 
+def mutated(tmp_path, base, key, value):
+    """A bundled config with key set to value on its last line; (path, line)."""
+    lines = resolve_config_path(base).read_text().splitlines()
+    lines = [ln for ln in lines if not ln.startswith(key + " ")] + [f"{key} = {value}"]
+    return write_cfg(tmp_path, "\n".join(lines) + "\n"), len(lines)
+
+
 @pytest.mark.parametrize("base,key,value", [
     ("toy_delay_smoke", "plant.filter_taps", "0"),
     ("toy_delay_smoke", "plant.sample_rate", "nan"),
+    ("toy_delay_smoke", "plant.tube_length_m", "0.01"),  # first echo 0.06 samples in
     ("toy_delay_smoke", "mask.period", "-3"),
     ("optical_labels", "mask.period", "-3"),
     ("optical_labels", "plant.weight_bound", "nan"),
@@ -258,12 +270,93 @@ train.iterations = 3
     ("toy_delay_smoke", "train.init_std_input_mask", "nan"),
     ("toy_delay_smoke", "train.lr0", "inf"),
     ("optical_labels", "train.w_aa_gain_bound", "nan"),
+    ("optical_labels", "plant.snr_db", "5000"),    # 10^500 overflowed in the first forward
+    ("optical_labels", "plant.snr_db", "-1e300"),  # 10^-1e299 divided by zero there
 ])
 def test_out_of_range_config_value_exits_two_naming_the_file(tmp_path, capsys, base, key, value):
-    lines = resolve_config_path(base).read_text().splitlines()
-    lines = [ln for ln in lines if not ln.startswith(key + " ")] + [f"{key} = {value}"]
-    path = write_cfg(tmp_path, "\n".join(lines) + "\n")
+    path, _ = mutated(tmp_path, base, key, value)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert str(path) in err and "Traceback" not in err
     assert not (tmp_path / "out" / "log.csv").exists()
+
+
+@pytest.mark.parametrize("base,key,value", [
+    ("toy_delay_smoke", "train.batch_len", "1"),     # variable_delay needs 3 instances
+    ("optical_labels", "train.batch_len", "2"),      # below task.window = 3
+    ("toy_delay_smoke", "train.trainable", "m,u,w_aa"),  # would untie the tube kernel
+    ("toy_delay_smoke", "train.trainable", "w_sa"),
+    ("toy_delay_smoke", "seed", "-3"),
+    ("toy_delay_smoke", "plant.kernel_seed", "-1"),
+    ("optical_labels", "plant.weight_seed", "-1"),
+    ("toy_delay_smoke", "eval.seed", "-1"),
+])
+def test_config_value_rejected_at_build_names_its_line(tmp_path, capsys, base, key, value):
+    path, line = mutated(tmp_path, base, key, value)
+    with pytest.raises(UsageError, match=f"{path}:{line}: "):
+        build_experiment(ConfigFile.parse(path))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:{line}: " in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("n_state", "0"), ("n_systems", "-1"), ("period", "0"),
+    ("threshold", "nan"), ("threshold", "inf"), ("threshold", "0"),
+])
+def test_out_of_range_gradcheck_value_exits_two_naming_the_file(tmp_path, capsys, key, value):
+    path = write_cfg(tmp_path, f"gradcheck.{key} = {value}\n", name="gc.cfg")
+    assert main(["gradcheck", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and key in err and "Traceback" not in err
+
+
+def test_out_of_range_flag_is_a_usage_error():
+    assert main(["run", "--config", "toy_delay_smoke", "--seed", "-3"]) == 2
+    assert main(["gradcheck", "--seed", "-1"]) == 2
+    assert main(["reduce-check", "--instances", "0"]) == 2
+
+
+def test_damaged_config_builds_or_names_its_file(tmp_path_factory):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    root = tmp_path_factory.mktemp("fuzz")
+    bases = {name: resolve_config_path(name).read_text().splitlines()
+             for name in bundled_config_names()}
+    # an n_nodes x n_nodes mixing matrix at every lag up to the fibre delay: a
+    # large node count is a real request for gigabytes, not a parser defect
+    caps = {"plant.n_nodes": 64}
+
+    @st.composite
+    def mutation(draw):
+        base = draw(st.sampled_from(sorted(bases)))
+        lines = bases[base]
+        keyed = [i for i, ln in enumerate(lines) if "=" in ln.split("#", 1)[0]]
+        i = draw(st.sampled_from(keyed))
+        key = lines[i].split("=", 1)[0].strip()
+        token = draw(st.one_of(
+            st.integers(-10, caps.get(key, 10_000)).map(str),
+            st.sampled_from(["0", "nan", "inf", "-1e300", "soon", "m,u,w_aa"])))
+        return lines[:i] + [f"{key} = {token}"] + lines[i + 1:]
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(mutation())
+    def check(lines):
+        path = root / "exp.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            build_experiment(ConfigFile.parse(path))
+        except UsageError as exc:
+            assert str(path) in str(exc)
+        except ConfigurationError:
+            pass  # named by cmd_run, checked below
+        else:
+            return
+        out = root / "out"
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert str(path) in err.getvalue() and "Traceback" not in err.getvalue()
+        assert not out.exists()
+
+    check()

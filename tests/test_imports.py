@@ -1,0 +1,56 @@
+"""Import hygiene of the package sources, checked on their syntax trees alone
+(the package is located, not imported, so a broken export fails here by name)."""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(importlib.util.find_spec("echotrain").submodule_search_locations[0])
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def imported_names(tree):
+    """(bound name, line) of every module-level import."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def defined_names(tree):
+    """Every name a module binds at its top level."""
+    names = {name for name, _ in imported_names(tree)}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_module_level_import_is_used(path):
+    tree = parse(path)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [f"{path.name}:{line}: {name}" for name, line in imported_names(tree)
+              if name not in used]
+    assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def test_every_name_the_package_exports_resolves():
+    missing = []
+    for node in parse(PACKAGE / "__init__.py").body:
+        if isinstance(node, ast.ImportFrom):
+            have = defined_names(parse(PACKAGE / f"{node.module}.py"))
+            missing += [f"{node.module}.{a.name}" for a in node.names if a.name not in have]
+    assert not missing, "unresolved exports: " + ", ".join(missing)

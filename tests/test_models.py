@@ -5,17 +5,13 @@ from echotrain.errors import ConfigurationError, ConstraintError, DimensionError
 from echotrain.models import (
     OpticalParams,
     TubeParams,
-    add_measurement_noise,
-    intensity_bias,
-    intensity_recombine,
-    intensity_split,
     make_acoustic_system,
     make_optical_system,
     make_tube_kernel,
     random_optical_weights,
 )
 from echotrain.signal import Signal
-from echotrain.system import forward
+from echotrain.system import NoiseModel, forward
 
 
 # ---------------------------------------------------------------- tube kernel
@@ -58,6 +54,12 @@ def test_tube_kernel_tap0_zero_with_filter_and_jitter():
 def test_tube_kernel_length_validation():
     with pytest.raises(ConfigurationError):
         make_tube_kernel(TubeParams(kernel_len=800))  # last echo at 3500
+    # more echoes than the kernel holds fail before any echo is drawn
+    rng = np.random.default_rng(6)
+    state = rng.bit_generator.state
+    with pytest.raises(ConfigurationError, match="too short"):
+        make_tube_kernel(TubeParams(n_echoes=10_000), rng)
+    assert rng.bit_generator.state == state
 
 
 def test_tube_kernel_l1_normalization():
@@ -222,63 +224,44 @@ def test_optical_weight_bound_enforced():
         make_optical_system(p, W=W, noise=False)
 
 
-# ------------------------------------------------------------ intensity split
-
-def test_intensity_split_zero_matrix():
-    W1, W2 = intensity_split(np.zeros((3, 3)))
-    np.testing.assert_array_equal(W1, np.ones((3, 3)))
-    np.testing.assert_array_equal(W2, np.ones((3, 3)))
-    a = np.random.default_rng(7).standard_normal(3)
-    out = intensity_recombine(W1, W2, a) - intensity_bias(3)
-    np.testing.assert_allclose(out, 0.0, atol=1e-12)
-
-
-def test_intensity_split_boundary_entry():
-    W = np.array([[2.0]])
-    W1, W2 = intensity_split(W)
-    assert W1[0, 0] == 2.0 and W2[0, 0] == 0.0
-    with pytest.raises(ConstraintError):
-        intensity_split(np.array([[2.1]]))
-
-
-def test_intensity_split_recombination_identity():
-    rng = np.random.default_rng(8)
-    for _ in range(5):
-        n = int(rng.integers(2, 7))
-        W = rng.uniform(-2.0, 2.0, (n, n))
-        a = rng.standard_normal(n)
-        W1, W2 = intensity_split(W)
-        assert np.all(W1 >= 0.0) and np.all(W2 >= 0.0)
-        recovered = intensity_recombine(W1, W2, a) - intensity_bias(n)
-        assert np.max(np.abs(recovered - W @ a)) < 1e-12
-
-
 # -------------------------------------------------------------------- noise
 
-def test_noise_infinite_snr_is_identity():
-    x = Signal(np.ones((1, 10)), 1.0)
-    y = add_measurement_noise(x, np.inf, np.random.default_rng(9))
-    np.testing.assert_array_equal(y.samples, x.samples)
+def optical_traces(s, noise_seed, snr_db=18.0):
+    """Clean and measured forward traces of one optical plant driven by s."""
+    p = OpticalParams(n_nodes=s.shape[0], delay_samples=7, snr_db=snr_db)
+    W = random_optical_weights(p, np.random.default_rng(1))
+    x = Signal(s, p.dt)
+    clean = forward(make_optical_system(p, W=W, noise=False), x)
+    noisy = forward(make_optical_system(p, W=W), x, np.random.default_rng(noise_seed))
+    return clean, noisy
+
+
+@pytest.mark.parametrize("snr_db", [np.inf, np.nan, 300.5, -1e300])
+def test_noise_rejects_an_unusable_snr(snr_db):
+    with pytest.raises(ConfigurationError, match="snr_db"):
+        NoiseModel(snr_db)
+    with pytest.raises(ConfigurationError, match="snr_db"):
+        OpticalParams(snr_db=snr_db)
 
 
 def test_noise_zero_power_signal_unchanged():
-    x = Signal.zeros(2, 50, 1.0)
-    y = add_measurement_noise(x, 18.0, np.random.default_rng(10))
-    np.testing.assert_array_equal(y.samples, x.samples)
+    clean, noisy = optical_traces(np.zeros((2, 50)), noise_seed=10)
+    for got, want in ((noisy.a, clean.a), (noisy.o, clean.o)):
+        np.testing.assert_array_equal(want.samples, 0.0)
+        np.testing.assert_array_equal(got.samples, want.samples)
 
 
 def test_noise_empirical_snr_within_half_db():
-    rng = np.random.default_rng(11)
-    x = Signal(rng.standard_normal((1, 1_000_000)), 1.0)
-    y = add_measurement_noise(x, 18.0, np.random.default_rng(12))
-    noise = y.samples - x.samples
-    snr = 10.0 * np.log10(np.mean(x.samples ** 2) / np.mean(noise ** 2))
-    assert abs(snr - 18.0) < 0.5
+    s = np.random.default_rng(11).standard_normal((4, 250_000))
+    clean, noisy = optical_traces(s, noise_seed=12)
+    for got, want in ((noisy.a, clean.a), (noisy.o, clean.o)):
+        noise = got.samples - want.samples
+        snr = 10.0 * np.log10(np.mean(want.samples ** 2) / np.mean(noise ** 2))
+        assert abs(snr - 18.0) < 0.5
 
 
 def test_noise_seed_reproducible():
-    rng = np.random.default_rng(13)
-    x = Signal(rng.standard_normal((2, 100)), 0.5)
-    y1 = add_measurement_noise(x, 10.0, np.random.default_rng(99))
-    y2 = add_measurement_noise(x, 10.0, np.random.default_rng(99))
-    np.testing.assert_array_equal(y1.samples, y2.samples)
+    s = np.random.default_rng(13).standard_normal((2, 100))
+    (_, n1), (_, n2) = optical_traces(s, 99, 10.0), optical_traces(s, 99, 10.0)
+    np.testing.assert_array_equal(n1.a.samples, n2.a.samples)
+    np.testing.assert_array_equal(n1.o.samples, n2.o.samples)

@@ -11,11 +11,8 @@ from echotrain.signal import (
     _partitioned_convolve,
     Signal,
     adjoint_convolve,
-    concat_segments,
     convolve,
     inner,
-    signal_from_csv,
-    signal_to_csv,
     split_segments,
     time_reverse,
 )
@@ -170,7 +167,7 @@ def test_split_segments_and_roundtrip():
     assert len(segs) == 2
     assert all(s.n_samples == 5 for s in segs)
     np.testing.assert_array_equal(segs[0].samples, x.samples[:, :5])
-    np.testing.assert_array_equal(concat_segments(segs).samples, x.samples)
+    np.testing.assert_array_equal(np.concatenate([s.samples for s in segs], axis=1), x.samples)
     with pytest.raises(LengthError):
         split_segments(x, 3)
 
@@ -214,34 +211,6 @@ def test_signal_immutable():
         x.samples[0, 0] = 1.0
 
 
-def test_csv_roundtrip(tmp_path):
-    rng = np.random.default_rng(12)
-    x = rand_signal(rng, 3, 9, dt=2.5e-5)
-    path = tmp_path / "sig.csv"
-    signal_to_csv(x, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "t,ch0,ch1,ch2"
-    back = signal_from_csv(path)
-    np.testing.assert_array_equal(back.samples, x.samples)
-    assert back.dt == pytest.approx(x.dt, rel=1e-12)
-
-
-def test_kernel_csv_export(tmp_path):
-    from echotrain.signal import kernel_to_csv
-
-    rng = np.random.default_rng(13)
-    k = rand_kernel(rng, 2, 3, 4)
-    path = tmp_path / "kernel.csv"
-    kernel_to_csv(k, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "lag," + ",".join(
-        f"w_{r}_{c}" for r in range(2) for c in range(3))
-    assert len(lines) == 5
-    row1 = [float(v) for v in lines[2].split(",")]
-    assert row1[0] == 1.0
-    np.testing.assert_allclose(row1[1:], k.taps[1].ravel())
-
-
 # ---------------------------------------------------------------------------
 # partitioned FFT engine for long scalar kernels.  Oracle comparisons force
 # the engine onto small sizes (crossover 0); the plain tests run real sizes
@@ -264,7 +233,7 @@ def sparse_scalar_taps(rng, L, spans):
 def test_convolve_fft_path_matches_oracle(fft_everywhere):
     rng = np.random.default_rng(20)
     L, n, dt = 240, 701, 0.05  # n is not a multiple of the block (2L)
-    k = Kernel.from_taps(sparse_scalar_taps(rng, L, [(3, 40), (150, 200)]), dt)
+    k = Kernel(sparse_scalar_taps(rng, L, [(3, 40), (150, 200)])[:, None, None], dt)
     x = rand_signal(rng, 1, n, dt)
     y = convolve(k, x).samples
     expect = conv_direct(k.taps, dt, x.samples)
@@ -275,7 +244,7 @@ def test_convolve_fft_path_matches_oracle(fft_everywhere):
 def test_adjoint_convolve_fft_path_matches_oracle(fft_everywhere):
     rng = np.random.default_rng(21)
     L, n, dt = 240, 701, 0.05
-    k = Kernel.from_taps(sparse_scalar_taps(rng, L, [(5, 10), (120, 239)]), dt)
+    k = Kernel(sparse_scalar_taps(rng, L, [(5, 10), (120, 239)])[:, None, None], dt)
     e = rand_signal(rng, 1, n, dt)
     r = adjoint_convolve(k, e).samples
     expect = adjoint_direct(k.taps, dt, e.samples)
@@ -287,7 +256,7 @@ def test_fft_path_matches_direct_path_above_crossover(monkeypatch):
     rng = np.random.default_rng(23)
     L, n, dt = 4200, 30_001, 1.0
     assert _fft_pays(L, 2 * L, n)
-    k = Kernel.from_taps(sparse_scalar_taps(rng, L, [(652, 753), (2050, 2151)]), dt)
+    k = Kernel(sparse_scalar_taps(rng, L, [(652, 753), (2050, 2151)])[:, None, None], dt)
     x = rand_signal(rng, 1, n, dt)
     fast = convolve(k, x).samples, adjoint_convolve(k, x).samples
     monkeypatch.setattr(signal_mod, "_FFT_MIN_BLOCK_MACS", np.inf)
@@ -303,7 +272,7 @@ def test_fft_path_adjoint_inner_product_identity(seed):
     n = int(rng.integers(2 * L, 6 * L))
     dt = float(rng.uniform(0.01, 2.0))
     assert _fft_pays(L, 2 * L, n)
-    k = Kernel.from_taps(sparse_scalar_taps(rng, L, [(1, L // 5), (L // 2, L)]), dt)
+    k = Kernel(sparse_scalar_taps(rng, L, [(1, L // 5), (L // 2, L)])[:, None, None], dt)
     x = rand_signal(rng, 1, n, dt)
     y = rand_signal(rng, 1, n, dt)
     lhs = inner(convolve(k, x), y)
@@ -346,7 +315,7 @@ def test_trivial_scalar_kernels_skip_np_convolve(monkeypatch, L, live):
     w = np.zeros(L)
     if live is not None:
         w[live] = rng.standard_normal()
-    k = Kernel.from_taps(w, dt)
+    k = Kernel(w[:, None, None], dt)
     x, e = rand_signal(rng, 1, n, dt), rand_signal(rng, 1, n, dt)
     via_np = (dt * np.convolve(x.samples[0], w)[:n],
               dt * np.convolve(e.samples[0], w[::-1])[L - 1 : L - 1 + n])

@@ -158,17 +158,6 @@ def test_metrics_permutation_invariant():
     assert frame_error_rate(lp, lt, mask) == frame_error_rate(lp[perm], lt[perm], mask[perm])
 
 
-def test_dataset_csv_roundtrip(tmp_path):
-    rng = np.random.default_rng(9)
-    ds = gen_variable_delay(20, rng)
-    path = tmp_path / "ds.csv"
-    ds.to_csv(path)
-    back = SequenceDataset.from_csv(path)
-    np.testing.assert_array_equal(back.inputs, ds.inputs)
-    np.testing.assert_array_equal(back.targets, ds.targets)
-    np.testing.assert_array_equal(back.cost_mask, ds.cost_mask)
-
-
 def test_variable_delay_one_hot_option():
     rng = np.random.default_rng(10)
     ds = gen_variable_delay(50, rng, one_hot=True)

@@ -246,6 +246,12 @@ def test_train_config_validation():
             TrainConfig(batch_len=bad)
 
 
+def test_delayed_copy_rejects_a_negative_delay():
+    with pytest.raises(ConfigurationError, match="delay >= 0"):
+        delayed_copy_task(-2)
+    assert delayed_copy_task(0).sample(5, np.random.default_rng(0)).cost_mask.all()
+
+
 def test_optical_weight_projection_during_training():
     from echotrain.models import OpticalParams, make_optical_system
 
