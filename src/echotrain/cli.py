@@ -330,10 +330,11 @@ def cmd_gradcheck(args) -> int:
                            "instances")}
         kw["threshold"] = cfg.get_float("gradcheck.threshold", default=check_cfg.threshold)
         cfg.reject_unknown()
-        try:
-            check_cfg = replace(check_cfg, **kw)
-        except ConfigurationError as exc:  # a gradcheck.* value out of range
-            raise UsageError(f"{cfg.path}: {exc}") from None
+        for name, val in kw.items():  # one at a time, so an error names its key
+            try:
+                check_cfg = replace(check_cfg, **{name: val})
+            except ConfigurationError as exc:  # a gradcheck.* value out of range
+                raise UsageError(f"{cfg.where(f'gradcheck.{name}')}: {exc}") from None
     report = grad_check(check_cfg, seed=args.seed, break_adjoint=args.break_adjoint)
     print(report.to_text())
     if args.out:

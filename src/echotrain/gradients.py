@@ -30,11 +30,13 @@ from .masking import (
     output_mask_gradient,
 )
 from .signal import Kernel, Signal, convolve
-from .system import BackwardTrace, ForwardTrace, Nonlinearity, PhysicalSystem, backward, forward
+from .system import (BackwardTrace, ForwardTrace, Nonlinearity, PhysicalSystem, backward, forward,
+                     output_map)
 
 KERNEL_BLOCKS = ("w_sa", "w_aa", "w_so", "w_ao")
 MASK_BLOCKS = ("m", "s_b", "u", "y_b")
 ALL_BLOCKS = KERNEL_BLOCKS + MASK_BLOCKS
+OUTPUT_SIDE = ("w_so", "w_ao", "u", "y_b")  # blocks the state equation never sees
 
 
 def _tap_gradient(e_dst: np.ndarray, src: np.ndarray, L: int, dt: float,
@@ -229,9 +231,17 @@ def _kink_margin(sys: PhysicalSystem, s: Signal) -> float:
     return float(min(np.min(np.abs(pre - sys.f.lo)), np.min(np.abs(pre - sys.f.hi))))
 
 
-def pipeline_cost(sys: PhysicalSystem, masks: MaskSet, xs, targets) -> float:
-    """Quadratic end-to-end cost 0.5 sum_i |y_i - t_i|^2 (the grad_check cost)."""
-    ys = decode_outputs(forward(sys, encode_inputs(xs, masks)).o, masks)
+def pipeline_cost(sys: PhysicalSystem, masks: MaskSet, xs, targets,
+                  a: Signal | None = None) -> float:
+    """Quadratic end-to-end cost 0.5 sum_i |y_i - t_i|^2 (the grad_check cost).
+
+    a, if given, is the state trace forward(sys, encode_inputs(xs, masks)).a of
+    a noise-free plant; only the output map then runs, and the cost is bit for
+    bit that of the full forward run.  Changing an OUTPUT_SIDE block keeps a.
+    """
+    s = encode_inputs(xs, masks)
+    o = forward(sys, s).o if a is None else Signal._own(output_map(sys, s, a), s.dt)
+    ys = decode_outputs(o, masks)
     return 0.5 * float(np.sum((ys - np.asarray(targets)) ** 2))
 
 
@@ -272,7 +282,8 @@ def grad_check(cfg: GradCheckConfig, seed: int, break_adjoint: bool = False) -> 
 
     break_adjoint plays the error back through _non_reciprocal(plant) -- a
     deliberate corruption that must make the check fail (negative control).
-    Forward runs and the FD losses stay on the true plant.
+    Forward runs and the FD losses stay on the true plant.  The probes of
+    OUTPUT_SIDE blocks share one state trace per toy.
     """
     rng = np.random.default_rng(seed)
     worst = {name: 0.0 for name in ALL_BLOCKS}
@@ -280,6 +291,7 @@ def grad_check(cfg: GradCheckConfig, seed: int, break_adjoint: bool = False) -> 
         sys, masks, xs, targets = random_toy_pipeline(cfg, rng)
         grads = pipeline_gradients(sys, masks, xs, targets,
                                    medium=_non_reciprocal(sys) if break_adjoint else None)
+        state = forward(sys, encode_inputs(xs, masks)).a
 
         for name in KERNEL_BLOCKS:
             kern: Kernel = getattr(sys, name)
@@ -289,10 +301,10 @@ def grad_check(cfg: GradCheckConfig, seed: int, break_adjoint: bool = False) -> 
             free = kern.taps[lag0:]
 
             def loss(flat, _name=name, _shape=free.shape, _lag0=lag0,
-                     _full=kern.taps):
+                     _full=kern.taps, _a=state if name in OUTPUT_SIDE else None):
                 taps = _full.copy()
                 taps[_lag0:] = flat.reshape(_shape)
-                return pipeline_cost(sys.with_kernel(_name, taps), masks, xs, targets)
+                return pipeline_cost(sys.with_kernel(_name, taps), masks, xs, targets, _a)
 
             fd = finite_difference_gradient(loss, free.ravel(), cfg.eps,
                                             threads=cfg.threads)
@@ -301,9 +313,10 @@ def grad_check(cfg: GradCheckConfig, seed: int, break_adjoint: bool = False) -> 
         for name in MASK_BLOCKS:
             ref = getattr(masks, name)
 
-            def loss(flat, _name=name, _shape=ref.shape):
+            def loss(flat, _name=name, _shape=ref.shape,
+                     _a=state if name in OUTPUT_SIDE else None):
                 return pipeline_cost(sys, masks.replace(**{_name: flat.reshape(_shape)}),
-                                     xs, targets)
+                                     xs, targets, _a)
 
             fd = finite_difference_gradient(loss, ref.ravel(), cfg.eps,
                                             threads=cfg.threads)

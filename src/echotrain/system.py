@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, DimensionError
 from .signal import Kernel, Signal, _fft_pays, _partitioned_convolve, adjoint_convolve, convolve
@@ -208,11 +209,14 @@ def _causal_feedback(kernel: Kernel, drive: np.ndarray, gate, transpose: bool = 
     """Solve a[:, i] = gate(drive[:, i] + dt * sum_k W[k] @ a[:, i-k]) blockwise,
     with W the kernel's taps (transposed per lag when transpose is set).
 
-    W[0] must be zero; blocks of size = first nonzero lag keep the recursion
+    W[0] must be zero; blocks of size B = first nonzero lag keep the recursion
     explicit while staying vectorized.  gate maps a pre-activation block and
     its sample range t0:t1 to the emitted block.  A long scalar kernel runs on
-    the partitioned FFT engine with the same blocks; matrix kernels step
-    through their live lags directly.
+    the partitioned FFT engine with the same blocks.  Every other kernel runs
+    direct: the state sits after m zero columns (m the largest live lag below
+    n), and each block gathers, for all K live lags at once, the B-sample
+    windows of past state it needs, one product W_cat @ H per block with
+    W_cat[r, c*K + k] = W[lag_k][r, c].
     """
     taps, dt, lags = kernel.taps, kernel.dt, kernel.nonzero_lags()
     if transpose:
@@ -220,33 +224,24 @@ def _causal_feedback(kernel: Kernel, drive: np.ndarray, gate, transpose: bool = 
     if lags.size and lags[0] == 0:
         raise ConfigurationError("feedback taps must be strictly causal (tap 0 zero)")
     n_state, n = drive.shape
-    a = np.zeros((n_state, n))
     if n == 0:
-        return a
+        return np.zeros((n_state, 0))
     block = int(lags[0]) if lags.size else n
-    scalar = n_state == 1 and taps.shape[2] == 1
-    if scalar and lags.size and _fft_pays(taps.shape[0], block, n):
-        a[0] = _partitioned_convolve(
+    if n_state == 1 and taps.shape[2] == 1 and lags.size and _fft_pays(taps.shape[0], block, n):
+        return _partitioned_convolve(
             dt * taps[:, 0, 0], drive[0], block,
-            gate=lambda x_blk, t0, t1: gate(x_blk[None, :], t0, t1)[0])
-        return a
-    pre_fb = np.zeros((n_state, n))
-    w_flat = taps[:, 0, 0] if scalar and lags.size else None
-    live = [] if scalar else [(int(k), taps[k]) for k in lags if k < n]
-    for t0 in range(0, n, block):
-        t1 = min(t0 + block, n)
-        a[:, t0:t1] = blk = gate(drive[:, t0:t1] + pre_fb[:, t0:t1], t0, t1)
-        if w_flat is not None:
-            contrib = np.convolve(blk[0], w_flat)
-            hi = min(n, t0 + contrib.size)
-            pre_fb[0, t0:hi] += dt * contrib[: hi - t0]
-        for k, w in live:
-            lo = t0 + k
-            if lo >= n:
-                break
-            hi = min(n, t1 + k)
-            pre_fb[:, lo:hi] += dt * (w @ blk[:, : hi - lo])
-    return a
+            gate=lambda x_blk, t0, t1: gate(x_blk[None, :], t0, t1)[0])[None, :]
+    lags = lags[lags < n]  # taps at lags >= n never reach the output
+    block, m = min(block, n), int(lags[-1]) if lags.size else 0
+    w_cat = taps[lags].transpose(1, 2, 0).reshape(n_state, n_state * lags.size)
+    ap = np.zeros((n_state, m + n))
+    windows = sliding_window_view(ap, block, axis=1)  # windows[c, j] = ap[c, j:j+B]
+    with np.errstate(over="ignore", invalid="ignore"):  # Signal's checks report divergence
+        for t0 in range(0, n, block):
+            t1 = min(t0 + block, n)
+            h = windows[:, m + t0 - lags, : t1 - t0].reshape(-1, t1 - t0)
+            ap[:, m + t0 : m + t1] = gate(drive[:, t0:t1] + dt * (w_cat @ h), t0, t1)
+    return ap[:, m:]
 
 
 def forward(sys: PhysicalSystem, s: Signal, rng: np.random.Generator | None = None) -> ForwardTrace:
@@ -268,7 +263,7 @@ def forward(sys: PhysicalSystem, s: Signal, rng: np.random.Generator | None = No
                     s.dt)
     del pre_in
     jac = _jacobian(f, a.samples)
-    o = convolve(sys.w_so, s).samples + convolve(sys.w_ao, a).samples
+    o = output_map(sys, s, a)
 
     if sys.noise is not None and sys.noise.on_forward:
         if rng is None:
@@ -277,6 +272,11 @@ def forward(sys: PhysicalSystem, s: Signal, rng: np.random.Generator | None = No
         o = _add_noise(sys.noise, o, rng)
 
     return ForwardTrace(a=a, o=Signal._own(o, s.dt), jac=jac)
+
+
+def output_map(sys: PhysicalSystem, s: Signal, a: Signal) -> np.ndarray:
+    """The clean output o = W_so * s + W_ao * a of input s and state trace a."""
+    return convolve(sys.w_so, s).samples + convolve(sys.w_ao, a).samples
 
 
 def _add_noise(noise: NoiseModel, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -196,6 +196,7 @@ def test_reduce_check_seed_repeatable(capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_divergence_exits_one_and_keeps_partial_log(tmp_path):
     import numpy as np
     from echotrain.serialize import save_system
@@ -306,10 +307,10 @@ def test_config_value_rejected_at_build_names_its_line(tmp_path, capsys, base, k
     ("threshold", "nan"), ("threshold", "inf"), ("threshold", "0"),
 ])
 def test_out_of_range_gradcheck_value_exits_two_naming_the_file(tmp_path, capsys, key, value):
-    path = write_cfg(tmp_path, f"gradcheck.{key} = {value}\n", name="gc.cfg")
+    path = write_cfg(tmp_path, f"# toy family\ngradcheck.{key} = {value}\n", name="gc.cfg")
     assert main(["gradcheck", "--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert str(path) in err and key in err and "Traceback" not in err
+    assert f"{path}:2: " in err and key in err and "Traceback" not in err
 
 
 def test_out_of_range_flag_is_a_usage_error():

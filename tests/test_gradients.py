@@ -5,6 +5,7 @@ from echotrain.errors import NumericError
 from echotrain.gradients import (
     ALL_BLOCKS,
     KERNEL_BLOCKS,
+    OUTPUT_SIDE,
     GradCheckConfig,
     finite_difference_gradient,
     grad_check,
@@ -139,6 +140,46 @@ def test_grad_check_broken_adjoint_fails():
     cfg = GradCheckConfig(n_systems=2)
     report = grad_check(cfg, seed=11, break_adjoint=True)
     assert not report.passed
+
+
+def test_cost_from_the_recorded_state_is_the_full_forward_cost_bit_for_bit():
+    cfg = GradCheckConfig()
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        sys, masks, xs, targets = random_toy_pipeline(cfg, rng)
+        a = forward(sys, encode_inputs(xs, masks)).a
+        assert pipeline_cost(sys, masks, xs, targets, a) == pipeline_cost(sys, masks, xs, targets)
+        # an output-side change keeps the state: w_so, w_ao, u and y_b all moved
+        moved = sys.with_kernel("w_so", 1.5 * sys.w_so.taps).with_kernel(
+            "w_ao", sys.w_ao.taps - 0.1)
+        masks2 = masks.replace(u=-masks.u, y_b=masks.y_b + 0.2)
+        assert (pipeline_cost(moved, masks2, xs, targets, a)
+                == pipeline_cost(moved, masks2, xs, targets))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_output_side_probes_on_the_recorded_state_equal_full_forward_ones(seed):
+    # the first toy grad_check(GradCheckConfig(), seed) audits
+    cfg = GradCheckConfig()
+    sys, masks, xs, targets = random_toy_pipeline(cfg, np.random.default_rng(seed))
+    a = forward(sys, encode_inputs(xs, masks)).a
+    for name in OUTPUT_SIDE:
+        if name in KERNEL_BLOCKS:
+            ref = getattr(sys, name).taps
+
+            def loss(flat, state, _name=name, _shape=ref.shape):
+                return pipeline_cost(sys.with_kernel(_name, flat.reshape(_shape)),
+                                     masks, xs, targets, state)
+        else:
+            ref = getattr(masks, name)
+
+            def loss(flat, state, _name=name, _shape=ref.shape):
+                return pipeline_cost(sys, masks.replace(**{_name: flat.reshape(_shape)}),
+                                     xs, targets, state)
+
+        reused = finite_difference_gradient(lambda t: loss(t, a), ref.ravel(), cfg.eps)
+        full = finite_difference_gradient(lambda t: loss(t, None), ref.ravel(), cfg.eps)
+        np.testing.assert_array_equal(reused, full)
 
 
 def test_report_csv_roundtrip(tmp_path):

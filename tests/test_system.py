@@ -351,6 +351,48 @@ def test_forward_gate_and_jacobian_match_naive_on_every_branch(monkeypatch, kind
 
 
 # ---------------------------------------------------------------------------
+# the direct recursion gathers every live lag's window of past state in one
+# product per block; these geometries cover its edges: (n_state, kernel
+# length, live lags, n), every n off a multiple of the block (first live lag)
+GATHER_CASES = {
+    "multi_lag_matrix": (3, 16, (2, 3, 5, 9, 15), 97),
+    "echo_sparse_scalar": (1, 200, (*range(30, 40), *range(90, 100), *range(170, 180)), 603),
+    "lags_at_and_beyond_n": (2, 60, (3, 7, 40, 55), 40),
+    "single_lag_optical": (4, 12, (11,), 50),
+    "all_zero_feedback": (3, 8, (), 30),
+}
+
+
+@pytest.mark.parametrize("case", GATHER_CASES)
+def test_direct_recursion_matches_naive_forward_and_transposed(case):
+    n_state, L, lags, n = GATHER_CASES[case]
+    rng, dt = np.random.default_rng(50), 0.7
+    aa = np.zeros((L, n_state, n_state))
+    aa[list(lags)] = rng.standard_normal((len(lags), n_state, n_state))
+    if lags:
+        aa *= 0.8 / (dt * np.sum(np.abs(aa[[k for k in lags if k < n]])))  # loop gain 0.8
+    assert not _fft_pays(L, lags[0] if lags else n, n)
+    sys = PhysicalSystem(
+        w_sa=Kernel(rng.standard_normal((2, n_state, 2)), dt),
+        w_aa=Kernel(aa, dt),
+        w_so=Kernel(rng.standard_normal((3, 2, 2)), dt),
+        w_ao=Kernel(rng.standard_normal((2, 2, n_state)), dt),
+        f=Nonlinearity.clip(-1.0, 1.0),
+    )
+    s = Signal(rng.standard_normal((2, n)), dt)
+    e_o = Signal(rng.standard_normal((2, n)), dt)
+    tr = forward(sys, s)
+    bw = backward(sys, tr, e_o)
+    taps = (sys.w_sa.taps, sys.w_aa.taps, sys.w_so.taps, sys.w_ao.taps)
+    a, o, jac = plant_forward_naive(*taps, dt, naive_f(sys.f), s.samples)
+    e_a, e_s = plant_backward_naive(*taps, dt, jac, e_o.samples)
+    np.testing.assert_array_equal(tr.jac, jac)
+    for fast, slow in ((tr.a, a), (tr.o, o), (bw.e_a, e_a), (bw.e_s, e_s)):
+        np.testing.assert_allclose(fast.samples, slow, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(slow)))
+
+
+# ---------------------------------------------------------------------------
 # scalar plant with a long, sparse feedback kernel: the partitioned FFT path.
 # Oracle comparisons force the engine onto small sizes (crossover 0)
 

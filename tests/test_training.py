@@ -271,6 +271,7 @@ def test_optical_weight_projection_during_training():
     assert np.all(sys2.w_aa.taps[0] == 0.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_divergence_raises_with_log_intact():
     from echotrain.errors import DivergenceError
 
