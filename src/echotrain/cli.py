@@ -46,6 +46,11 @@ class UsageError(Exception):
     pass
 
 
+# the config keys of the plant parameters that plant.<parameter> does not name
+_PLANT_KEYS = {"length_m": "tube_length_m", "reflection_coeff": "reflection",
+               "passband": "passband_low_hz", "scale": "weight_scale"}
+
+
 @dataclass
 class ConfigFile:
     """Parsed key/value config with line numbers for diagnostics."""
@@ -280,7 +285,8 @@ def cmd_run(args) -> int:
     try:
         exp = build_experiment(cfg, seed_override=args.seed)
     except ConfigurationError as exc:  # a value the plant, task or training rejects
-        raise UsageError(f"{cfg.path}: {exc}") from None
+        keys = [k for f in exc.fields if (k := f"plant.{_PLANT_KEYS.get(f, f)}") in cfg.values]
+        raise UsageError(f"{', '.join(map(cfg.where, keys)) or cfg.path}: {exc}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

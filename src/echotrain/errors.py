@@ -6,7 +6,11 @@ class DimensionError(ValueError):
 
 
 class ConfigurationError(ValueError):
-    """Inconsistent configuration (dt mismatch, causality violation, bad params)."""
+    """Inconsistent configuration; fields names the parameters the failed check involves."""
+
+    def __init__(self, message, *fields):
+        super().__init__(message)
+        self.fields = fields
 
 
 class LengthError(ValueError):

@@ -30,13 +30,14 @@ from .masking import (
     output_mask_gradient,
 )
 from .signal import Kernel, Signal, convolve
-from .system import (BackwardTrace, ForwardTrace, Nonlinearity, PhysicalSystem, backward, forward,
-                     output_map)
+from .system import (BackwardTrace, ForwardTrace, Nonlinearity, PhysicalSystem, _activate,
+                     _causal_feedback, backward, forward, output_map)
 
 KERNEL_BLOCKS = ("w_sa", "w_aa", "w_so", "w_ao")
 MASK_BLOCKS = ("m", "s_b", "u", "y_b")
 ALL_BLOCKS = KERNEL_BLOCKS + MASK_BLOCKS
 OUTPUT_SIDE = ("w_so", "w_ao", "u", "y_b")  # blocks the state equation never sees
+_STACK_BYTES = 1 << 20  # the bytes the probes of one finite-difference chunk may hold
 
 
 def _tap_gradient(e_dst: np.ndarray, src: np.ndarray, L: int, dt: float,
@@ -85,6 +86,28 @@ def kernel_gradients(sys: PhysicalSystem, fwd: ForwardTrace, bwd: BackwardTrace,
     return out
 
 
+def _central_differences(theta: np.ndarray, eps: float, probe_bytes: int, losses) -> np.ndarray:
+    """(loss(theta + eps e_j) - loss(theta - eps e_j)) / 2 eps for every j; losses maps
+    a chunk of probe points, rows theta + eps e_j and theta - eps e_j in turn, to
+    their losses, and a chunk of probes of probe_bytes each holds <= _STACK_BYTES."""
+    step = max(1, _STACK_BYTES // max(probe_bytes, 1))
+    vals = []
+    for lo in range(0, 2 * theta.size, step):
+        rows = np.arange(lo, min(lo + step, 2 * theta.size))
+        points = np.tile(theta, (rows.size, 1))
+        points[np.arange(rows.size), rows // 2] += np.where(rows % 2, -eps, eps)
+        vals += losses(points)
+    pairs = np.reshape(vals, (-1, 2))
+    if not np.isfinite(pairs).all():
+        raise NumericError(f"loss non-finite at coordinate {np.nonzero(~np.isfinite(pairs))[0][0]}")
+    return (pairs[:, 0] - pairs[:, 1]) / (2.0 * eps)
+
+
+def _map(fn, items, threads: int) -> list:
+    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:  # no thread unless used
+        return list((pool.map if threads > 1 else map)(fn, items))
+
+
 def finite_difference_gradient(loss, theta: np.ndarray, eps: float = 1e-5,
                                threads: int = 1) -> np.ndarray:
     """Central differences (loss(theta+eps e_j) - loss(theta-eps e_j)) / 2 eps.
@@ -95,21 +118,8 @@ def finite_difference_gradient(loss, theta: np.ndarray, eps: float = 1e-5,
     if not (eps > 0.0):
         raise ConfigurationError(f"eps must be positive, got {eps}")
     theta = np.asarray(theta, dtype=np.float64).ravel()
-
-    def probe(j):
-        up, down = theta.copy(), theta.copy()
-        up[j] += eps
-        down[j] -= eps
-        lu, ld = loss(up), loss(down)
-        if not (np.isfinite(lu) and np.isfinite(ld)):
-            raise NumericError(f"loss non-finite at coordinate {j}")
-        return (lu - ld) / (2.0 * eps)
-
-    if threads > 1 and theta.size > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            vals = list(pool.map(probe, range(theta.size)))
-        return np.array(vals)
-    return np.array([probe(j) for j in range(theta.size)])
+    return _central_differences(theta, eps, 8 * theta.size,
+                                lambda points: _map(loss, points, threads))
 
 
 def relative_error(g1, g2) -> float:
@@ -277,13 +287,26 @@ def _non_reciprocal(sys: PhysicalSystem) -> PhysicalSystem:
     return sys
 
 
+def _probe_states(sys: PhysicalSystem, name: str, probes: list, xs) -> list:
+    """forward(plant, encode_inputs(xs, masks)).a of each noise-free probe of
+    the state-side block name, as one batched recursion: the w_aa probes
+    share one drive w_sa * s, the others share w_aa."""
+    one_drive = name == "w_aa"
+    taps = np.stack([plant.w_aa.taps for plant, _ in probes]) if one_drive else sys.w_aa.taps[None]
+    drive = np.stack([convolve(plant.w_sa, encode_inputs(xs, pm)).samples
+                      for plant, pm in (probes[:1] if one_drive else probes)])
+    a = _causal_feedback(taps, sys.dt, drive, lambda x_blk, t0, t1: _activate(sys.f, x_blk))
+    return [Signal._own(a_p, sys.dt) for a_p in a]
+
+
 def grad_check(cfg: GradCheckConfig, seed: int, break_adjoint: bool = False) -> GradCheckReport:
     """Compare physical gradients to the FD oracle over random toy pipelines.
 
     break_adjoint plays the error back through _non_reciprocal(plant) -- a
     deliberate corruption that must make the check fail (negative control).
-    Forward runs and the FD losses stay on the true plant.  The probes of
-    OUTPUT_SIDE blocks share one state trace per toy.
+    Forward runs and the FD losses stay on the true plant.  Each probe is one
+    pipeline_cost call on its state trace: OUTPUT_SIDE probes share the toy's
+    own, the others' come from one batched recursion per chunk (_probe_states).
     """
     rng = np.random.default_rng(seed)
     worst = {name: 0.0 for name in ALL_BLOCKS}
@@ -292,35 +315,24 @@ def grad_check(cfg: GradCheckConfig, seed: int, break_adjoint: bool = False) -> 
         grads = pipeline_gradients(sys, masks, xs, targets,
                                    medium=_non_reciprocal(sys) if break_adjoint else None)
         state = forward(sys, encode_inputs(xs, masks)).a
+        for name in ALL_BLOCKS:
+            full = getattr(sys, name).taps if name in KERNEL_BLOCKS else getattr(masks, name)
+            lag0 = int(name == "w_aa")  # w_aa tap 0 is pinned to zero by strict causality
 
-        for name in KERNEL_BLOCKS:
-            kern: Kernel = getattr(sys, name)
-            # w_aa tap 0 is pinned to zero by strict causality; FD runs over
-            # the free taps only
-            lag0 = 1 if name == "w_aa" else 0
-            free = kern.taps[lag0:]
+            def losses(points):
+                moved = [np.concatenate((full[:lag0].ravel(), flat)).reshape(full.shape)
+                         for flat in points]
+                probes = [(sys.with_kernel(name, w), masks) if name in KERNEL_BLOCKS
+                          else (sys, masks.replace(**{name: w})) for w in moved]
+                states = ([state] * len(probes) if name in OUTPUT_SIDE
+                          else _probe_states(sys, name, probes, xs))
+                return _map(lambda job: pipeline_cost(*job[0], xs, targets, job[1]),
+                            zip(probes, states), cfg.threads)
 
-            def loss(flat, _name=name, _shape=free.shape, _lag0=lag0,
-                     _full=kern.taps, _a=state if name in OUTPUT_SIDE else None):
-                taps = _full.copy()
-                taps[_lag0:] = flat.reshape(_shape)
-                return pipeline_cost(sys.with_kernel(_name, taps), masks, xs, targets, _a)
-
-            fd = finite_difference_gradient(loss, free.ravel(), cfg.eps,
-                                            threads=cfg.threads)
+            # a probe holds a few copies of its block, w_aa, drive and state
+            probe_bytes = 32 * (full.size + sys.w_aa.taps.size + state.samples.size)
+            fd = _central_differences(full[lag0:].ravel(), cfg.eps, probe_bytes, losses)
             worst[name] = max(worst[name], relative_error(grads[name][lag0:], fd))
-
-        for name in MASK_BLOCKS:
-            ref = getattr(masks, name)
-
-            def loss(flat, _name=name, _shape=ref.shape,
-                     _a=state if name in OUTPUT_SIDE else None):
-                return pipeline_cost(sys, masks.replace(**{_name: flat.reshape(_shape)}),
-                                     xs, targets, _a)
-
-            fd = finite_difference_gradient(loss, ref.ravel(), cfg.eps,
-                                            threads=cfg.threads)
-            worst[name] = max(worst[name], relative_error(grads[name], fd))
 
     report = GradCheckReport(threshold=cfg.threshold)
     for name in ALL_BLOCKS:

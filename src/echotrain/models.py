@@ -38,20 +38,24 @@ class TubeParams:
     def __post_init__(self):
         if not all(0.0 < v < np.inf for v in (self.length_m, self.speed_of_sound,
                                               self.sample_rate)):
-            raise ConfigurationError("tube geometry values must be positive and finite")
+            raise ConfigurationError("tube geometry values must be positive and finite",
+                                     "length_m", "speed_of_sound", "sample_rate")
         if not (0.0 < self.reflection_coeff < 1.0):
             raise ConfigurationError(
-                f"reflection_coeff must lie in (0, 1), got {self.reflection_coeff}")
+                f"reflection_coeff must lie in (0, 1), got {self.reflection_coeff}",
+                "reflection_coeff")
         if self.n_echoes < 1:
-            raise ConfigurationError("need at least one echo")
+            raise ConfigurationError("need at least one echo", "n_echoes")
         if not (0.0 < self.loop_gain < 1.0):
-            raise ConfigurationError("loop_gain must lie in (0, 1)")
+            raise ConfigurationError("loop_gain must lie in (0, 1)", "loop_gain")
         if self.filter_taps < 1:
-            raise ConfigurationError(f"filter_taps must be >= 1, got {self.filter_taps}")
+            raise ConfigurationError(f"filter_taps must be >= 1, got {self.filter_taps}",
+                                     "filter_taps")
         arrival = self.length_m / self.speed_of_sound * self.sample_rate
         if not 0.5 <= arrival < np.inf:  # else every echo lands on lag 1, or none fits
             raise ConfigurationError(
-                f"the first echo must arrive 0.5 or more (finite) samples in, got {arrival:.3g}")
+                f"the first echo must arrive 0.5 or more (finite) samples in, got {arrival:.3g}",
+                "length_m", "speed_of_sound", "sample_rate")
 
     @property
     def dt(self) -> float:
@@ -97,8 +101,8 @@ def make_tube_kernel(p: TubeParams, rng: np.random.Generator | None = None,
     last = max(delays, default=last)
     if last + pad >= p.kernel_len:
         raise ConfigurationError(
-            f"kernel_len {p.kernel_len} too short for the last echo at "
-            f"{last} samples (+{pad} filter tail)")
+            f"kernel_len {p.kernel_len} too short for the last of {p.n_echoes} echoes, at "
+            f"{last} samples (+{pad} filter tail)", "n_echoes", "kernel_len", "filter_taps")
 
     train = np.zeros(p.kernel_len)
     for d, a in zip(delays, amps):
@@ -108,7 +112,8 @@ def make_tube_kernel(p: TubeParams, rng: np.random.Generator | None = None,
         lo, hi = p.passband
         nyq = p.sample_rate / 2.0
         if not (0.0 < lo < hi < nyq):
-            raise ConfigurationError(f"passband {p.passband} invalid for fs {p.sample_rate}")
+            raise ConfigurationError(f"passband {p.passband} invalid for fs {p.sample_rate}",
+                                     "passband", "sample_rate")
         fir = sps.firwin(p.filter_taps, [lo, hi], pass_zero=False, fs=p.sample_rate)
         # zero-phase placement: each impulse becomes a band-limited wavelet
         # centered on its echo; the front edge moves up by (taps-1)/2 samples
@@ -170,22 +175,24 @@ class OpticalParams:
 
     def __post_init__(self):
         if self.n_nodes < 1:
-            raise ConfigurationError(f"n_nodes must be >= 1, got {self.n_nodes}")
+            raise ConfigurationError(f"n_nodes must be >= 1, got {self.n_nodes}", "n_nodes")
         if not (0.0 <= self.weight_bound < np.inf):
             raise ConfigurationError(
-                f"weight_bound must be non-negative and finite, got {self.weight_bound}")
+                f"weight_bound must be non-negative and finite, got {self.weight_bound}",
+                "weight_bound")
         if self.delay_samples < 1:
-            raise ConfigurationError("delay must be at least one sample")
+            raise ConfigurationError("delay must be at least one sample", "delay_samples")
         NoiseModel(self.snr_db)  # checks snr_db even when the noise is switched off
         if not (0.0 < self.backward_error_scale <= 1.0):
-            raise ConfigurationError("backward_error_scale must lie in (0, 1]")
+            raise ConfigurationError("backward_error_scale must lie in (0, 1]",
+                                     "backward_error_scale")
 
 
 def random_optical_weights(p: OpticalParams, rng: np.random.Generator,
                            scale: float = 0.5) -> np.ndarray:
     """Random mixing matrix with spectral-radius-ish scaling, inside the bound."""
     if not np.isfinite(scale):
-        raise ConfigurationError(f"weight scale must be finite, got {scale}")
+        raise ConfigurationError(f"weight scale must be finite, got {scale}", "scale")
     W = rng.standard_normal((p.n_nodes, p.n_nodes)) * (scale / np.sqrt(p.n_nodes))
     return np.clip(W, -p.weight_bound, p.weight_bound)
 

@@ -33,7 +33,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, DimensionError
-from .signal import Kernel, Signal, _fft_pays, _partitioned_convolve, adjoint_convolve, convolve
+from .signal import Kernel, Signal, _partitioned_convolve, adjoint_convolve, convolve
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ class NoiseModel:
         # noise 10^30 times above or below the signal is no measurement, and
         # far enough out 10^(snr/10) is not even a float
         if not -300.0 <= self.snr_db <= 300.0:
-            raise ConfigurationError(f"snr_db must lie in [-300, 300], got {self.snr_db}")
+            raise ConfigurationError(f"snr_db must lie in [-300, 300], got {self.snr_db}", "snr_db")
 
     def std_for(self, samples: np.ndarray) -> float:
         power = float(np.mean(np.square(samples))) if samples.size else 0.0
@@ -205,43 +205,51 @@ class BackwardTrace:
     e_o: Signal
 
 
-def _causal_feedback(kernel: Kernel, drive: np.ndarray, gate, transpose: bool = False):
-    """Solve a[:, i] = gate(drive[:, i] + dt * sum_k W[k] @ a[:, i-k]) blockwise,
-    with W the kernel's taps (transposed per lag when transpose is set).
+_FFT_MIN_FEEDBACK_MACS = 45_000  # B * live lags per block; README "Partitioned FFT engine"
 
-    W[0] must be zero; blocks of size B = first nonzero lag keep the recursion
-    explicit while staying vectorized.  gate maps a pre-activation block and
-    its sample range t0:t1 to the emitted block.  A long scalar kernel runs on
-    the partitioned FFT engine with the same blocks.  Every other kernel runs
-    direct: the state sits after m zero columns (m the largest live lag below
-    n), and each block gathers, for all K live lags at once, the B-sample
-    windows of past state it needs, one product W_cat @ H per block with
-    W_cat[r, c*K + k] = W[lag_k][r, c].
+
+def _causal_feedback(taps: np.ndarray, dt: float, drive: np.ndarray, gate,
+                     transpose: bool = False):
+    """Solve a[p, :, i] = gate(drive[p, :, i] + dt * sum_k W_p[k] @ a[p, :, i-k])
+    blockwise for P recursions at once: taps (P, L, c, c) hold the W_p
+    (transposed per lag when transpose is set), drive is (P, c, n); either may
+    have P = 1 and serve every item.
+
+    W[0] must be zero; blocks of size B = first lag live in any item keep the
+    recursion explicit while staying vectorized.  gate maps a (P, c, B)
+    pre-activation block and its sample range t0:t1 to the emitted block.  A
+    lone scalar recursion with B * (live lags) >= _FFT_MIN_FEEDBACK_MACS runs
+    on the partitioned FFT engine with the same blocks; all others run direct:
+    the state sits after m zero columns (m the largest live lag below n), and
+    each block gathers the B-sample windows of past state of all K live lags,
+    one stacked product W_cat @ H with W_cat[p, r, c*K + k] = W_p[lag_k][r, c].
+    Both in C order, it makes one BLAS call per item, as for the item alone:
+    items that share their live lags are bit for bit their own recursions.
     """
-    taps, dt, lags = kernel.taps, kernel.dt, kernel.nonzero_lags()
     if transpose:
-        taps = taps.transpose(0, 2, 1)
+        taps = taps.transpose(0, 1, 3, 2)
+    lags = np.flatnonzero(np.any(taps != 0.0, axis=(0, 2, 3)))
     if lags.size and lags[0] == 0:
         raise ConfigurationError("feedback taps must be strictly causal (tap 0 zero)")
-    n_state, n = drive.shape
+    batch, (n_state, n) = max(taps.shape[0], drive.shape[0]), drive.shape[1:]
     if n == 0:
-        return np.zeros((n_state, 0))
-    block = int(lags[0]) if lags.size else n
-    if n_state == 1 and taps.shape[2] == 1 and lags.size and _fft_pays(taps.shape[0], block, n):
-        return _partitioned_convolve(
-            dt * taps[:, 0, 0], drive[0], block,
-            gate=lambda x_blk, t0, t1: gate(x_blk[None, :], t0, t1)[0])[None, :]
+        return np.zeros((batch, n_state, 0))
     lags = lags[lags < n]  # taps at lags >= n never reach the output
-    block, m = min(block, n), int(lags[-1]) if lags.size else 0
-    w_cat = taps[lags].transpose(1, 2, 0).reshape(n_state, n_state * lags.size)
-    ap = np.zeros((n_state, m + n))
-    windows = sliding_window_view(ap, block, axis=1)  # windows[c, j] = ap[c, j:j+B]
+    block, m = (int(lags[0]), int(lags[-1])) if lags.size else (n, 0)
+    if batch == n_state == 1 and block * lags.size >= _FFT_MIN_FEEDBACK_MACS:
+        return _partitioned_convolve(
+            dt * taps[0, :, 0, 0], drive[0, 0], block,
+            gate=lambda x_blk, t0, t1: gate(x_blk[None, None], t0, t1)[0, 0])[None, None]
+    w_cat = taps[:, lags].transpose(0, 2, 3, 1).reshape(len(taps), n_state, -1).copy()
+    ap = np.zeros((batch, n_state, m + n))
+    windows = sliding_window_view(ap, block, axis=2)  # windows[p, c, j] = ap[p, c, j:j+B]
     with np.errstate(over="ignore", invalid="ignore"):  # Signal's checks report divergence
         for t0 in range(0, n, block):
             t1 = min(t0 + block, n)
-            h = windows[:, m + t0 - lags, : t1 - t0].reshape(-1, t1 - t0)
-            ap[:, m + t0 : m + t1] = gate(drive[:, t0:t1] + dt * (w_cat @ h), t0, t1)
-    return ap[:, m:]
+            h = np.ascontiguousarray(windows[:, :, m + t0 - lags, : t1 - t0])
+            h = h.reshape(batch, -1, t1 - t0)
+            ap[:, :, m + t0 : m + t1] = gate(drive[:, :, t0:t1] + dt * (w_cat @ h), t0, t1)
+    return ap[:, :, m:]
 
 
 def forward(sys: PhysicalSystem, s: Signal, rng: np.random.Generator | None = None) -> ForwardTrace:
@@ -259,8 +267,8 @@ def forward(sys: PhysicalSystem, s: Signal, rng: np.random.Generator | None = No
     f = sys.f
     pre_in = convolve(sys.w_sa, s).samples
     # each block pays for f alone; the Jacobian is read off the state once
-    a = Signal._own(_causal_feedback(sys.w_aa, pre_in, lambda x_blk, t0, t1: _activate(f, x_blk)),
-                    s.dt)
+    a = Signal._own(_causal_feedback(sys.w_aa.taps[None], s.dt, pre_in[None],
+                                     lambda x_blk, t0, t1: _activate(f, x_blk))[0], s.dt)
     del pre_in
     jac = _jacobian(f, a.samples)
     o = output_map(sys, s, a)
@@ -334,7 +342,8 @@ def backward(
             x_blk = _activate(clip_f, x_blk)
         return jac_rev[:, t0:t1] * x_blk
 
-    e_a_rev = _causal_feedback(sys.w_aa, contrib_o[:, ::-1], gate, transpose=True)
+    e_a_rev = _causal_feedback(sys.w_aa.taps[None], sys.dt, contrib_o[None, :, ::-1], gate,
+                               transpose=True)[0]
     del contrib_o
     e_a = Signal._own(e_a_rev[:, ::-1].copy(), sys.dt)
     del e_a_rev

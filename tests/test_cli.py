@@ -302,6 +302,30 @@ def test_config_value_rejected_at_build_names_its_line(tmp_path, capsys, base, k
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("base,key,value", [
+    ("toy_delay_smoke", "plant.n_echoes", "300000000"),  # kernel_len 40 holds no such echo
+    ("toy_delay_smoke", "plant.kernel_len", "10"),
+    ("toy_delay_smoke", "plant.filter_taps", "0"),
+    ("toy_delay_smoke", "plant.sample_rate", "nan"),
+    ("toy_delay_smoke", "plant.tube_length_m", "0.01"),
+    ("toy_delay_smoke", "plant.reflection", "1.5"),
+    ("toy_delay_smoke", "plant.loop_gain", "2"),
+    ("toy_delay_smoke", "plant.passband_low_hz", "5000"),
+    ("optical_labels", "plant.n_nodes", "0"),
+    ("optical_labels", "plant.delay_samples", "0"),
+    ("optical_labels", "plant.weight_bound", "nan"),
+    ("optical_labels", "plant.weight_scale", "nan"),
+    ("optical_labels", "plant.snr_db", "5000"),
+    ("optical_labels", "plant.backward_error_scale", "0"),
+])
+def test_plant_value_rejected_by_a_constructor_names_its_line(tmp_path, capsys, base, key, value):
+    path, line = mutated(tmp_path, base, key, value)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:{line}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("key,value", [
     ("n_state", "0"), ("n_systems", "-1"), ("period", "0"),
     ("threshold", "nan"), ("threshold", "inf"), ("threshold", "0"),

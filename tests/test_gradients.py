@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from echotrain import gradients as gradients_mod
 from echotrain.errors import NumericError
 from echotrain.gradients import (
     ALL_BLOCKS,
     KERNEL_BLOCKS,
     OUTPUT_SIDE,
     GradCheckConfig,
+    _probe_states,
     finite_difference_gradient,
     grad_check,
     kernel_gradients,
@@ -180,6 +184,51 @@ def test_output_side_probes_on_the_recorded_state_equal_full_forward_ones(seed):
         reused = finite_difference_gradient(lambda t: loss(t, a), ref.ravel(), cfg.eps)
         full = finite_difference_gradient(lambda t: loss(t, None), ref.ravel(), cfg.eps)
         np.testing.assert_array_equal(reused, full)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_stacked_probe_states_equal_the_probe_plants_forward_bit_for_bit(seed):
+    # every state-side probe of the first toy grad_check(GradCheckConfig(), seed)
+    # audits: its state from the batched recursion is its own forward run's
+    cfg = GradCheckConfig()
+    sys, masks, xs, _ = random_toy_pipeline(cfg, np.random.default_rng(seed))
+    for name in ("w_sa", "w_aa", "m", "s_b"):
+        full = getattr(sys, name).taps if name in KERNEL_BLOCKS else getattr(masks, name)
+        probes = []
+        for j in range(int(name == "w_aa") * full[0].size, full.size):
+            for step in (cfg.eps, -cfg.eps):
+                moved = full.copy()
+                moved.flat[j] += step
+                probes.append((sys.with_kernel(name, moved), masks) if name in KERNEL_BLOCKS
+                              else (sys, masks.replace(**{name: moved})))
+        for (plant, pm), state in zip(probes, _probe_states(sys, name, probes, xs)):
+            assert np.array_equal(state.samples, forward(plant, encode_inputs(xs, pm)).a.samples)
+
+
+def test_grad_check_threads_give_the_serial_report():
+    cfg = GradCheckConfig(n_systems=2)
+    serial = grad_check(cfg, 5)
+    assert grad_check(GradCheckConfig(n_systems=2, threads=2), 5).entries == serial.entries
+
+
+def test_grad_check_report_does_not_depend_on_the_chunking(monkeypatch):
+    cfg = GradCheckConfig(n_systems=2)
+    whole = grad_check(cfg, 8)
+    monkeypatch.setattr(gradients_mod, "_STACK_BYTES", 1)  # one probe per chunk
+    assert grad_check(cfg, 8).entries == whole.entries
+
+
+def test_grad_check_memory_stays_bounded():
+    # unchunked, the w_aa probes of this family stack about 25 MB of state
+    cfg = GradCheckConfig(n_systems=1, n_state=10, kernel_len=6, nonlinearities=("clip",))
+    tracemalloc.start()
+    try:
+        report = grad_check(cfg, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 4e6
 
 
 def test_report_csv_roundtrip(tmp_path):

@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 from echotrain import signal as signal_mod
+from echotrain import system as system_mod
 from echotrain.errors import ConfigurationError, DimensionError
-from echotrain.signal import Kernel, Signal, _fft_pays, inner
+from echotrain.signal import Kernel, Signal, convolve, inner
+from echotrain.cli import ConfigFile, build_experiment, resolve_config_path
 from echotrain.system import (
     BackwardPath,
     NoiseModel,
     Nonlinearity,
     PhysicalSystem,
     apply_nonlinearity,
+    _causal_feedback,
     backward,
     forward,
 )
@@ -331,6 +334,7 @@ def test_forward_gate_and_jacobian_match_naive_on_every_branch(monkeypatch, kind
     n_state, L, first, n = {"matrix": (3, 20, 12, 90), "scalar_direct": (1, 40, 12, 101),
                             "fft": (1, 60, 12, 130)}[branch]
     monkeypatch.setattr(signal_mod, "_FFT_MIN_BLOCK_MACS", 0 if branch == "fft" else np.inf)
+    monkeypatch.setattr(system_mod, "_FFT_MIN_FEEDBACK_MACS", 0 if branch == "fft" else np.inf)
     sys = edge_plant(rng, kind, n_state, L, first)
     x = rng.standard_normal((n_state, n))
     x[:, : EDGES.size] = EDGES  # the first block has no feedback yet
@@ -371,7 +375,7 @@ def test_direct_recursion_matches_naive_forward_and_transposed(case):
     aa[list(lags)] = rng.standard_normal((len(lags), n_state, n_state))
     if lags:
         aa *= 0.8 / (dt * np.sum(np.abs(aa[[k for k in lags if k < n]])))  # loop gain 0.8
-    assert not _fft_pays(L, lags[0] if lags else n, n)
+    assert (lags[0] if lags else n) * len(lags) < system_mod._FFT_MIN_FEEDBACK_MACS
     sys = PhysicalSystem(
         w_sa=Kernel(rng.standard_normal((2, n_state, 2)), dt),
         w_aa=Kernel(aa, dt),
@@ -393,6 +397,88 @@ def test_direct_recursion_matches_naive_forward_and_transposed(case):
 
 
 # ---------------------------------------------------------------------------
+# the batch axis: P recursions share one block loop and one stacked product
+# per block; taps or drive may have P = 1 and serve every item
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("n_state", [1, 3])
+@pytest.mark.parametrize("taps_batch,drive_batch", [(5, 5), (1, 5), (5, 1)])
+def test_batched_recursion_items_equal_their_own_recursion_bit_for_bit(
+        transpose, n_state, taps_batch, drive_batch):
+    rng, dt, L, n = np.random.default_rng(60), 0.6, 12, 97  # block 3; 97 is no multiple of it
+    lags = [3, 4, 7, 11]
+    taps = np.zeros((taps_batch, L, n_state, n_state))
+    taps[:, lags] = rng.standard_normal((taps_batch, len(lags), n_state, n_state))
+    taps *= 0.8 / (dt * np.sum(np.abs(taps), axis=(1, 2, 3), keepdims=True))
+    drive = rng.standard_normal((drive_batch, n_state, n))
+    jac = (rng.random((n_state, n)) > 0.3).astype(np.float64)
+
+    def gate(x_blk, t0, t1):  # a clip, then a recorded Jacobian window as backward gates
+        return jac[:, t0:t1] * np.minimum(np.maximum(x_blk, -1.0), 1.0)
+
+    batched = _causal_feedback(taps, dt, drive, gate, transpose)
+    batch = max(taps_batch, drive_batch)
+    assert batched.shape == (batch, n_state, n)
+    for p in range(batch):
+        alone = _causal_feedback(taps[p % taps_batch][None], dt, drive[p % drive_batch][None],
+                                 gate, transpose)
+        assert same_bits(batched[p], alone[0])
+
+
+def test_batched_recursion_with_differing_live_lags_matches_naive():
+    # the union of the items' live lags sets the block: 2 here, for every item
+    rng, dt, L, n, n_state = np.random.default_rng(61), 0.5, 10, 53, 2
+    items = []
+    for lags in [(2, 5), (3, 7, 9), (6,), ()]:
+        aa = np.zeros((L, n_state, n_state))
+        aa[list(lags)] = rng.standard_normal((len(lags), n_state, n_state))
+        if lags:
+            aa *= 0.8 / (dt * np.sum(np.abs(aa)))
+        items.append((rng.standard_normal((2, n_state, 2)), aa, rng.standard_normal((2, n))))
+    drive = np.stack([convolve(Kernel(w_sa, dt), Signal(s, dt)).samples for w_sa, _, s in items])
+    a = _causal_feedback(np.stack([aa for _, aa, _ in items]), dt, drive,
+                         lambda x_blk, t0, t1: np.minimum(np.maximum(x_blk, -1.0), 1.0))
+    for a_p, (w_sa, aa, s) in zip(a, items):
+        ref, _, _ = plant_forward_naive(w_sa, aa, np.zeros((1, 1, 2)), np.zeros((1, 1, n_state)),
+                                        dt, nonlinearity_naive("clip"), s)
+        np.testing.assert_allclose(a_p, ref, rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(ref))))
+
+
+def test_feedback_path_follows_block_times_live_lags(monkeypatch):
+    # the crossover counts live lags: the echo-sparse desk tube stays direct,
+    # the 40 kHz tube and a dense kernel take the engine
+    engine, blocks = system_mod._partitioned_convolve, []
+
+    def spy(*args, **kwargs):
+        blocks.append(args[2])
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(system_mod, "_partitioned_convolve", spy)
+    one = Kernel(np.ones((1, 1, 1)), 1.0)
+
+    def path(w_aa, n):
+        blocks.clear()
+        plant = PhysicalSystem(one, Kernel(w_aa, 1.0), Kernel.zero(1, 1, 1.0), one,
+                               Nonlinearity.rectifier())
+        forward(plant, Signal(np.random.default_rng(0).standard_normal((1, n)), 1.0))
+        return "fft" if blocks else "direct"
+
+    def tube(name):
+        return build_experiment(ConfigFile.parse(resolve_config_path(name))).system.w_aa.taps
+
+    desk, khz40 = tube("acoustic_delay_task"), tube("acoustic_delay_task_40khz")
+    dense = np.zeros((2000, 1, 1))
+    dense[200:] = 1e-4
+    for w_aa, n, block, live, want in ((desk, 2000, 92, 303, "direct"),
+                                       (khz40, 8000, 652, 303, "fft"),
+                                       (dense, 4000, 200, 1800, "fft")):
+        lags = np.flatnonzero(w_aa)
+        assert (lags[0], lags.size) == (block, live)
+        assert path(w_aa, n) == want
+
+
+# ---------------------------------------------------------------------------
 # scalar plant with a long, sparse feedback kernel: the partitioned FFT path.
 # Oracle comparisons force the engine onto small sizes (crossover 0)
 
@@ -400,6 +486,7 @@ def test_direct_recursion_matches_naive_forward_and_transposed(case):
 @pytest.fixture
 def fft_everywhere(monkeypatch):
     monkeypatch.setattr(signal_mod, "_FFT_MIN_BLOCK_MACS", 0)
+    monkeypatch.setattr(system_mod, "_FFT_MIN_FEEDBACK_MACS", 0)
 
 
 def long_sparse_scalar_system(rng, kind, first=96, L=600, dt=0.5):
@@ -459,12 +546,13 @@ def test_long_scalar_plant_fft_matches_direct_above_crossover(monkeypatch):
     sys = long_sparse_scalar_system(rng, "rectifier", first=652, L=4200, dt=1.0)
     sys = PhysicalSystem(sys.w_aa, sys.w_aa, sys.w_so, sys.w_ao, sys.f)
     n = 10_001
-    assert _fft_pays(4200, 652, n)
+    assert 652 * sys.w_aa.nonzero_lags().size >= system_mod._FFT_MIN_FEEDBACK_MACS
     s = Signal(rng.standard_normal((1, n)), sys.dt)
     e_o = Signal(rng.standard_normal((1, n)), sys.dt)
     tr = forward(sys, s)
     bw = backward(sys, tr, e_o)
     monkeypatch.setattr(signal_mod, "_FFT_MIN_BLOCK_MACS", np.inf)
+    monkeypatch.setattr(system_mod, "_FFT_MIN_FEEDBACK_MACS", np.inf)
     tr_d = forward(sys, s)
     bw_d = backward(sys, tr_d, e_o)
     np.testing.assert_array_equal(tr.jac, tr_d.jac)
@@ -479,7 +567,7 @@ def test_long_scalar_plant_adjoint_identity_on_fft_path():
     sys = long_sparse_scalar_system(rng, "identity", first=652, L=4200)
     sys = PhysicalSystem(sys.w_aa, sys.w_aa, sys.w_so, sys.w_ao, sys.f)
     n = 20 * 652 + 7
-    assert _fft_pays(4200, 652, n)
+    assert 652 * sys.w_aa.nonzero_lags().size >= system_mod._FFT_MIN_FEEDBACK_MACS
     s = Signal(rng.standard_normal((1, n)), sys.dt)
     y = Signal(rng.standard_normal((1, n)), sys.dt)
     tr = forward(sys, s)
