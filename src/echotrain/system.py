@@ -211,20 +211,19 @@ _FFT_MIN_FEEDBACK_MACS = 45_000  # B * live lags per block; README "Partitioned 
 def _causal_feedback(taps: np.ndarray, dt: float, drive: np.ndarray, gate,
                      transpose: bool = False):
     """Solve a[p, :, i] = gate(drive[p, :, i] + dt * sum_k W_p[k] @ a[p, :, i-k])
-    blockwise for P recursions at once: taps (P, L, c, c) hold the W_p
-    (transposed per lag when transpose is set), drive is (P, c, n); either may
-    have P = 1 and serve every item.
+    blockwise for P recursions: taps (P, L, c, c) hold the W_p (transposed per
+    lag when transpose is set), drive is (P, c, n), and either may have P = 1.
 
-    W[0] must be zero; blocks of size B = first lag live in any item keep the
-    recursion explicit while staying vectorized.  gate maps a (P, c, B)
-    pre-activation block and its sample range t0:t1 to the emitted block.  A
-    lone scalar recursion with B * (live lags) >= _FFT_MIN_FEEDBACK_MACS runs
-    on the partitioned FFT engine with the same blocks; all others run direct:
-    the state sits after m zero columns (m the largest live lag below n), and
-    each block gathers the B-sample windows of past state of all K live lags,
-    one stacked product W_cat @ H with W_cat[p, r, c*K + k] = W_p[lag_k][r, c].
-    Both in C order, it makes one BLAS call per item, as for the item alone:
-    items that share their live lags are bit for bit their own recursions.
+    W[0] must be zero; blocks of size B = the first lag live in any item keep
+    the recursion explicit.  gate maps a (P, c, B) pre-activation block and its
+    samples t0:t1 to the emitted block.  A lone scalar recursion with B * (live
+    lags) >= _FFT_MIN_FEEDBACK_MACS runs on the partitioned FFT engine.  All
+    others run direct: the state sits after m zero columns (m the largest live
+    lag below n); a block gathers the B-sample windows of past state of all K
+    live lags into H, one product W_cat @ H with W_cat[p, r, c*K + k] =
+    W_p[lag_k][r, c].  Each item's W_cat and H are laid out as a lone
+    recursion's (hence the batch index below), so numpy makes the same BLAS
+    call: items that share their live lags are bit for bit their own recursions.
     """
     if transpose:
         taps = taps.transpose(0, 1, 3, 2)
@@ -240,7 +239,8 @@ def _causal_feedback(taps: np.ndarray, dt: float, drive: np.ndarray, gate,
         return _partitioned_convolve(
             dt * taps[0, :, 0, 0], drive[0, 0], block,
             gate=lambda x_blk, t0, t1: gate(x_blk[None, None], t0, t1)[0, 0])[None, None]
-    w_cat = taps[:, lags].transpose(0, 2, 3, 1).reshape(len(taps), n_state, -1).copy()
+    w_cat = taps[np.arange(len(taps))[:, None], lags].transpose(0, 2, 3, 1)
+    w_cat = w_cat.reshape(len(taps), n_state, -1)
     ap = np.zeros((batch, n_state, m + n))
     windows = sliding_window_view(ap, block, axis=2)  # windows[p, c, j] = ap[p, c, j:j+B]
     with np.errstate(over="ignore", invalid="ignore"):  # Signal's checks report divergence

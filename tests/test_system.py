@@ -3,16 +3,16 @@ import pytest
 
 from echotrain import signal as signal_mod
 from echotrain import system as system_mod
+from echotrain.cli import ConfigFile, build_experiment, resolve_config_path
 from echotrain.errors import ConfigurationError, DimensionError
 from echotrain.signal import Kernel, Signal, convolve, inner
-from echotrain.cli import ConfigFile, build_experiment, resolve_config_path
 from echotrain.system import (
     BackwardPath,
     NoiseModel,
     Nonlinearity,
     PhysicalSystem,
-    apply_nonlinearity,
     _causal_feedback,
+    apply_nonlinearity,
     backward,
     forward,
 )
@@ -401,13 +401,13 @@ def test_direct_recursion_matches_naive_forward_and_transposed(case):
 # per block; taps or drive may have P = 1 and serve every item
 
 
+@pytest.mark.parametrize("lags", [[3, 4, 7, 11], [5]])  # n = 97 is no multiple of the block
 @pytest.mark.parametrize("transpose", [False, True])
 @pytest.mark.parametrize("n_state", [1, 3])
 @pytest.mark.parametrize("taps_batch,drive_batch", [(5, 5), (1, 5), (5, 1)])
 def test_batched_recursion_items_equal_their_own_recursion_bit_for_bit(
-        transpose, n_state, taps_batch, drive_batch):
-    rng, dt, L, n = np.random.default_rng(60), 0.6, 12, 97  # block 3; 97 is no multiple of it
-    lags = [3, 4, 7, 11]
+        lags, transpose, n_state, taps_batch, drive_batch):
+    rng, dt, L, n = np.random.default_rng(60), 0.6, 12, 97
     taps = np.zeros((taps_batch, L, n_state, n_state))
     taps[:, lags] = rng.standard_normal((taps_batch, len(lags), n_state, n_state))
     taps *= 0.8 / (dt * np.sum(np.abs(taps), axis=(1, 2, 3), keepdims=True))
