@@ -285,7 +285,9 @@ def cmd_run(args) -> int:
     try:
         exp = build_experiment(cfg, seed_override=args.seed)
     except ConfigurationError as exc:  # a value the plant, task or training rejects
-        keys = [k for f in exc.fields if (k := f"plant.{_PLANT_KEYS.get(f, f)}") in cfg.values]
+        keys = [k for f in exc.fields
+                for k in (f"plant.{_PLANT_KEYS.get(f, f)}", f"mask.{f}", f"train.{f}")
+                if k in cfg.values]
         raise UsageError(f"{', '.join(map(cfg.where, keys)) or cfg.path}: {exc}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

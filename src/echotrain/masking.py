@@ -43,7 +43,7 @@ class MaskSet:
         y_b = np.asarray(self.y_b, dtype=np.float64)
         P = int(self.period)
         if P < 1:
-            raise ConfigurationError(f"period must be positive, got {self.period}")
+            raise ConfigurationError(f"period must be positive, got {self.period}", "period")
         if m.ndim != 3 or u.ndim != 3 or s_b.ndim != 2 or y_b.ndim != 1:
             raise DimensionError("mask arrays have wrong rank")
         if not (m.shape[2] == u.shape[2] == s_b.shape[1] == P):
@@ -68,7 +68,7 @@ class MaskSet:
               dt: float) -> "MaskSet":
         """All-zero masks of the given shape (a template for train())."""
         if period < 1:
-            raise ConfigurationError(f"period must be positive, got {period}")
+            raise ConfigurationError(f"period must be positive, got {period}", "period")
         return MaskSet(m=np.zeros((n_in, dim_x, period)), u=np.zeros((dim_y, n_out, period)),
                        s_b=np.zeros((n_in, period)), y_b=np.zeros(dim_y),
                        period=period, dt=dt)

@@ -135,6 +135,8 @@ def make_acoustic_system(kernel: Kernel, period: int | None = None,
     """Acoustic plant a = f(W * (s + a)), o = a, with a mask-set template.
 
     Maps onto the general plant as W_sa = W_aa = W, W_ao = delta, W_so = 0.
+    With W in both places, forward runs one recursion on s + a and backward
+    reads W^T e_a off the adjoint recursion's feedback sums: no open product.
     The default masking period keeps 40 instances per second (1000 samples at
     40 kHz).  Returns (system, zeroed MaskSet of matching shape).
     """

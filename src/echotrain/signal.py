@@ -167,7 +167,9 @@ def _fft_pays(kernel_len: int, block: int, n: int) -> bool:
     return min(block, n) * kernel_len >= _FFT_MIN_BLOCK_MACS
 
 
-def _partitioned_convolve(w: np.ndarray, x: np.ndarray, block: int, gate=None) -> np.ndarray:
+def _partitioned_convolve(w: np.ndarray, x: np.ndarray | None, block: int, gate=None,
+                          feed: np.ndarray | None = None,
+                          sums: np.ndarray | None = None) -> np.ndarray:
     """Causal scalar convolution by uniformly partitioned overlap-save.
 
     The taps w are cut into partitions of `block` taps; each live (not
@@ -177,20 +179,23 @@ def _partitioned_convolve(w: np.ndarray, x: np.ndarray, block: int, gate=None) -
     an output block is one inverse transform of its accumulator.
 
     Without gate, returns y[i] = sum_k w[k] x[i-k] for i < n = x.size.  With
-    gate, returns the recursion y[t0:t1] = gate(x[t0:t1] + (w * y)[t0:t1],
-    t0, t1), one block at a time; w must vanish below lag `block`, so each
-    block's feedback is complete before the block is emitted and nothing is
-    ever added to output already emitted.
+    gate, returns the recursion y[t0:t1] = gate(x[t0:t1] + (w * (feed +
+    y))[t0:t1], t0, t1), one block at a time, and writes each block's
+    feedback sum (w * (feed + y))[t0:t1] into sums if given; x or feed may be
+    None (zero).  w must vanish below lag `block`, so each block's feedback
+    is complete before the block is emitted and nothing is ever added to
+    output already emitted.
     """
-    y = np.zeros(x.size)
-    nz = np.flatnonzero(w[: x.size])  # taps at lags >= n never reach the output
+    n = (feed if x is None else x).size
+    y = np.zeros(n)
+    nz = np.flatnonzero(w[:n])  # taps at lags >= n never reach the output
     w = w[: nz[-1] + 1] if nz.size else w[:0]
     out = y
     if gate is None and nz.size:
         # leading zero taps are a pure delay: the output before the first live
         # tap stays exactly zero, as on the direct path, and the kernel shrinks
         w, x, out = w[nz[0] :], x[: x.size - nz[0]], y[nz[0] :]
-    n = x.size
+    n = out.size
     n_parts = max(1, -(-w.size // block))
     parts = np.zeros((n_parts, block))
     parts.ravel()[: w.size] = w
@@ -206,13 +211,17 @@ def _partitioned_convolve(w: np.ndarray, x: np.ndarray, block: int, gate=None) -
         t1 = min(t0 + block, n)
         slot = j % n_parts
         if gate is not None:
-            out[t0:t1] = gate(x[t0:t1] + _fft.irfft(acc[slot], nfft)[block : block + t1 - t0],
-                              t0, t1)
+            fb = _fft.irfft(acc[slot], nfft)[block : block + t1 - t0]
+            if sums is not None:
+                sums[t0:t1] = fb
+            out[t0:t1] = gate(fb if x is None else x[t0:t1] + fb, t0, t1)
             acc[slot] = 0.0
         # a short last block leaves stale samples after t1 - t0 in the window;
         # by causality they reach only outputs past the end of the trace
         win[:block] = win[block : 2 * block]
         win[block : block + t1 - t0] = (x if gate is None else out)[t0:t1]
+        if feed is not None:
+            win[block : block + t1 - t0] += feed[t0:t1]
         spec = _fft.rfft(win)
         for p, part in reach:
             acc[(j + p) % n_parts] += spec * part

@@ -208,18 +208,21 @@ class BackwardTrace:
 _FFT_MIN_FEEDBACK_MACS = 45_000  # B * live lags per block; README "Partitioned FFT engine"
 
 
-def _causal_feedback(taps: np.ndarray, dt: float, drive: np.ndarray, gate,
-                     transpose: bool = False):
-    """Solve a[p, :, i] = gate(drive[p, :, i] + dt * sum_k W_p[k] @ a[p, :, i-k])
+def _causal_feedback(taps: np.ndarray, dt: float, drive: np.ndarray | None, gate,
+                     transpose: bool = False, feed: np.ndarray | None = None,
+                     sums: np.ndarray | None = None):
+    """Solve a[p, :, i] = gate(drive[p, :, i] + dt * sum_k W_p[k] @ (feed + a)[p, :, i-k])
     blockwise for P recursions: taps (P, L, c, c) hold the W_p (transposed per
-    lag when transpose is set), drive is (P, c, n), and either may have P = 1.
+    lag when transpose is set), drive and feed are (P, c, n) or None (zero,
+    not both), and any may have P = 1; sums, if given, receives each block's
+    feedback term dt * sum_k W_p[k] @ (feed + a)[p, :, i-k].
 
     W[0] must be zero; blocks of size B = the first lag live in any item keep
     the recursion explicit.  gate maps a (P, c, B) pre-activation block and its
     samples t0:t1 to the emitted block.  A lone scalar recursion with B * (live
     lags) >= _FFT_MIN_FEEDBACK_MACS runs on the partitioned FFT engine.  All
-    others run direct: the state sits after m zero columns (m the largest live
-    lag below n); a block gathers the B-sample windows of past state of all K
+    others run direct: feed + a sits after m zero columns (m the largest live
+    lag below n); a block gathers the B-sample windows of its past of all K
     live lags into H, one product W_cat @ H with W_cat[p, r, c*K + k] =
     W_p[lag_k][r, c].  Each item's W_cat and H are laid out as a lone
     recursion's (hence the batch index below), so numpy makes the same BLAS
@@ -230,26 +233,36 @@ def _causal_feedback(taps: np.ndarray, dt: float, drive: np.ndarray, gate,
     lags = np.flatnonzero(np.any(taps != 0.0, axis=(0, 2, 3)))
     if lags.size and lags[0] == 0:
         raise ConfigurationError("feedback taps must be strictly causal (tap 0 zero)")
-    batch, (n_state, n) = max(taps.shape[0], drive.shape[0]), drive.shape[1:]
+    trace = drive if feed is None else feed
+    batch, (n_state, n) = max(taps.shape[0], trace.shape[0]), trace.shape[1:]
     if n == 0:
         return np.zeros((batch, n_state, 0))
     lags = lags[lags < n]  # taps at lags >= n never reach the output
     block, m = (int(lags[0]), int(lags[-1])) if lags.size else (n, 0)
     if batch == n_state == 1 and block * lags.size >= _FFT_MIN_FEEDBACK_MACS:
         return _partitioned_convolve(
-            dt * taps[0, :, 0, 0], drive[0, 0], block,
-            gate=lambda x_blk, t0, t1: gate(x_blk[None, None], t0, t1)[0, 0])[None, None]
+            dt * taps[0, :, 0, 0], None if drive is None else drive[0, 0], block,
+            gate=lambda x_blk, t0, t1: gate(x_blk[None, None], t0, t1)[0, 0],
+            feed=None if feed is None else feed[0, 0],
+            sums=None if sums is None else sums[0, 0])[None, None]
     w_cat = taps[np.arange(len(taps))[:, None], lags].transpose(0, 2, 3, 1)
     w_cat = w_cat.reshape(len(taps), n_state, -1)
     ap = np.zeros((batch, n_state, m + n))
+    if feed is not None:
+        ap[:, :, m:] = feed
+    a = ap[:, :, m:] if feed is None else np.empty((batch, n_state, n))
     windows = sliding_window_view(ap, block, axis=2)  # windows[p, c, j] = ap[p, c, j:j+B]
     with np.errstate(over="ignore", invalid="ignore"):  # Signal's checks report divergence
         for t0 in range(0, n, block):
             t1 = min(t0 + block, n)
             h = np.ascontiguousarray(windows[:, :, m + t0 - lags, : t1 - t0])
-            h = h.reshape(batch, -1, t1 - t0)
-            ap[:, :, m + t0 : m + t1] = gate(drive[:, :, t0:t1] + dt * (w_cat @ h), t0, t1)
-    return ap[:, :, m:]
+            fb = dt * (w_cat @ h.reshape(batch, -1, t1 - t0))
+            if sums is not None:
+                sums[:, :, t0:t1] = fb
+            a[:, :, t0:t1] = gate(fb if drive is None else drive[:, :, t0:t1] + fb, t0, t1)
+            if feed is not None:
+                ap[:, :, m + t0 : m + t1] += a[:, :, t0:t1]
+    return a
 
 
 def forward(sys: PhysicalSystem, s: Signal, rng: np.random.Generator | None = None) -> ForwardTrace:
@@ -265,11 +278,12 @@ def forward(sys: PhysicalSystem, s: Signal, rng: np.random.Generator | None = No
         raise ConfigurationError(f"dt mismatch: signal {s.dt} vs system {sys.dt}")
 
     f = sys.f
-    pre_in = convolve(sys.w_sa, s).samples
+    one = _one_tube(sys)  # W_sa * s + W_aa * a = W * (s + a): one recursion on s + a
     # each block pays for f alone; the Jacobian is read off the state once
-    a = Signal._own(_causal_feedback(sys.w_aa.taps[None], s.dt, pre_in[None],
-                                     lambda x_blk, t0, t1: _activate(f, x_blk))[0], s.dt)
-    del pre_in
+    a = Signal._own(_causal_feedback(sys.w_aa.taps[None], s.dt,
+                                     None if one else convolve(sys.w_sa, s).samples[None],
+                                     lambda x_blk, t0, t1: _activate(f, x_blk),
+                                     feed=s.samples[None] if one else None)[0], s.dt)
     jac = _jacobian(f, a.samples)
     o = output_map(sys, s, a)
 
@@ -282,15 +296,21 @@ def forward(sys: PhysicalSystem, s: Signal, rng: np.random.Generator | None = No
     return ForwardTrace(a=a, o=Signal._own(o, s.dt), jac=jac)
 
 
+def _one_tube(sys: PhysicalSystem) -> bool:
+    """Whether W_sa and W_aa are one kernel, as the acoustic loop's tube is."""
+    return sys.w_sa is sys.w_aa or np.array_equal(sys.w_sa.taps, sys.w_aa.taps)
+
+
 def output_map(sys: PhysicalSystem, s: Signal, a: Signal) -> np.ndarray:
     """The clean output o = W_so * s + W_ao * a of input s and state trace a."""
     return convolve(sys.w_so, s).samples + convolve(sys.w_ao, a).samples
 
 
 def _add_noise(noise: NoiseModel, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """x plus a fresh draw of measurement noise, summed into the draw itself
-    (x + n == n + x exactly, so this is x + n without a third trace)."""
-    n = rng.normal(0.0, noise.std_for(x), x.shape)
+    """x plus a fresh draw of measurement noise, scaled and summed into the draw
+    itself (std * z as rng.normal(0, std) draws it, and x + n == n + x)."""
+    n = rng.standard_normal(x.shape)
+    n *= noise.std_for(x)
     n += x
     return n
 
@@ -342,13 +362,15 @@ def backward(
             x_blk = _activate(clip_f, x_blk)
         return jac_rev[:, t0:t1] * x_blk
 
+    sums = np.empty((1, sys.n_state, n)) if _one_tube(sys) else None
     e_a_rev = _causal_feedback(sys.w_aa.taps[None], sys.dt, contrib_o[None, :, ::-1], gate,
-                               transpose=True)[0]
+                               transpose=True, sums=sums)[0]
     del contrib_o
     e_a = Signal._own(e_a_rev[:, ::-1].copy(), sys.dt)
     del e_a_rev
-    e_s_arr = (adjoint_convolve(sys.w_sa, e_a).samples
-               + adjoint_convolve(sys.w_so, e_o_used).samples)
+    e_sa = adjoint_convolve(sys.w_sa, e_a).samples if sums is None else sums[0, :, ::-1]
+    e_s_arr = e_sa + adjoint_convolve(sys.w_so, e_o_used).samples
+    del e_sa, sums
 
     if sys.noise is not None and sys.noise.on_backward:
         if rng is None:

@@ -157,22 +157,16 @@ class TrainConfig:
     init_masks: bool = True
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ConfigurationError("iterations must be >= 1")
-        if self.batch_len < 1:
-            raise ConfigurationError(f"batch_len must be >= 1, got {self.batch_len}")
-        if not (0.0 <= self.lr0 < np.inf):
-            raise ConfigurationError("lr0 must be non-negative and finite")
-        if not all(0.0 <= v < np.inf for v in (self.init_std_input_mask,
-                                               self.init_std_output_mask)):
-            raise ConfigurationError("mask init stds must be non-negative and finite")
-        if self.w_aa_gain_bound is not None and not (0.0 <= self.w_aa_gain_bound < np.inf):
-            raise ConfigurationError("w_aa_gain_bound must be non-negative and finite")
-        if self.noise_repeats < 1:
-            raise ConfigurationError("noise_repeats must be >= 1")
+        for name in ("iterations", "batch_len", "noise_repeats"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}", name)
+        for name in ("lr0", "init_std_input_mask", "init_std_output_mask", "w_aa_gain_bound"):
+            val = getattr(self, name)  # w_aa_gain_bound None: no bound
+            if not (val is None and name == "w_aa_gain_bound" or 0.0 <= val < np.inf):
+                raise ConfigurationError(f"{name} must be non-negative and finite, got {val}", name)
         bad = set(self.trainable) - set(ALL_BLOCKS)
         if bad:
-            raise ConfigurationError(f"unknown trainable blocks: {sorted(bad)}")
+            raise ConfigurationError(f"unknown trainable blocks: {sorted(bad)}", "trainable")
 
     def lr(self, iteration: int) -> float:
         return self.lr0 * (1.0 - iteration / self.iterations)

@@ -78,8 +78,9 @@ def plant_forward_naive(w_sa, w_aa, w_so, w_ao, dt, f, s):
     return a, o, jac
 
 
-def plant_backward_naive(w_sa, w_aa, w_so, w_ao, dt, jac, e_o):
-    """Anti-causal recursion with transposed taps, double loop."""
+def plant_backward_naive(w_sa, w_aa, w_so, w_ao, dt, jac, e_o, clip=None):
+    """Anti-causal recursion with transposed taps, double loop; clip = (lo, hi)
+    truncates each propagating sample before the Jacobian gate."""
     n = e_o.shape[1]
     n_state = w_sa[0].shape[0]
     n_in = w_sa[0].shape[1]
@@ -92,7 +93,7 @@ def plant_backward_naive(w_sa, w_aa, w_so, w_ao, dt, jac, e_o):
         for k in range(len(w_aa)):
             if i + k < n:
                 acc += w_aa[k].T @ e_a[:, i + k]
-        e_a[:, i] = jac[:, i] * (dt * acc)
+        e_a[:, i] = jac[:, i] * (dt * acc if clip is None else np.clip(dt * acc, *clip))
     e_s = np.zeros((n_in, n))
     for i in range(n):
         acc = np.zeros(n_in)

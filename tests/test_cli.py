@@ -326,6 +326,26 @@ def test_plant_value_rejected_by_a_constructor_names_its_line(tmp_path, capsys, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("base,key,value", [
+    ("toy_delay_smoke", "mask.period", "-3"),  # MaskSet, through make_acoustic_system
+    ("optical_labels", "mask.period", "-3"),   # MaskSet.zeros in build_experiment
+    ("toy_delay_smoke", "train.lr0", "inf"),
+    ("toy_delay_smoke", "train.iterations", "0"),
+    ("toy_delay_smoke", "train.batch_len", "0"),
+    ("toy_delay_smoke", "train.init_std_output_mask", "nan"),
+    ("toy_delay_smoke", "train.noise_repeats", "0"),
+    ("toy_delay_smoke", "train.trainable", "m,q"),
+    ("optical_labels", "train.w_aa_gain_bound", "nan"),
+])
+def test_mask_or_train_value_rejected_by_a_constructor_names_its_line(tmp_path, capsys, base,
+                                                                      key, value):
+    path, line = mutated(tmp_path, base, key, value)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"usage error: {path}:{line}: " in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("key,value", [
     ("n_state", "0"), ("n_systems", "-1"), ("period", "0"),
     ("threshold", "nan"), ("threshold", "inf"), ("threshold", "0"),

@@ -5,13 +5,14 @@ import re
 import numpy as np
 import pytest
 
-from echotrain.cli import main
+from echotrain.cli import ConfigFile, build_experiment, main, resolve_config_path
 from echotrain.errors import ConfigurationError
 from echotrain.masking import MaskSet
 from echotrain.models import OpticalParams, make_optical_system
 from echotrain.serialize import load_system, save_system
-from echotrain.signal import Kernel
-from echotrain.system import BackwardPath, NoiseModel, Nonlinearity, PhysicalSystem
+from echotrain.signal import Kernel, Signal
+from echotrain.system import (BackwardPath, NoiseModel, Nonlinearity, PhysicalSystem, _one_tube,
+                              backward, forward)
 
 
 def rand_system(rng, dt=2.5e-5):
@@ -64,6 +65,27 @@ def test_system_with_masks_roundtrip_exact(tmp_path):
     np.testing.assert_array_equal(back_masks.s_b, masks.s_b)
     np.testing.assert_array_equal(back_masks.y_b, masks.y_b)
     assert back_masks.period == 5 and back_masks.dt == 1.0
+
+
+@pytest.mark.parametrize("name", ["acoustic_delay_task", "acoustic_delay_task_40khz"])
+def test_reloaded_acoustic_plant_gives_the_in_memory_traces_bit_for_bit(tmp_path, name):
+    # the reloaded W_sa and W_aa are two kernels with equal taps: the plant
+    # still runs its one recursion on s + a (direct at the desk, engine at 40 kHz)
+    plant = build_experiment(ConfigFile.parse(resolve_config_path(name))).system
+    save_system(tmp_path / "system.txt", plant)
+    back, _ = load_system(tmp_path / "system.txt")
+    assert back.w_sa is not back.w_aa and _one_tube(back)
+    rng = np.random.default_rng(9)
+    n = 12 * plant.w_aa.first_nonzero_lag() + 5
+    s = Signal(rng.standard_normal((1, n)), plant.dt)
+    e_o = Signal(rng.standard_normal((1, n)), plant.dt)
+    runs = []
+    for sys in (plant, back):
+        tr = forward(sys, s)
+        bw = backward(sys, tr, e_o)
+        runs.append((tr.a, tr.o, bw.e_a, bw.e_s))
+    for mine, theirs in zip(*runs):
+        np.testing.assert_array_equal(mine.samples, theirs.samples)
 
 
 def test_live_lags_are_recomputed_for_new_and_loaded_kernels(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from echotrain import signal as signal_mod
 from echotrain import system as system_mod
-from echotrain.cli import ConfigFile, build_experiment, resolve_config_path
+from echotrain.cli import ConfigFile, build_experiment, bundled_config_names, resolve_config_path
 from echotrain.errors import ConfigurationError, DimensionError
 from echotrain.signal import Kernel, Signal, convolve, inner
 from echotrain.system import (
@@ -574,6 +574,134 @@ def test_long_scalar_plant_adjoint_identity_on_fft_path():
     lhs = inner(tr.o, y)
     rhs = inner(s, backward(sys, tr, y).e_s)
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
+
+
+# ---------------------------------------------------------------------------
+# one tube kernel as both W_sa and W_aa (the acoustic loop): forward runs one
+# recursion on s + a, backward reads W_sa^T e_a off the adjoint recursion's
+# own feedback sums.  "engine" forces the partitioned FFT engine onto small sizes
+
+
+def shared_tube_system(rng, kind, n_state=1, first=7, L=60, dt=0.5, noise=None,
+                       backward_path=None):
+    """W_sa = W_aa = three echo bands of 8 taps from `first` on; random W_so, W_ao."""
+    taps = np.zeros((L, n_state, n_state))
+    for start in (first, 3 * first + 2, 5 * first + 5):
+        taps[start : start + 8] = rng.standard_normal((8, n_state, n_state))
+    taps *= 0.8 / (dt * np.sum(np.abs(taps)))  # loop gain below 0.8: a stable plant
+    tube = Kernel(taps, dt)
+    return PhysicalSystem(tube, tube, Kernel(rng.standard_normal((2, n_state, n_state)), dt),
+                          Kernel(rng.standard_normal((2, n_state, n_state)), dt),
+                          NONLINEARITIES[kind], noise, backward_path)
+
+
+def on_path(monkeypatch, path):
+    """Force the engine or keep the direct path; returns the list of engine blocks run."""
+    engine, blocks = system_mod._partitioned_convolve, []
+
+    def spy(*args, **kwargs):
+        blocks.append(args[2])
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(system_mod, "_partitioned_convolve", spy)
+    if path == "engine":
+        monkeypatch.setattr(system_mod, "_FFT_MIN_FEEDBACK_MACS", 0)
+    return blocks
+
+
+SHARED_TUBE_CASES = [(1, "direct"), (1, "engine"), (2, "direct")]  # (n_state, path)
+
+
+@pytest.mark.parametrize("kind", ["rectifier", "clip"])
+@pytest.mark.parametrize("n_state,path", SHARED_TUBE_CASES)
+def test_shared_tube_plant_matches_naive(monkeypatch, kind, n_state, path):
+    rng = np.random.default_rng(70)
+    sys = shared_tube_system(rng, kind, n_state)
+    blocks = on_path(monkeypatch, path)
+    n = 20 * 7 + 3  # not a multiple of the 7-sample block
+    s = Signal(rng.standard_normal((n_state, n)), sys.dt)
+    e_o = Signal(rng.standard_normal((n_state, n)), sys.dt)
+    tr = forward(sys, s)
+    bw = backward(sys, tr, e_o)
+    assert blocks == ([7, 7] if path == "engine" else [])
+    taps = (sys.w_sa.taps, sys.w_aa.taps, sys.w_so.taps, sys.w_ao.taps)
+    a, o, jac = plant_forward_naive(*taps, sys.dt, naive_f(sys.f), s.samples)
+    e_a, e_s = plant_backward_naive(*taps, sys.dt, jac, e_o.samples)
+    np.testing.assert_array_equal(tr.jac, jac)
+    for fast, slow in ((tr.a, a), (tr.o, o), (bw.e_a, e_a), (bw.e_s, e_s)):
+        np.testing.assert_allclose(fast.samples, slow, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(slow)))
+
+
+@pytest.mark.parametrize("n_state,path", SHARED_TUBE_CASES)
+def test_shared_tube_plant_with_backward_clip_and_noise_matches_naive(monkeypatch, n_state,
+                                                                       path):
+    # the measured traces are the oracle's clean ones plus the same draws
+    rng = np.random.default_rng(71)
+    sys = shared_tube_system(rng, "clip", n_state,
+                             noise=NoiseModel(20.0, on_forward=True, on_backward=True),
+                             backward_path=BackwardPath(clip=True))
+    on_path(monkeypatch, path)
+    n = 20 * 7 + 3
+    s = Signal(10.0 * rng.standard_normal((n_state, n)), sys.dt)  # drives the clip
+    e_o = Signal(3.0 * rng.standard_normal((n_state, n)), sys.dt)
+    tr = forward(sys, s, np.random.default_rng(5))
+    bw = backward(sys, tr, e_o, np.random.default_rng(6))
+    taps = (sys.w_sa.taps, sys.w_aa.taps, sys.w_so.taps, sys.w_ao.taps)
+    a, o, jac = plant_forward_naive(*taps, sys.dt, naive_f(sys.f), s.samples)
+    e_a, e_s = plant_backward_naive(*taps, sys.dt, jac, e_o.samples, clip=(-1.0, 1.0))
+    assert 0.0 < np.mean(jac) < 1.0 and np.max(np.abs(e_a)) == 1.0  # both clips bite
+    np.testing.assert_array_equal(tr.jac, jac)
+    for seed, pairs in ((5, ((tr.a, a), (tr.o, o))), (6, ((bw.e_a, e_a), (bw.e_s, e_s)))):
+        draws = np.random.default_rng(seed)
+        for got, clean in pairs:
+            want = clean + draws.normal(0.0, sys.noise.std_for(clean), clean.shape)
+            np.testing.assert_allclose(got.samples, want, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("n_state,path", SHARED_TUBE_CASES)
+def test_shared_tube_adjoint_identity(monkeypatch, n_state, path):
+    # f identity: o is linear in s and backward is its adjoint
+    rng = np.random.default_rng(72)
+    sys = shared_tube_system(rng, "identity", n_state)
+    on_path(monkeypatch, path)
+    n = 20 * 7 + 3
+    s = Signal(rng.standard_normal((n_state, n)), sys.dt)
+    y = Signal(rng.standard_normal((n_state, n)), sys.dt)
+    lhs = inner(forward(sys, s).o, y)
+    rhs = inner(s, backward(sys, forward(sys, s), y).e_s)
+    assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
+
+
+def test_bundled_plants_take_their_path(monkeypatch):
+    # acoustic configs: one recursion on s + a and no open W_sa product either
+    # way; the optical plant's W_sa is no W_aa and keeps both open products
+    seen = []
+
+    def spy(fn, tag):
+        def call(*args, **kwargs):
+            one_tube = kwargs.get("feed") is not None or kwargs.get("sums") is not None
+            seen.append((tag, args[0], one_tube))
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("_causal_feedback", "convolve", "adjoint_convolve"):
+        monkeypatch.setattr(system_mod, name, spy(getattr(system_mod, name), name))
+    for name in bundled_config_names():
+        cfg = ConfigFile.parse(resolve_config_path(name))
+        plant = build_experiment(cfg).system
+        seen.clear()
+        n = 2 * plant.w_aa.length
+        s = Signal(np.random.default_rng(0).standard_normal((plant.n_inputs, n)), plant.dt)
+        tr = forward(plant, s, np.random.default_rng(1))
+        backward(plant, tr, Signal(np.ones((plant.n_outputs, n)), plant.dt),
+                 np.random.default_rng(2))
+        recursions = [one_tube for tag, _, one_tube in seen if tag == "_causal_feedback"]
+        open_sa = [tag for tag, kern, _ in seen if tag != "_causal_feedback" and kern is plant.w_sa]
+        acoustic = cfg.values["plant.kind"][0] == "acoustic"
+        assert (recursions, open_sa) == (([True, True], []) if acoustic else
+                                         ([False, False], ["convolve", "adjoint_convolve"]))
 
 
 @pytest.mark.parametrize("noise", [None, NoiseModel(18.0, on_forward=True, on_backward=True)])
