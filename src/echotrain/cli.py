@@ -36,6 +36,7 @@ from .models import (
 )
 from .reductions import mlp_equivalence_suite, rnn_equivalence_suite
 from .serialize import load_system, save_system
+from .system import _one_tube
 from .training import TASKS, TrainConfig, evaluate, train
 
 USAGE_EXIT = 2
@@ -241,9 +242,9 @@ def build_experiment(cfg: ConfigFile, seed_override=None) -> Experiment:
 
     trainable = tuple(
         t.strip() for t in cfg.get_str("train.trainable", default="m,u").split(","))
-    if kind == "acoustic" and {"w_sa", "w_aa"} & set(trainable):
-        raise UsageError(f"{cfg.where('train.trainable')}: the acoustic plant's one tube "
-                         "kernel is both w_sa and w_aa; training either would untie them")
+    if _one_tube(system) and {"w_sa", "w_aa"} & set(trainable):
+        raise UsageError(f"{cfg.where('train.trainable')}: the plant's one tube kernel "
+                         "is both w_sa and w_aa; training either would untie them")
     gain_bound = cfg.get_float("train.w_aa_gain_bound")
     train_cfg = TrainConfig(
         iterations=cfg.get_int("train.iterations", required=True),

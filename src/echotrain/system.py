@@ -31,9 +31,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy import fft as _fft
 
 from .errors import ConfigurationError, DimensionError
-from .signal import Kernel, Signal, _partitioned_convolve, adjoint_convolve, convolve
+from .signal import Kernel, Signal, adjoint_convolve, convolve
 
 
 @dataclass(frozen=True)
@@ -208,6 +209,55 @@ class BackwardTrace:
 _FFT_MIN_FEEDBACK_MACS = 45_000  # B * live lags per block; README "Partitioned FFT engine"
 
 
+def _partitioned_convolve(w: np.ndarray, drive: np.ndarray | None, block: int, gate,
+                          feed: np.ndarray | None = None,
+                          sums: np.ndarray | None = None) -> np.ndarray:
+    """The scalar recursion y[t0:t1] = gate(drive[t0:t1] + (w * (feed +
+    y))[t0:t1], t0, t1), one block at a time, by uniformly partitioned
+    overlap-save (Wefers 2015); drive or feed may be None (zero), and sums, if
+    given, receives each block's feedback sum (w * (feed + y))[t0:t1].
+
+    The taps w are cut into partitions of `block` taps; each live (not
+    all-zero) partition is transformed once.  Every emitted block is
+    transformed once, together with the block before it, and multiplied into
+    a frequency-domain accumulator for each later block it reaches; a block's
+    feedback sum is one inverse transform of its accumulator.  w must vanish
+    below lag `block` (the caller's block is the first live lag), so each
+    block's feedback is complete before the block is emitted.
+    """
+    n = (feed if drive is None else drive).size
+    y = np.zeros(n)
+    nz = np.flatnonzero(w[:n])  # taps at lags >= n never reach the output
+    w = w[: nz[-1] + 1] if nz.size else w[:0]
+    n_parts = max(1, -(-w.size // block))
+    parts = np.zeros((n_parts, block))
+    parts.ravel()[: w.size] = w
+    live = np.flatnonzero(np.any(parts != 0.0, axis=1))
+    nfft = _fft.next_fast_len(2 * block, real=True)
+    # (partition index, spectrum) of each live partition
+    reach = list(zip(live.tolist(), _fft.rfft(parts[live], nfft)))
+    acc = np.zeros((n_parts, nfft // 2 + 1), dtype=complex)  # ring: block j in slot j % n_parts
+    win = np.zeros(nfft)  # [previous block | current block | zero pad]
+    for j, t0 in enumerate(range(0, n, block)):
+        t1 = min(t0 + block, n)
+        slot = j % n_parts
+        fb = _fft.irfft(acc[slot], nfft)[block : block + t1 - t0]
+        if sums is not None:
+            sums[t0:t1] = fb
+        y[t0:t1] = gate(fb if drive is None else drive[t0:t1] + fb, t0, t1)
+        acc[slot] = 0.0
+        # a short last block leaves stale samples after t1 - t0 in the window;
+        # by causality they reach only blocks past the end of the trace
+        win[:block] = win[block : 2 * block]
+        win[block : block + t1 - t0] = y[t0:t1]
+        if feed is not None:
+            win[block : block + t1 - t0] += feed[t0:t1]
+        spec = _fft.rfft(win)
+        for p, part in reach:
+            acc[(j + p) % n_parts] += spec * part
+    return y
+
+
 def _causal_feedback(taps: np.ndarray, dt: float, drive: np.ndarray | None, gate,
                      transpose: bool = False, feed: np.ndarray | None = None,
                      sums: np.ndarray | None = None):
@@ -220,8 +270,9 @@ def _causal_feedback(taps: np.ndarray, dt: float, drive: np.ndarray | None, gate
     W[0] must be zero; blocks of size B = the first lag live in any item keep
     the recursion explicit.  gate maps a (P, c, B) pre-activation block and its
     samples t0:t1 to the emitted block.  A lone scalar recursion with B * (live
-    lags) >= _FFT_MIN_FEEDBACK_MACS runs on the partitioned FFT engine.  All
-    others run direct: feed + a sits after m zero columns (m the largest live
+    lags) >= _FFT_MIN_FEEDBACK_MACS runs on the partitioned FFT engine
+    (_partitioned_convolve, the only FFT path in the package).  All others
+    run direct: feed + a sits after m zero columns (m the largest live
     lag below n); a block gathers the B-sample windows of its past of all K
     live lags into H, one product W_cat @ H with W_cat[p, r, c*K + k] =
     W_p[lag_k][r, c].  Each item's W_cat and H are laid out as a lone

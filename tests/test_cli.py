@@ -302,6 +302,30 @@ def test_config_value_rejected_at_build_names_its_line(tmp_path, capsys, base, k
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("tube", ["w_aa", "w_sa"])
+def test_reloaded_acoustic_plant_keeps_its_tube_tied(tmp_path, capsys, tube):
+    # the plant, not plant.kind, decides: a tube loaded from system.txt is one kernel too
+    from echotrain.serialize import save_system
+
+    exp = build_experiment(ConfigFile.parse(resolve_config_path("toy_delay_smoke")))
+    plant = tmp_path / "system.txt"
+    save_system(plant, exp.system, exp.template)
+    path = write_cfg(tmp_path, f"""\
+seed = 3
+plant.kind = custom-file
+plant.file = {plant}
+task.kind = variable_delay
+train.iterations = 5
+train.batch_len = 30
+train.init_masks = false
+train.trainable = m,{tube}
+""")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:8: " in err and "w_sa and w_aa" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("base,key,value", [
     ("toy_delay_smoke", "plant.n_echoes", "300000000"),  # kernel_len 40 holds no such echo
     ("toy_delay_smoke", "plant.kernel_len", "10"),

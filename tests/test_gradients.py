@@ -40,7 +40,7 @@ def test_zero_error_gives_zero_kernel_gradients():
     )
     s = Signal(rng.standard_normal((2, 20)), dt)
     tr = forward(sys, s)
-    bw = backward(sys, tr, Signal.zeros(1, 20, dt))
+    bw = backward(sys, tr, Signal(np.zeros((1, 20)), dt))
     g = kernel_gradients(sys, tr, bw, s)
     for name in ("w_sa", "w_aa", "w_so", "w_ao"):
         assert np.all(g[name] == 0.0)

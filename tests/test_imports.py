@@ -54,3 +54,31 @@ def test_every_name_the_package_exports_resolves():
             have = defined_names(parse(PACKAGE / f"{node.module}.py"))
             missing += [f"{node.module}.{a.name}" for a in node.names if a.name not in have]
     assert not missing, "unresolved exports: " + ", ".join(missing)
+
+
+def private_definitions(tree):
+    """(name, line) of every module-level private function, class and constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from ((name, node.lineno) for name in names
+                    if name.startswith("_") and not name.startswith("__"))
+
+
+def test_every_private_definition_is_used_in_the_package():
+    # a private helper kept alive only by a test is dead code: delete it
+    trees = {p.name: parse(p) for p in sorted(PACKAGE.glob("*.py"))}
+    used = set()
+    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    unused = [f"{module}:{line}: {name}" for module, tree in trees.items()
+              for name, line in private_definitions(tree) if name not in used]
+    assert not unused, "private definitions nothing in the package uses: " + ", ".join(unused)

@@ -125,7 +125,7 @@ def test_input_mask_gradient_trivial_cases():
     rng = np.random.default_rng(6)
     masks = rand_masks(rng, period=3, dt=1.0)
     xs = rng.standard_normal((4, 2))
-    zero = Signal.zeros(2, 12, 1.0)
+    zero = Signal(np.zeros((2, 12)), 1.0)
     dm, dsb = input_mask_gradient(zero, xs)
     assert np.all(dm == 0.0) and np.all(dsb == 0.0)
 

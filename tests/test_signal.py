@@ -3,12 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from echotrain import signal as signal_mod
 from echotrain.errors import ConfigurationError, DimensionError, LengthError, NumericError
 from echotrain.signal import (
     Kernel,
-    _fft_pays,
-    _partitioned_convolve,
     Signal,
     adjoint_convolve,
     convolve,
@@ -153,7 +150,7 @@ def test_adjoint_equals_reversed_convolution_of_transposed_taps():
 def test_time_reverse_examples():
     s = Signal([[1.0, 2.0, 3.0]], dt=1.0)
     np.testing.assert_array_equal(time_reverse(s).samples, [[3.0, 2.0, 1.0]])
-    empty = Signal.zeros(2, 0, 1.0)
+    empty = Signal(np.zeros((2, 0)), 1.0)
     assert time_reverse(empty).n_samples == 0
     rng = np.random.default_rng(10)
     x = rand_signal(rng, 3, 13)
@@ -206,20 +203,14 @@ def test_kernel_live_lags_are_cached_read_only_and_follow_the_taps():
 
 
 def test_signal_immutable():
-    x = Signal.zeros(1, 4, 0.1)
+    x = Signal(np.zeros((1, 4)), 0.1)
     with pytest.raises(ValueError):
         x.samples[0, 0] = 1.0
 
 
 # ---------------------------------------------------------------------------
-# partitioned FFT engine for long scalar kernels.  Oracle comparisons force
-# the engine onto small sizes (crossover 0); the plain tests run real sizes
-# above the crossover
-
-
-@pytest.fixture
-def fft_everywhere(monkeypatch):
-    monkeypatch.setattr(signal_mod, "_FFT_MIN_BLOCK_MACS", 0)
+# echo-sparse scalar kernels: runs of live taps behind long zero spans, as a
+# tube kernel has; one product per live lag, like every other kernel
 
 
 def sparse_scalar_taps(rng, L, spans):
@@ -230,9 +221,9 @@ def sparse_scalar_taps(rng, L, spans):
     return w
 
 
-def test_convolve_fft_path_matches_oracle(fft_everywhere):
+def test_convolve_echo_sparse_scalar_matches_oracle():
     rng = np.random.default_rng(20)
-    L, n, dt = 240, 701, 0.05  # n is not a multiple of the block (2L)
+    L, n, dt = 240, 701, 0.05
     k = Kernel(sparse_scalar_taps(rng, L, [(3, 40), (150, 200)])[:, None, None], dt)
     x = rand_signal(rng, 1, n, dt)
     y = convolve(k, x).samples
@@ -241,7 +232,7 @@ def test_convolve_fft_path_matches_oracle(fft_everywhere):
     assert np.all(y[:, :3] == 0.0)  # before the first live tap: exact zeros
 
 
-def test_adjoint_convolve_fft_path_matches_oracle(fft_everywhere):
+def test_adjoint_convolve_echo_sparse_scalar_matches_oracle():
     rng = np.random.default_rng(21)
     L, n, dt = 240, 701, 0.05
     k = Kernel(sparse_scalar_taps(rng, L, [(5, 10), (120, 239)])[:, None, None], dt)
@@ -252,52 +243,18 @@ def test_adjoint_convolve_fft_path_matches_oracle(fft_everywhere):
     assert np.all(r[:, -5:] == 0.0)
 
 
-def test_fft_path_matches_direct_path_above_crossover(monkeypatch):
-    rng = np.random.default_rng(23)
-    L, n, dt = 4200, 30_001, 1.0
-    assert _fft_pays(L, 2 * L, n)
-    k = Kernel(sparse_scalar_taps(rng, L, [(652, 753), (2050, 2151)])[:, None, None], dt)
-    x = rand_signal(rng, 1, n, dt)
-    fast = convolve(k, x).samples, adjoint_convolve(k, x).samples
-    monkeypatch.setattr(signal_mod, "_FFT_MIN_BLOCK_MACS", np.inf)
-    slow = convolve(k, x).samples, adjoint_convolve(k, x).samples
-    for f, d in zip(fast, slow):
-        np.testing.assert_allclose(f, d, rtol=0, atol=1e-12 * np.max(np.abs(d)))
-
-
 @pytest.mark.parametrize("seed", range(4))
-def test_fft_path_adjoint_inner_product_identity(seed):
+def test_echo_sparse_scalar_adjoint_inner_product_identity(seed):
     rng = np.random.default_rng(200 + seed)
     L = int(rng.integers(800, 3000))
     n = int(rng.integers(2 * L, 6 * L))
     dt = float(rng.uniform(0.01, 2.0))
-    assert _fft_pays(L, 2 * L, n)
     k = Kernel(sparse_scalar_taps(rng, L, [(1, L // 5), (L // 2, L)])[:, None, None], dt)
     x = rand_signal(rng, 1, n, dt)
     y = rand_signal(rng, 1, n, dt)
     lhs = inner(convolve(k, x), y)
     rhs = inner(x, adjoint_convolve(k, y))
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
-
-
-@pytest.mark.parametrize("L, block, n", [
-    (50, 64, 30),    # n shorter than the block
-    (20, 64, 300),   # kernel shorter than the block: one partition
-    (97, 16, 333),   # many partitions, ragged last block
-    (40, 8, 8),      # a single full block
-])
-def test_partitioned_convolve_edge_cases(L, block, n):
-    rng = np.random.default_rng(L + block + n)
-    w = sparse_scalar_taps(rng, L, [(0, 5), (L // 2, L)])
-    x = rng.standard_normal(n)
-    expect = np.convolve(x, w)[:n]
-    np.testing.assert_allclose(_partitioned_convolve(w, x, block), expect,
-                               rtol=0, atol=1e-12 * np.max(np.abs(expect)))
-
-
-def test_partitioned_convolve_all_zero_kernel():
-    x = np.random.default_rng(22).standard_normal(100)
-    assert np.all(_partitioned_convolve(np.zeros(40), x, 16) == 0.0)
 
 
 @pytest.mark.parametrize("L, live", [

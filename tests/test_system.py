@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from echotrain import signal as signal_mod
 from echotrain import system as system_mod
 from echotrain.cli import ConfigFile, build_experiment, bundled_config_names, resolve_config_path
 from echotrain.errors import ConfigurationError, DimensionError
@@ -79,7 +78,7 @@ def test_strict_causality_invariant_enforced():
 def test_forward_zero_input_rectifier():
     rng = np.random.default_rng(1)
     sys = rand_system(rng, kind="rectifier")
-    tr = forward(sys, Signal.zeros(2, 30, sys.dt))
+    tr = forward(sys, Signal(np.zeros((2, 30)), sys.dt))
     assert np.all(tr.a.samples == 0.0)
     assert np.all(tr.o.samples == 0.0)
 
@@ -144,7 +143,7 @@ def test_backward_zero_error_gives_zero():
     sys = rand_system(rng)
     s = Signal(rng.standard_normal((2, 25)), sys.dt)
     tr = forward(sys, s)
-    bw = backward(sys, tr, Signal.zeros(2, 25, sys.dt))
+    bw = backward(sys, tr, Signal(np.zeros((2, 25)), sys.dt))
     assert np.all(bw.e_a.samples == 0.0)
     assert np.all(bw.e_s.samples == 0.0)
 
@@ -254,7 +253,7 @@ def test_noise_requires_rng():
     rng = np.random.default_rng(13)
     sys = rand_system(rng, noise=NoiseModel(18.0))
     with pytest.raises(ConfigurationError):
-        forward(sys, Signal.zeros(2, 5, sys.dt).__class__(np.ones((2, 5)), sys.dt))
+        forward(sys, Signal(np.ones((2, 5)), sys.dt))
 
 
 def test_backward_path_normalize_and_scale():
@@ -286,9 +285,9 @@ def test_backward_length_mismatch_errors():
     s = Signal(rng.standard_normal((2, 20)), sys.dt)
     tr = forward(sys, s)
     with pytest.raises(DimensionError):
-        backward(sys, tr, Signal.zeros(2, 19, sys.dt))
+        backward(sys, tr, Signal(np.zeros((2, 19)), sys.dt))
     with pytest.raises(DimensionError):
-        backward(sys, tr, Signal.zeros(3, 20, sys.dt))
+        backward(sys, tr, Signal(np.zeros((3, 20)), sys.dt))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +332,6 @@ def test_forward_gate_and_jacobian_match_naive_on_every_branch(monkeypatch, kind
     rng = np.random.default_rng(40)
     n_state, L, first, n = {"matrix": (3, 20, 12, 90), "scalar_direct": (1, 40, 12, 101),
                             "fft": (1, 60, 12, 130)}[branch]
-    monkeypatch.setattr(signal_mod, "_FFT_MIN_BLOCK_MACS", 0 if branch == "fft" else np.inf)
     monkeypatch.setattr(system_mod, "_FFT_MIN_FEEDBACK_MACS", 0 if branch == "fft" else np.inf)
     sys = edge_plant(rng, kind, n_state, L, first)
     x = rng.standard_normal((n_state, n))
@@ -485,7 +483,6 @@ def test_feedback_path_follows_block_times_live_lags(monkeypatch):
 
 @pytest.fixture
 def fft_everywhere(monkeypatch):
-    monkeypatch.setattr(signal_mod, "_FFT_MIN_BLOCK_MACS", 0)
     monkeypatch.setattr(system_mod, "_FFT_MIN_FEEDBACK_MACS", 0)
 
 
@@ -506,11 +503,17 @@ def long_sparse_scalar_system(rng, kind, first=96, L=600, dt=0.5):
 
 
 @pytest.mark.parametrize("kind", ["rectifier", "clip"])
-def test_long_scalar_feedback_fft_path_matches_naive(fft_everywhere, kind):
+@pytest.mark.parametrize("n", [
+    700,  # ragged last block: n is not a multiple of the 96-sample block
+    192,  # two full blocks
+    96,   # one block: no live lag below n, so the block is the whole trace
+    50,   # n shorter than the first live lag: one block of n samples
+])
+def test_long_scalar_feedback_fft_path_matches_naive(monkeypatch, kind, n):
     rng = np.random.default_rng(30)
     sys = long_sparse_scalar_system(rng, kind)
-    n = 700  # not a multiple of the 96-sample block
     assert sys.w_aa.first_nonzero_lag() == 96
+    blocks = on_path(monkeypatch, "engine")
     s = Signal(rng.standard_normal((1, n)), sys.dt)
     tr = forward(sys, s)
     taps = (sys.w_sa.taps, sys.w_aa.taps, sys.w_so.taps, sys.w_ao.taps)
@@ -521,6 +524,7 @@ def test_long_scalar_feedback_fft_path_matches_naive(fft_everywhere, kind):
 
     e_o = Signal(rng.standard_normal((1, n)), sys.dt)
     bw = backward(sys, tr, e_o)
+    assert blocks == [min(n, 96)] * 2
     e_a, e_s = plant_backward_naive(*taps, sys.dt, tr.jac, e_o.samples)
     np.testing.assert_allclose(bw.e_a.samples, e_a, rtol=0, atol=1e-11 * np.max(np.abs(e_a)))
     np.testing.assert_allclose(bw.e_s.samples, e_s, rtol=0, atol=1e-11 * np.max(np.abs(e_s)))
@@ -551,7 +555,6 @@ def test_long_scalar_plant_fft_matches_direct_above_crossover(monkeypatch):
     e_o = Signal(rng.standard_normal((1, n)), sys.dt)
     tr = forward(sys, s)
     bw = backward(sys, tr, e_o)
-    monkeypatch.setattr(signal_mod, "_FFT_MIN_BLOCK_MACS", np.inf)
     monkeypatch.setattr(system_mod, "_FFT_MIN_FEEDBACK_MACS", np.inf)
     tr_d = forward(sys, s)
     bw_d = backward(sys, tr_d, e_o)
@@ -702,6 +705,12 @@ def test_bundled_plants_take_their_path(monkeypatch):
         acoustic = cfg.values["plant.kind"][0] == "acoustic"
         assert (recursions, open_sa) == (([True, True], []) if acoustic else
                                          ([False, False], ["convolve", "adjoint_convolve"]))
+        # open products run one product per live lag; a scalar kernel with
+        # several live lags would pay that per tap where an FFT would not
+        dense = [(tag, kern.nonzero_lags().size) for tag, kern, _ in seen
+                 if tag != "_causal_feedback" and kern.rows == kern.cols == 1
+                 and kern.nonzero_lags().size > 1]
+        assert dense == [], name
 
 
 @pytest.mark.parametrize("noise", [None, NoiseModel(18.0, on_forward=True, on_backward=True)])
