@@ -31,7 +31,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import fft as _fft
 
 from .errors import ConfigurationError, DimensionError
 from .signal import Kernel, Signal, adjoint_convolve, convolve
@@ -225,6 +224,9 @@ def _partitioned_convolve(w: np.ndarray, drive: np.ndarray | None, block: int, g
     below lag `block` (the caller's block is the first live lag), so each
     block's feedback is complete before the block is emitted.
     """
+    # imported here, so that only runs that take the engine load scipy.fft
+    from scipy import fft
+
     n = (feed if drive is None else drive).size
     y = np.zeros(n)
     nz = np.flatnonzero(w[:n])  # taps at lags >= n never reach the output
@@ -233,15 +235,15 @@ def _partitioned_convolve(w: np.ndarray, drive: np.ndarray | None, block: int, g
     parts = np.zeros((n_parts, block))
     parts.ravel()[: w.size] = w
     live = np.flatnonzero(np.any(parts != 0.0, axis=1))
-    nfft = _fft.next_fast_len(2 * block, real=True)
+    nfft = fft.next_fast_len(2 * block, real=True)
     # (partition index, spectrum) of each live partition
-    reach = list(zip(live.tolist(), _fft.rfft(parts[live], nfft)))
+    reach = list(zip(live.tolist(), fft.rfft(parts[live], nfft)))
     acc = np.zeros((n_parts, nfft // 2 + 1), dtype=complex)  # ring: block j in slot j % n_parts
     win = np.zeros(nfft)  # [previous block | current block | zero pad]
     for j, t0 in enumerate(range(0, n, block)):
         t1 = min(t0 + block, n)
         slot = j % n_parts
-        fb = _fft.irfft(acc[slot], nfft)[block : block + t1 - t0]
+        fb = fft.irfft(acc[slot], nfft)[block : block + t1 - t0]
         if sums is not None:
             sums[t0:t1] = fb
         y[t0:t1] = gate(fb if drive is None else drive[t0:t1] + fb, t0, t1)
@@ -252,7 +254,7 @@ def _partitioned_convolve(w: np.ndarray, drive: np.ndarray | None, block: int, g
         win[block : block + t1 - t0] = y[t0:t1]
         if feed is not None:
             win[block : block + t1 - t0] += feed[t0:t1]
-        spec = _fft.rfft(win)
+        spec = fft.rfft(win)
         for p, part in reach:
             acc[(j + p) % n_parts] += spec * part
     return y

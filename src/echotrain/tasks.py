@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, DimensionError, UndefinedMetricError
 
@@ -45,12 +46,8 @@ def gen_variable_delay(n: int, rng: np.random.Generator,
         raise ConfigurationError(f"need n >= 3, got {n}")
     q = rng.integers(0, 3, size=n)
     y = np.zeros(n)
-    mask = np.zeros(n, dtype=bool)
-    for i in range(n):
-        j = i - q[i]
-        if i >= 2:
-            y[i] = q[j]
-            mask[i] = True
+    y[2:] = q[np.arange(2, n) - q[2:]]
+    mask = np.arange(n) >= 2
     inputs = np.eye(3)[q] if one_hot else q.astype(np.float64)[:, None]
     return SequenceDataset(inputs, y[:, None], mask)
 
@@ -73,29 +70,25 @@ def gen_synthetic_labels(n: int, n_classes: int, input_dim: int,
         raise ConfigurationError(f"need at least 1 input channel, got {input_dim}")
     if window < 1 or n < window:
         raise ConfigurationError("window must satisfy 1 <= window <= n")
-    from scipy.stats import norm
+    # imported here, so that only runs of this task load scipy.special
+    from scipy.special import ndtri
 
     ar = float(ar_coeff)
-    u = np.zeros((n, input_dim))
-    u[0] = rng.standard_normal(input_dim)
+    # one draw is the same stream as one standard_normal(input_dim) per row
+    u = rng.standard_normal((n, input_dim))
     innov = np.sqrt(1.0 - ar * ar)
     for i in range(1, n):
-        u[i] = ar * u[i - 1] + innov * rng.standard_normal(input_dim)
+        u[i] = ar * u[i - 1] + innov * u[i]
 
     # window-mean variance of the stationary AR(1) channel
     w = window
     var = (w + 2.0 * sum((w - L) * ar ** L for L in range(1, w))) / (w * w)
-    thresholds = norm.ppf(np.arange(1, n_classes) / n_classes) * np.sqrt(var)
+    thresholds = ndtri(np.arange(1, n_classes) / n_classes) * np.sqrt(var)
 
+    labels = np.searchsorted(thresholds, sliding_window_view(u[:, 0], w).mean(axis=1))
     targets = np.zeros((n, n_classes))
-    mask = np.zeros(n, dtype=bool)
-    for i in range(n):
-        if i >= w - 1:
-            g = float(np.mean(u[i - w + 1 : i + 1, 0]))
-            label = int(np.searchsorted(thresholds, g))
-            targets[i, label] = 1.0
-            mask[i] = True
-    return SequenceDataset(u, targets, mask)
+    targets[np.arange(w - 1, n), labels] = 1.0
+    return SequenceDataset(u, targets, np.arange(n) >= w - 1)
 
 
 def nrmse(pred, target, mask=None) -> float:

@@ -163,3 +163,25 @@ def dense_rnn_bptt(w_s, w_a, w_o, act_jac, xs, e_os, hs):
         dW_a += np.outer(g, h_prev)
         g_next = g
     return dW_s, dW_a, dW_o
+
+
+def synthetic_labels_loop(n, n_classes, input_dim, rng, window, ar=0.8):
+    """The frame-labeling task one frame at a time: an AR(1) row per draw,
+    Gaussian-quantile thresholds from scipy.stats, a per-frame window mean.
+    Returns (inputs, targets, mask)."""
+    from scipy.stats import norm
+
+    u = np.zeros((n, input_dim))
+    u[0] = rng.standard_normal(input_dim)
+    for i in range(1, n):
+        u[i] = ar * u[i - 1] + np.sqrt(1.0 - ar * ar) * rng.standard_normal(input_dim)
+    w = window
+    var = (w + 2.0 * sum((w - L) * ar ** L for L in range(1, w))) / (w * w)
+    thresholds = norm.ppf(np.arange(1, n_classes) / n_classes) * np.sqrt(var)
+    targets = np.zeros((n, n_classes))
+    mask = np.zeros(n, dtype=bool)
+    for i in range(w - 1, n):
+        g = float(np.mean(u[i - w + 1 : i + 1, 0]))
+        targets[i, int(np.searchsorted(thresholds, g))] = 1.0
+        mask[i] = True
+    return u, targets, mask

@@ -1,8 +1,12 @@
 """Import hygiene of the package sources, checked on their syntax trees alone
-(the package is located, not imported, so a broken export fails here by name)."""
+(the package is located, not imported, so a broken export fails here by name),
+and the import footprint of a run, checked in a fresh interpreter."""
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,3 +86,47 @@ def test_every_private_definition_is_used_in_the_package():
     unused = [f"{module}:{line}: {name}" for module, tree in trees.items()
               for name, line in private_definitions(tree) if name not in used]
     assert not unused, "private definitions nothing in the package uses: " + ", ".join(unused)
+
+
+def scipy_modules_after(code):
+    """The scipy modules loaded once `code` has run in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p))
+    code += "\nimport sys\nprint(*(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_importing_the_package_loads_no_scipy():
+    # scipy.signal and scipy.stats took most of a run's start-up time and memory
+    assert scipy_modules_after("import echotrain, echotrain.cli") == set()
+
+
+def test_building_every_config_and_training_loads_no_signal_or_stats():
+    loaded = scipy_modules_after("""
+from dataclasses import replace
+import numpy as np
+from echotrain.cli import ConfigFile, build_experiment, bundled_config_names, resolve_config_path
+from echotrain.training import train
+for name in bundled_config_names():
+    e = build_experiment(ConfigFile.parse(resolve_config_path(name)))
+    if name == "optical_labels":
+        train(e.system, e.template, e.task, replace(e.train_cfg, iterations=1),
+              np.random.default_rng(e.seed))
+""")
+    assert not {m for m in loaded if m.startswith(("scipy.signal", "scipy.stats"))}
+
+
+def test_a_40khz_forward_loads_the_fft_engine():
+    # the lazy import in system._partitioned_convolve is reached
+    loaded = scipy_modules_after("""
+import numpy as np
+from echotrain.cli import ConfigFile, build_experiment, resolve_config_path
+from echotrain.signal import Signal
+from echotrain.system import forward
+e = build_experiment(ConfigFile.parse(resolve_config_path("acoustic_delay_task_40khz")))
+forward(e.system, Signal(np.random.default_rng(0).standard_normal((1, 5000)), e.system.dt))
+""")
+    assert "scipy.fft" in loaded

@@ -5,6 +5,7 @@ from echotrain.errors import ConfigurationError, ConstraintError, DimensionError
 from echotrain.models import (
     OpticalParams,
     TubeParams,
+    _bandpass_fir,
     make_acoustic_system,
     make_optical_system,
     make_tube_kernel,
@@ -66,6 +67,34 @@ def test_tube_kernel_l1_normalization():
     k = make_tube_kernel(TubeParams())
     l1 = k.dt * np.sum(np.abs(k.taps))
     assert l1 == pytest.approx(0.8, rel=1e-9)
+
+
+# the defaults, the 40 kHz config and the desk configs
+BUNDLED_TUBES = [TubeParams(), TubeParams(passband=(80.0, 8000.0)),
+                 TubeParams(sample_rate=8000.0, kernel_len=900)]
+FIR_CASES = [(p.filter_taps, p.sample_rate, *p.passband) for p in BUNDLED_TUBES] + [
+    (1, 2000.0, 100.0, 900.0),
+    (2, 2000.0, 100.0, 900.0),
+    (64, 44100.0, 300.0, 3400.0),
+    (65, 44100.0, 300.0, 3400.0),
+    (11, 2000.0, 100.0, 900.0),  # small_tube below
+    (101, 40000.0, 1e-3, 15.0),  # band next to 0 Hz
+    (100, 40000.0, 19990.0, 19999.999),  # band next to Nyquist
+    (257, 8000.0, 1e-6, 3999.9999),  # both edges at the rims
+]
+
+
+@pytest.mark.parametrize("numtaps, fs, lo, hi", FIR_CASES)
+def test_bandpass_fir_is_firwin_bit_for_bit(numtaps, fs, lo, hi):
+    from scipy.signal import firwin  # test-only: the package does not import scipy.signal
+
+    nyq = fs / 2.0
+    fir = _bandpass_fir(numtaps, lo / nyq, hi / nyq)
+    assert fir.tobytes() == firwin(numtaps, [lo, hi], pass_zero=False, fs=fs).tobytes()
+    if numtaps == 1:
+        # firwin's window is ones(1) and the Hamming formula gives 0.08, but the
+        # band-centre scale makes the lone tap exactly 1 either way
+        assert fir.tolist() == [1.0]
 
 
 # ------------------------------------------------------------- acoustic plant

@@ -10,6 +10,8 @@ from echotrain.tasks import (
     nrmse,
 )
 
+from oracles import synthetic_labels_loop
+
 
 def test_variable_delay_direct_formula():
     # q = [2, 0, 1] -> y_2 = q(2 - q_2) = q_1 = 0
@@ -25,6 +27,8 @@ def test_variable_delay_satisfies_definition_exhaustively():
     rng = np.random.default_rng(0)
     ds = gen_variable_delay(500, rng)
     q = ds.inputs[:, 0]
+    np.testing.assert_array_equal(ds.cost_mask, np.arange(len(ds)) >= 2)
+    assert np.all(ds.targets[:2] == 0.0)
     for i in range(len(ds)):
         if ds.cost_mask[i]:
             assert ds.targets[i, 0] == q[i - int(q[i])]
@@ -116,6 +120,30 @@ def test_synthetic_labels_seed_reproducible():
     b = gen_synthetic_labels(100, 3, 2, np.random.default_rng(6))
     np.testing.assert_array_equal(a.inputs, b.inputs)
     np.testing.assert_array_equal(a.targets, b.targets)
+
+
+@pytest.mark.parametrize("window", range(1, 41))
+def test_synthetic_labels_match_the_loop_form_bit_for_bit(window):
+    # n_classes spreads over 2..64 across the windows, input_dim over 1..3
+    n_classes, input_dim = 2 + (window * 13) % 63, 1 + window % 3
+    ds = gen_synthetic_labels(150, n_classes, input_dim, np.random.default_rng(window),
+                              window=window)
+    u, targets, mask = synthetic_labels_loop(150, n_classes, input_dim,
+                                             np.random.default_rng(window), window)
+    assert ds.inputs.tobytes() == u.tobytes()
+    np.testing.assert_array_equal(ds.targets, targets)
+    np.testing.assert_array_equal(ds.cost_mask, mask)
+
+
+def test_synthetic_label_quantiles_are_scipy_stats_norm_ppf():
+    # the thresholds come from scipy.special.ndtri so that scipy.stats stays
+    # unimported; it must give norm.ppf's quantiles exactly
+    from scipy.special import ndtri
+    from scipy.stats import norm
+
+    for n_classes in range(2, 65):
+        q = np.arange(1, n_classes) / n_classes
+        np.testing.assert_array_equal(ndtri(q), norm.ppf(q), err_msg=f"{n_classes} classes")
 
 
 def test_nrmse_examples():
