@@ -23,7 +23,7 @@ params = TubeParams(length_m=6.0, reflection_coeff=0.6, n_echoes=3,
                     passband=(80.0, 3200.0), kernel_len=900,
                     sample_rate=8000.0, loop_gain=0.8)
 kernel = make_tube_kernel(params, np.random.default_rng(1234), dt=1.0)
-print(f"tube impulse response: first arrival at tap {kernel.first_nonzero_lag()} "
+print(f"tube impulse response: first arrival at tap {kernel.nonzero_lags()[0]} "
       f"(geometry predicts {params.first_arrival})")
 
 system, template = make_acoustic_system(kernel, period=200)

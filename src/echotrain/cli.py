@@ -15,9 +15,10 @@ name (see `echotrain run --config acoustic_delay_task`).  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -37,7 +38,14 @@ from .models import (
 from .reductions import mlp_equivalence_suite, rnn_equivalence_suite
 from .serialize import load_system, save_system
 from .system import _one_tube
-from .training import TASKS, TrainConfig, evaluate, train
+from .training import (
+    TASKS,
+    TrainConfig,
+    delayed_copy_task,
+    evaluate,
+    synthetic_label_task,
+    train,
+)
 
 USAGE_EXIT = 2
 FAIL_EXIT = 1
@@ -47,9 +55,46 @@ class UsageError(Exception):
     pass
 
 
-# the config keys of the plant parameters that plant.<parameter> does not name
-_PLANT_KEYS = {"length_m": "tube_length_m", "reflection_coeff": "reflection",
-               "passband": "passband_low_hz", "scale": "weight_scale"}
+def _parse(kind, text):
+    if kind is tuple:  # a comma list, as train.trainable
+        return tuple(t.strip() for t in text.split(","))
+    if kind is bool:
+        if text.lower() in ("1", "true", "on", "yes"):
+            return True
+        if text.lower() in ("0", "false", "off", "no"):
+            return False
+        raise ValueError(text)
+    return kind(text)
+
+
+_NOUNS = {int: "an integer", float: "a number", bool: "a boolean"}
+
+# config key -> (constructor, parameter it sets).  A key the file leaves out
+# keeps the parameter's default, and a key it sets is read as the default's
+# type; a ConfigurationError naming the parameter is reported at the key's line.
+SCHEMA = {
+    "plant.tube_length_m": (TubeParams, "length_m"),
+    "plant.reflection": (TubeParams, "reflection_coeff"),
+    "plant.passband_low_hz": (TubeParams, "passband"),
+    "plant.passband_high_hz": (TubeParams, "passband"),
+    **{f"plant.{name}": (TubeParams, name) for name in (
+        "speed_of_sound", "n_echoes", "kernel_len", "sample_rate", "loop_gain", "filter_taps")},
+    **{f"plant.{name}": (OpticalParams, name) for name in (
+        "n_nodes", "delay_samples", "snr_db", "weight_bound", "backward_clip",
+        "backward_error_scale")},
+    "plant.weight_scale": (random_optical_weights, "scale"),
+    "plant.noise": (make_optical_system, "noise"),
+    "mask.period": (MaskSet, "period"),
+    **{f"task.{name}": (synthetic_label_task, name)
+       for name in ("n_classes", "input_dim", "window")},
+    "task.delay": (delayed_copy_task, "delay"),
+    **{f"train.{name}": (TrainConfig, name) for name in (
+        "iterations", "batch_len", "lr0", "init_std_input_mask", "init_std_output_mask",
+        "trainable", "noise_repeats", "w_aa_gain_bound", "init_masks")},
+    **{f"gradcheck.{name}": (GradCheckConfig, name) for name in (
+        "n_systems", "n_in", "n_state", "n_out", "kernel_len", "period", "instances",
+        "threshold")},
+}
 
 
 @dataclass
@@ -82,50 +127,42 @@ class ConfigFile:
         """'file:line' of key, or the file alone when key is not in it."""
         return f"{self.path}:{self.values[key][1]}" if key in self.values else self.path
 
-    def _fetch(self, key, required, default):
-        if key in self.values:
-            self.consumed.add(key)
-            return self.values[key][0]
-        if required:
-            raise UsageError(f"{self.path}: missing required field {key!r}")
-        return default
-
-    def get_str(self, key, required=False, default=None, choices=None):
-        val = self._fetch(key, required, default)
-        if val is not None and choices is not None and val not in choices:
+    def get(self, key, kind, required=False, default=None, choices=None, minimum=None):
+        """The value of key read as kind (str, int, float, bool, or tuple for a
+        comma list), or default when the file does not set it."""
+        if key not in self.values:
+            if required:
+                raise UsageError(f"{self.path}: missing required field {key!r}")
+            return default
+        self.consumed.add(key)
+        raw = self.values[key][0]
+        try:
+            val = _parse(kind, raw)
+        except ValueError:
+            raise UsageError(
+                f"{self.where(key)}: {key} must be {_NOUNS[kind]}, got {raw!r}") from None
+        if choices is not None and val not in choices:
             raise UsageError(
                 f"{self.where(key)}: {key} must be one of {sorted(choices)}, got {val!r}")
-        return val
-
-    def get_float(self, key, required=False, default=None):
-        val = self._fetch(key, required, default)
-        if val is None or isinstance(val, float):
-            return val
-        try:
-            return float(val)
-        except ValueError:
-            raise UsageError(f"{self.where(key)}: {key} must be a number, got {val!r}")
-
-    def get_int(self, key, required=False, default=None, minimum=None):
-        val = self._fetch(key, required, default)
-        if isinstance(val, str):
-            try:
-                val = int(val)
-            except ValueError:
-                raise UsageError(f"{self.where(key)}: {key} must be an integer, got {val!r}")
-        if minimum is not None and val is not None and val < minimum:
+        if minimum is not None and val < minimum:
             raise UsageError(f"{self.where(key)}: {key} must be >= {minimum}, got {val}")
         return val
 
-    def get_bool(self, key, default=False):
-        val = self._fetch(key, False, None)
-        if val is None:
-            return default
-        if val.lower() in ("1", "true", "on", "yes"):
-            return True
-        if val.lower() in ("0", "false", "off", "no"):
-            return False
-        raise UsageError(f"{self.where(key)}: {key} must be a boolean, got {val!r}")
+    def build(self, owner, *args, **given):
+        """owner(*args, **given), given taking each parameter of owner that a
+        key of the file sets, read as the type of the parameter's default (a
+        number when that is None).  A ConfigurationError becomes a UsageError
+        at the lines of the read keys whose parameters its fields name."""
+        for key, (o, name) in SCHEMA.items():
+            if o is owner and name not in given and key in self.values:
+                default = inspect.signature(owner).parameters[name].default
+                given[name] = self.get(key, float if default is None else type(default))
+        try:
+            return owner(*args, **given)
+        except ConfigurationError as exc:
+            keys = [key for f in exc.fields for key, (_, name) in SCHEMA.items()
+                    if name == f and key in self.consumed]
+            raise UsageError(f"{', '.join(map(self.where, keys)) or self.path}: {exc}") from None
 
     def reject_unknown(self):
         left = set(self.values) - self.consumed
@@ -161,105 +198,56 @@ class Experiment:
 
 
 def build_experiment(cfg: ConfigFile, seed_override=None) -> Experiment:
-    seed = cfg.get_int("seed", required=True, minimum=0)
+    seed = cfg.get("seed", int, required=True, minimum=0)
     if seed_override is not None:
         seed = seed_override
 
-    kind = cfg.get_str("plant.kind", required=True,
-                       choices={"acoustic", "optical", "custom-file"})
-    period = cfg.get_int("mask.period", required=kind != "custom-file")
+    kind = cfg.get("plant.kind", str, required=True,
+                   choices={"acoustic", "optical", "custom-file"})
+    period = cfg.get("mask.period", int, required=kind != "custom-file")
 
     if kind == "acoustic":
-        passband = None
-        lo = cfg.get_float("plant.passband_low_hz")
-        hi = cfg.get_float("plant.passband_high_hz")
+        lo, hi = (cfg.get(f"plant.passband_{edge}_hz", float) for edge in ("low", "high"))
         if (lo is None) != (hi is None):
-            raise UsageError(f"{cfg.path}: give both or neither passband edge")
-        if lo is not None:
-            passband = (lo, hi)
-        params = TubeParams(
-            length_m=cfg.get_float("plant.tube_length_m", default=6.0),
-            speed_of_sound=cfg.get_float("plant.speed_of_sound", default=343.0),
-            reflection_coeff=cfg.get_float("plant.reflection", default=0.6),
-            n_echoes=cfg.get_int("plant.n_echoes", default=3),
-            passband=passband or (80.0, 3200.0),
-            kernel_len=cfg.get_int("plant.kernel_len", default=4200),
-            sample_rate=cfg.get_float("plant.sample_rate", default=40000.0),
-            loop_gain=cfg.get_float("plant.loop_gain", default=0.8),
-            filter_taps=cfg.get_int("plant.filter_taps", default=101),
-        )
-        units = cfg.get_str("plant.time_units", default="samples",
-                            choices={"samples", "seconds"})
-        dt = 1.0 if units == "samples" else params.dt
-        kernel_seed = cfg.get_int("plant.kernel_seed", default=seed, minimum=0)
-        kernel = make_tube_kernel(params, np.random.default_rng(kernel_seed), dt=dt)
-        system, template = make_acoustic_system(kernel, period=period)
+            edge = "plant.passband_low_hz" if hi is None else "plant.passband_high_hz"
+            raise UsageError(f"{cfg.where(edge)}: give both or neither passband edge")
+        params = cfg.build(TubeParams, **({} if lo is None else {"passband": (lo, hi)}))
+        units = cfg.get("plant.time_units", str, default="samples",
+                        choices={"samples", "seconds"})
+        kernel_seed = cfg.get("plant.kernel_seed", int, default=seed, minimum=0)
+        kernel = cfg.build(make_tube_kernel, params, np.random.default_rng(kernel_seed),
+                           dt=1.0 if units == "samples" else params.dt)
+        system, template = cfg.build(make_acoustic_system, kernel, period=period)
     elif kind == "optical":
-        params = OpticalParams(
-            n_nodes=cfg.get_int("plant.n_nodes", default=20),
-            delay_samples=cfg.get_int("plant.delay_samples", default=109),
-            snr_db=cfg.get_float("plant.snr_db", default=18.0),
-            weight_bound=cfg.get_float("plant.weight_bound", default=2.0),
-            backward_clip=cfg.get_bool("plant.backward_clip", default=True),
-            backward_error_scale=cfg.get_float("plant.backward_error_scale", default=0.5),
-        )
-        weight_seed = cfg.get_int("plant.weight_seed", default=seed, minimum=0)
-        weight_scale = cfg.get_float("plant.weight_scale", default=0.5)
-        W = random_optical_weights(params, np.random.default_rng(weight_seed),
-                                   scale=weight_scale)
-        noise_on = cfg.get_bool("plant.noise", default=True)
-        system = make_optical_system(params, W=W, noise=noise_on)
+        params = cfg.build(OpticalParams)
+        weight_seed = cfg.get("plant.weight_seed", int, default=seed, minimum=0)
+        W = cfg.build(random_optical_weights, params, np.random.default_rng(weight_seed))
+        system = cfg.build(make_optical_system, params, W=W)
         template = None
     else:
-        path = cfg.get_str("plant.file", required=True)
+        path = cfg.get("plant.file", str, required=True)
         if not Path(path).exists():
             raise UsageError(f"{cfg.path}: plant.file {path!r} does not exist")
-        system, template = load_system(path)
+        system, template = cfg.build(load_system, path)
         if template is None and period is None:
             raise UsageError(f"{cfg.path}: mask.period required when the plant "
                              "file carries no mask set")
     if template is None:
         # with train.init_masks on, train() reads only its channel counts, period and dt
-        template = MaskSet.zeros(system.n_inputs, 1, system.n_outputs, 1, period, system.dt)
+        template = cfg.build(MaskSet.zeros, system.n_inputs, 1, system.n_outputs, 1, period,
+                             system.dt)
 
-    task_kind = cfg.get_str("task.kind", required=True, choices=set(TASKS))
-    if task_kind == "synthetic_labels":
-        task = TASKS[task_kind](
-            n_classes=cfg.get_int("task.n_classes", default=4),
-            input_dim=cfg.get_int("task.input_dim", default=8),
-            window=cfg.get_int("task.window", default=3),
-        )
-    elif task_kind == "delayed_copy":
-        task = TASKS[task_kind](delay=cfg.get_int("task.delay", default=1))
-    else:
-        task = TASKS[task_kind]()
-
-    init_masks = cfg.get_bool("train.init_masks", default=True)
-    if not init_masks and (template.dim_x != task.dim_x or template.dim_y != task.dim_y):
+    task = cfg.build(TASKS[cfg.get("task.kind", str, required=True, choices=set(TASKS))])
+    train_cfg = cfg.build(TrainConfig, seed=seed,
+                          iterations=cfg.get("train.iterations", int, required=True))
+    if not train_cfg.init_masks and (template.dim_x != task.dim_x
+                                     or template.dim_y != task.dim_y):
         raise UsageError(
             f"{cfg.path}: loaded masks are {template.dim_x}->{template.dim_y} "
             f"dimensional but the task is {task.dim_x}->{task.dim_y}")
-
-    trainable = tuple(
-        t.strip() for t in cfg.get_str("train.trainable", default="m,u").split(","))
-    if _one_tube(system) and {"w_sa", "w_aa"} & set(trainable):
+    if _one_tube(system) and {"w_sa", "w_aa"} & set(train_cfg.trainable):
         raise UsageError(f"{cfg.where('train.trainable')}: the plant's one tube kernel "
                          "is both w_sa and w_aa; training either would untie them")
-    gain_bound = cfg.get_float("train.w_aa_gain_bound")
-    train_cfg = TrainConfig(
-        iterations=cfg.get_int("train.iterations", required=True),
-        batch_len=cfg.get_int("train.batch_len", default=100),
-        lr0=cfg.get_float("train.lr0", default=0.25),
-        init_std_input_mask=cfg.get_float("train.init_std_input_mask",
-                                          default=float(np.sqrt(0.2))),
-        init_std_output_mask=cfg.get_float("train.init_std_output_mask",
-                                           default=float(np.sqrt(0.1))),
-        trainable=trainable,
-        seed=seed,
-        noise_repeats=cfg.get_int("train.noise_repeats", default=1),
-        w_aa_gain_bound=gain_bound,
-        init_masks=init_masks,
-    )
     try:  # one batch from a throwaway generator: the run's own stays untouched
         batch = task.sample(train_cfg.batch_len, np.random.default_rng(0))
         if not batch.cost_mask.any():
@@ -274,22 +262,16 @@ def build_experiment(cfg: ConfigFile, seed_override=None) -> Experiment:
         task=task,
         train_cfg=train_cfg,
         seed=seed,
-        eval_instances=cfg.get_int("eval.instances", default=0, minimum=0),
-        eval_seed=cfg.get_int("eval.seed", default=12345, minimum=0),
+        eval_instances=cfg.get("eval.instances", int, default=0, minimum=0),
+        eval_seed=cfg.get("eval.seed", int, default=12345, minimum=0),
     )
     cfg.reject_unknown()
     return exp
 
 
 def cmd_run(args) -> int:
-    cfg = ConfigFile.parse(resolve_config_path(args.config))
-    try:
-        exp = build_experiment(cfg, seed_override=args.seed)
-    except ConfigurationError as exc:  # a value the plant, task or training rejects
-        keys = [k for f in exc.fields
-                for k in (f"plant.{_PLANT_KEYS.get(f, f)}", f"mask.{f}", f"train.{f}")
-                if k in cfg.values]
-        raise UsageError(f"{', '.join(map(cfg.where, keys)) or cfg.path}: {exc}") from None
+    exp = build_experiment(ConfigFile.parse(resolve_config_path(args.config)),
+                           seed_override=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -334,16 +316,8 @@ def cmd_gradcheck(args) -> int:
     check_cfg = GradCheckConfig(threads=args.threads)
     if args.config:
         cfg = ConfigFile.parse(resolve_config_path(args.config))
-        kw = {name: cfg.get_int(f"gradcheck.{name}", default=getattr(check_cfg, name))
-              for name in ("n_systems", "n_in", "n_state", "n_out", "kernel_len", "period",
-                           "instances")}
-        kw["threshold"] = cfg.get_float("gradcheck.threshold", default=check_cfg.threshold)
+        check_cfg = cfg.build(GradCheckConfig, threads=args.threads)
         cfg.reject_unknown()
-        for name, val in kw.items():  # one at a time, so an error names its key
-            try:
-                check_cfg = replace(check_cfg, **{name: val})
-            except ConfigurationError as exc:  # a gradcheck.* value out of range
-                raise UsageError(f"{cfg.where(f'gradcheck.{name}')}: {exc}") from None
     report = grad_check(check_cfg, seed=args.seed, break_adjoint=args.break_adjoint)
     print(report.to_text())
     if args.out:

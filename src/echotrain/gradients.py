@@ -159,11 +159,11 @@ class GradCheckConfig:
                      "kernel_len", "period", "instances", "threads"):
             val = getattr(self, name)
             if not (isinstance(val, (int, np.integer)) and val >= 1):
-                raise ConfigurationError(f"{name} must be an integer >= 1, got {val!r}")
+                raise ConfigurationError(f"{name} must be an integer >= 1, got {val!r}", name)
         for name in ("eps", "threshold"):
             val = getattr(self, name)
             if not 0.0 < val < np.inf:
-                raise ConfigurationError(f"{name} must be positive and finite, got {val}")
+                raise ConfigurationError(f"{name} must be positive and finite, got {val}", name)
 
 
 @dataclass

@@ -117,11 +117,6 @@ class Kernel:
         """Indices k with W[k] != 0 (read-only); empty for an all-zero kernel."""
         return self._lags
 
-    def first_nonzero_lag(self):
-        """Smallest k with W[k] != 0, or None for an all-zero kernel."""
-        lags = self.nonzero_lags()
-        return int(lags[0]) if lags.size else None
-
     @staticmethod
     def delta(gain_matrix, dt: float, lag: int = 0, length: int | None = None) -> "Kernel":
         """Discrete delta kernel: single tap gain_matrix/dt at the given lag."""

@@ -109,9 +109,10 @@ def variable_delay_task(one_hot: bool = False) -> Task:
 
 def synthetic_label_task(n_classes: int = 4, input_dim: int = 8,
                          window: int = 3) -> Task:
-    if n_classes < 2 or input_dim < 1 or window < 1:
-        raise ConfigurationError("synthetic labels need n_classes >= 2, input_dim >= 1 and "
-                                 f"window >= 1, got {n_classes}, {input_dim} and {window}")
+    for name, val, least in (("n_classes", n_classes, 2), ("input_dim", input_dim, 1),
+                             ("window", window, 1)):
+        if val < least:
+            raise ConfigurationError(f"synthetic labels need {name} >= {least}, got {val}", name)
 
     def sample(n, rng):
         return gen_synthetic_labels(n, n_classes, input_dim, rng, window=window)
@@ -123,7 +124,7 @@ def synthetic_label_task(n_classes: int = 4, input_dim: int = 8,
 def delayed_copy_task(delay: int = 1) -> Task:
     """Linear sanity task: reproduce the input from `delay` instances ago."""
     if delay < 0:  # np.roll would wrap the batch's first inputs round to its end
-        raise ConfigurationError(f"delayed copy needs delay >= 0, got {delay}")
+        raise ConfigurationError(f"delayed copy needs delay >= 0, got {delay}", "delay")
 
     def sample(n, rng):
         x = rng.standard_normal(n)

@@ -1,10 +1,12 @@
 import contextlib
+import inspect
 import io
 
 import numpy as np
 import pytest
 
 from echotrain.cli import (
+    SCHEMA,
     ConfigFile,
     UsageError,
     build_experiment,
@@ -335,6 +337,7 @@ train.trainable = m,{tube}
     ("toy_delay_smoke", "plant.reflection", "1.5"),
     ("toy_delay_smoke", "plant.loop_gain", "2"),
     ("toy_delay_smoke", "plant.passband_low_hz", "5000"),
+    ("toy_delay_smoke", "plant.passband_high_hz", "5000"),
     ("optical_labels", "plant.n_nodes", "0"),
     ("optical_labels", "plant.delay_samples", "0"),
     ("optical_labels", "plant.weight_bound", "nan"),
@@ -360,6 +363,8 @@ def test_plant_value_rejected_by_a_constructor_names_its_line(tmp_path, capsys, 
     ("toy_delay_smoke", "train.noise_repeats", "0"),
     ("toy_delay_smoke", "train.trainable", "m,q"),
     ("optical_labels", "train.w_aa_gain_bound", "nan"),
+    ("optical_labels", "task.input_dim", "0"),
+    ("optical_labels", "task.window", "0"),
 ])
 def test_mask_or_train_value_rejected_by_a_constructor_names_its_line(tmp_path, capsys, base,
                                                                       key, value):
@@ -368,6 +373,31 @@ def test_mask_or_train_value_rejected_by_a_constructor_names_its_line(tmp_path, 
     err = capsys.readouterr().err
     assert f"usage error: {path}:{line}: " in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("edge,other", [("low", "high"), ("high", "low")])
+def test_a_lone_passband_edge_is_named_at_its_line(tmp_path, capsys, edge, other):
+    path = write_cfg(tmp_path, SMOKE.replace(f"plant.passband_{other}_hz", "# dropped"))
+    keys = [ln.split(" = ")[0] for ln in SMOKE.splitlines()]
+    line = 1 + keys.index(f"plant.passband_{edge}_hz")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"usage error: {path}:{line}: give both or neither passband edge" in err
+
+
+def test_every_schema_key_sets_a_parameter_of_its_owner():
+    for key, (owner, name) in SCHEMA.items():
+        assert name in inspect.signature(owner).parameters, key
+
+
+@pytest.mark.parametrize("base,key", [
+    ("toy_delay_smoke", "plant.n_nodes"),     # an optical key on a tube
+    ("optical_labels", "plant.kernel_len"),   # a tube key on an optical plant
+])
+def test_a_key_of_the_other_plant_kind_is_unknown_at_its_line(tmp_path, base, key):
+    path, line = mutated(tmp_path, base, key, "3")
+    with pytest.raises(UsageError, match=f"{path}:{line}: unknown field '{key}'"):
+        build_experiment(ConfigFile.parse(path))
 
 
 @pytest.mark.parametrize("key,value", [

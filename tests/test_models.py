@@ -49,7 +49,7 @@ def test_tube_kernel_tap0_zero_with_filter_and_jitter():
     rng = np.random.default_rng(5)
     k = make_tube_kernel(TubeParams(), rng)
     assert k.taps[0, 0, 0] == 0.0
-    assert k.first_nonzero_lag() >= 1
+    assert k.nonzero_lags()[0] >= 1
 
 
 def test_tube_kernel_length_validation():

@@ -76,7 +76,7 @@ def test_reloaded_acoustic_plant_gives_the_in_memory_traces_bit_for_bit(tmp_path
     back, _ = load_system(tmp_path / "system.txt")
     assert back.w_sa is not back.w_aa and _one_tube(back)
     rng = np.random.default_rng(9)
-    n = 12 * plant.w_aa.first_nonzero_lag() + 5
+    n = 12 * plant.w_aa.nonzero_lags()[0] + 5
     s = Signal(rng.standard_normal((1, n)), plant.dt)
     e_o = Signal(rng.standard_normal((1, n)), plant.dt)
     runs = []

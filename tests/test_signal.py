@@ -194,7 +194,6 @@ def test_kernel_live_lags_are_cached_read_only_and_follow_the_taps():
     k = Kernel(taps, 0.1)
     np.testing.assert_array_equal(k.nonzero_lags(), fresh_lags(taps))
     np.testing.assert_array_equal(k.nonzero_lags(), [1, 2, 6, 7])
-    assert k.first_nonzero_lag() == 1
     with pytest.raises(ValueError):
         k.nonzero_lags()[0] = 0
     moved = replace(k, taps=np.roll(taps, 2, axis=0))

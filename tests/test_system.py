@@ -512,7 +512,7 @@ def long_sparse_scalar_system(rng, kind, first=96, L=600, dt=0.5):
 def test_long_scalar_feedback_fft_path_matches_naive(monkeypatch, kind, n):
     rng = np.random.default_rng(30)
     sys = long_sparse_scalar_system(rng, kind)
-    assert sys.w_aa.first_nonzero_lag() == 96
+    assert sys.w_aa.nonzero_lags()[0] == 96
     blocks = on_path(monkeypatch, "engine")
     s = Signal(rng.standard_normal((1, n)), sys.dt)
     tr = forward(sys, s)
