@@ -71,7 +71,7 @@ def _bandpass_fir(numtaps: int, left: float, right: float) -> np.ndarray:
 
     The operations and their order are scipy.signal.firwin's for
     (numtaps, [left, right], pass_zero=False), so the taps are bit for bit
-    firwin's; restating them here keeps scipy.signal out of every import.
+    firwin's; restating them here keeps scipy out of the package.
     At numtaps 1 the Hamming formula gives 0.08 where firwin's window is 1,
     but the band-centre scale turns the lone tap into 1.0 either way.
     """

@@ -208,6 +208,19 @@ class BackwardTrace:
 _FFT_MIN_FEEDBACK_MACS = 45_000  # B * live lags per block; README "Partitioned FFT engine"
 
 
+def _fast_len(n: int) -> int:
+    """The smallest 5-smooth integer >= n >= 1, the real transform lengths
+    pocketfft runs fastest (scipy.fft.next_fast_len(n, real=True))."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:  # p35 times the least power of two reaching n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _partitioned_convolve(w: np.ndarray, drive: np.ndarray | None, block: int, gate,
                           feed: np.ndarray | None = None,
                           sums: np.ndarray | None = None) -> np.ndarray:
@@ -222,11 +235,10 @@ def _partitioned_convolve(w: np.ndarray, drive: np.ndarray | None, block: int, g
     a frequency-domain accumulator for each later block it reaches; a block's
     feedback sum is one inverse transform of its accumulator.  w must vanish
     below lag `block` (the caller's block is the first live lag), so each
-    block's feedback is complete before the block is emitted.
+    block's feedback is complete before the block is emitted.  The transforms
+    are numpy.fft's, of length _fast_len(2 * block); each block's two
+    transforms write into preallocated buffers.
     """
-    # imported here, so that only runs that take the engine load scipy.fft
-    from scipy import fft
-
     n = (feed if drive is None else drive).size
     y = np.zeros(n)
     nz = np.flatnonzero(w[:n])  # taps at lags >= n never reach the output
@@ -235,15 +247,16 @@ def _partitioned_convolve(w: np.ndarray, drive: np.ndarray | None, block: int, g
     parts = np.zeros((n_parts, block))
     parts.ravel()[: w.size] = w
     live = np.flatnonzero(np.any(parts != 0.0, axis=1))
-    nfft = fft.next_fast_len(2 * block, real=True)
+    nfft = _fast_len(2 * block)
     # (partition index, spectrum) of each live partition
-    reach = list(zip(live.tolist(), fft.rfft(parts[live], nfft)))
+    reach = list(zip(live.tolist(), np.fft.rfft(parts[live], nfft)))
     acc = np.zeros((n_parts, nfft // 2 + 1), dtype=complex)  # ring: block j in slot j % n_parts
     win = np.zeros(nfft)  # [previous block | current block | zero pad]
+    spec, back = np.empty(nfft // 2 + 1, dtype=complex), np.empty(nfft)
     for j, t0 in enumerate(range(0, n, block)):
         t1 = min(t0 + block, n)
         slot = j % n_parts
-        fb = fft.irfft(acc[slot], nfft)[block : block + t1 - t0]
+        fb = np.fft.irfft(acc[slot], nfft, out=back)[block : block + t1 - t0]
         if sums is not None:
             sums[t0:t1] = fb
         y[t0:t1] = gate(fb if drive is None else drive[t0:t1] + fb, t0, t1)
@@ -254,7 +267,7 @@ def _partitioned_convolve(w: np.ndarray, drive: np.ndarray | None, block: int, g
         win[block : block + t1 - t0] = y[t0:t1]
         if feed is not None:
             win[block : block + t1 - t0] += feed[t0:t1]
-        spec = fft.rfft(win)
+        np.fft.rfft(win, out=spec)
         for p, part in reach:
             acc[(j + p) % n_parts] += spec * part
     return y

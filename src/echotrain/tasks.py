@@ -70,8 +70,9 @@ def gen_synthetic_labels(n: int, n_classes: int, input_dim: int,
         raise ConfigurationError(f"need at least 1 input channel, got {input_dim}")
     if window < 1 or n < window:
         raise ConfigurationError("window must satisfy 1 <= window <= n")
-    # imported here, so that only runs of this task load scipy.special
-    from scipy.special import ndtri
+    # imported here: statistics loads decimal and fractions (about 0.4 MB),
+    # which only runs of this task need
+    from statistics import NormalDist
 
     ar = float(ar_coeff)
     # one draw is the same stream as one standard_normal(input_dim) per row
@@ -83,7 +84,8 @@ def gen_synthetic_labels(n: int, n_classes: int, input_dim: int,
     # window-mean variance of the stationary AR(1) channel
     w = window
     var = (w + 2.0 * sum((w - L) * ar ** L for L in range(1, w))) / (w * w)
-    thresholds = ndtri(np.arange(1, n_classes) / n_classes) * np.sqrt(var)
+    quantiles = [NormalDist().inv_cdf(k / n_classes) for k in range(1, n_classes)]
+    thresholds = np.array(quantiles) * np.sqrt(var)
 
     labels = np.searchsorted(thresholds, sliding_window_view(u[:, 0], w).mean(axis=1))
     targets = np.zeros((n, n_classes))

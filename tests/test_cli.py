@@ -448,8 +448,8 @@ def test_damaged_config_builds_or_names_its_file(tmp_path_factory):
             build_experiment(ConfigFile.parse(path))
         except UsageError as exc:
             assert str(path) in str(exc)
-        except ConfigurationError:
-            pass  # named by cmd_run, checked below
+        except ConfigurationError as exc:
+            pytest.fail(f"build_experiment let a ConfigurationError through: {exc}")
         else:
             return
         out = root / "out"

@@ -579,6 +579,15 @@ def test_long_scalar_plant_adjoint_identity_on_fft_path():
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
 
 
+def test_engine_transform_length_is_scipy_next_fast_len():
+    # the engine's transform length, and with it its numerics, stays the one
+    # it had on scipy.fft; scipy is a test-only reference
+    from scipy.fft import next_fast_len
+
+    assert [system_mod._fast_len(n) for n in range(1, 20_001)] == \
+        [next_fast_len(n, real=True) for n in range(1, 20_001)]
+
+
 # ---------------------------------------------------------------------------
 # one tube kernel as both W_sa and W_aa (the acoustic loop): forward runs one
 # recursion on s + a, backward reads W_sa^T e_a off the adjoint recursion's
