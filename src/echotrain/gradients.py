@@ -38,6 +38,9 @@ MASK_BLOCKS = ("m", "s_b", "u", "y_b")
 ALL_BLOCKS = KERNEL_BLOCKS + MASK_BLOCKS
 OUTPUT_SIDE = ("w_so", "w_ao", "u", "y_b")  # blocks the state equation never sees
 _STACK_BYTES = 1 << 20  # the bytes the probes of one finite-difference chunk may hold
+_NONLINEARITIES = {"rectifier": Nonlinearity.rectifier,  # the toy family's choices
+                   "clip": lambda: Nonlinearity.clip(-1.0, 1.0),
+                   "identity": Nonlinearity.identity}
 
 
 def _tap_gradient(e_dst: np.ndarray, src: np.ndarray, L: int, dt: float,
@@ -164,6 +167,16 @@ class GradCheckConfig:
             val = getattr(self, name)
             if not 0.0 < val < np.inf:
                 raise ConfigurationError(f"{name} must be positive and finite, got {val}", name)
+        if not (self.nonlinearities and set(self.nonlinearities) <= _NONLINEARITIES.keys()):
+            raise ConfigurationError(f"nonlinearities must name some of {sorted(_NONLINEARITIES)},"
+                                     f" got {self.nonlinearities!r}", "nonlinearities")
+        lo, hi = self.dt_range
+        if not 0.0 < lo <= hi < np.inf:
+            raise ConfigurationError("dt_range must be (lo, hi) with 0 < lo <= hi < inf, "
+                                     f"got {self.dt_range!r}", "dt_range")
+        if not 0.0 <= self.kink_margin < np.inf:
+            raise ConfigurationError(f"kink_margin must be finite and >= 0, got {self.kink_margin}",
+                                     "kink_margin")
 
 
 @dataclass
@@ -194,9 +207,7 @@ def random_toy_pipeline(cfg: GradCheckConfig, rng: np.random.Generator):
     for _ in range(64):
         dt = float(rng.uniform(*cfg.dt_range))
         kind = cfg.nonlinearities[int(rng.integers(len(cfg.nonlinearities)))]
-        f = {"rectifier": Nonlinearity.rectifier(),
-             "clip": Nonlinearity.clip(-1.0, 1.0),
-             "identity": Nonlinearity.identity()}[kind]
+        f = _NONLINEARITIES[kind]()
 
         def taps(rows, cols):
             return 0.4 * rng.standard_normal((cfg.kernel_len, rows, cols))
@@ -241,15 +252,15 @@ def _kink_margin(sys: PhysicalSystem, s: Signal) -> float:
     return float(min(np.min(np.abs(pre - sys.f.lo)), np.min(np.abs(pre - sys.f.hi))))
 
 
-def pipeline_cost(sys: PhysicalSystem, masks: MaskSet, xs, targets,
+def pipeline_cost(sys: PhysicalSystem, masks: MaskSet, s: Signal, targets,
                   a: Signal | None = None) -> float:
-    """Quadratic end-to-end cost 0.5 sum_i |y_i - t_i|^2 (the grad_check cost).
+    """Quadratic end-to-end cost 0.5 sum_i |y_i - t_i|^2 (the grad_check cost)
+    of the encoded input s = encode_inputs(xs, masks).
 
-    a, if given, is the state trace forward(sys, encode_inputs(xs, masks)).a of
-    a noise-free plant; only the output map then runs, and the cost is bit for
-    bit that of the full forward run.  Changing an OUTPUT_SIDE block keeps a.
+    a, if given, is the state trace forward(sys, s).a of a noise-free plant;
+    only the output map then runs, and the cost is bit for bit that of the
+    full forward run.  Changing an OUTPUT_SIDE block keeps a.
     """
-    s = encode_inputs(xs, masks)
     o = forward(sys, s).o if a is None else Signal._own(output_map(sys, s, a), s.dt)
     ys = decode_outputs(o, masks)
     return 0.5 * float(np.sum((ys - np.asarray(targets)) ** 2))
@@ -287,14 +298,15 @@ def _non_reciprocal(sys: PhysicalSystem) -> PhysicalSystem:
     return sys
 
 
-def _probe_states(sys: PhysicalSystem, name: str, probes: list, xs) -> list:
-    """forward(plant, encode_inputs(xs, masks)).a of each noise-free probe of
-    the state-side block name, as one batched recursion: the w_aa probes
-    share one drive w_sa * s, the others share w_aa."""
+def _probe_states(sys: PhysicalSystem, name: str, probes: list) -> list:
+    """forward(plant, s).a of each noise-free probe (plant, masks, s) of the
+    state-side block name, as one batched recursion: the w_aa probes share one
+    drive w_sa * s, the others share w_aa."""
     one_drive = name == "w_aa"
-    taps = np.stack([plant.w_aa.taps for plant, _ in probes]) if one_drive else sys.w_aa.taps[None]
-    drive = np.stack([convolve(plant.w_sa, encode_inputs(xs, pm)).samples
-                      for plant, pm in (probes[:1] if one_drive else probes)])
+    taps = (np.stack([plant.w_aa.taps for plant, _, _ in probes]) if one_drive
+            else sys.w_aa.taps[None])
+    drive = np.stack([convolve(plant.w_sa, s).samples
+                      for plant, _, s in (probes[:1] if one_drive else probes)])
     a = _causal_feedback(taps, sys.dt, drive, lambda x_blk, t0, t1: _activate(sys.f, x_blk))
     return [Signal._own(a_p, sys.dt) for a_p in a]
 
@@ -305,8 +317,10 @@ def grad_check(cfg: GradCheckConfig, seed: int, break_adjoint: bool = False) -> 
     break_adjoint plays the error back through _non_reciprocal(plant) -- a
     deliberate corruption that must make the check fail (negative control).
     Forward runs and the FD losses stay on the true plant.  Each probe is one
-    pipeline_cost call on its state trace: OUTPUT_SIDE probes share the toy's
-    own, the others' come from one batched recursion per chunk (_probe_states).
+    pipeline_cost call on its encoded input and state trace: the input is
+    encoded once per toy, and once more per m or s_b probe, the only blocks it
+    depends on; OUTPUT_SIDE probes share the toy's own state, the others' come
+    from one batched recursion per chunk (_probe_states).
     """
     rng = np.random.default_rng(seed)
     worst = {name: 0.0 for name in ALL_BLOCKS}
@@ -314,19 +328,24 @@ def grad_check(cfg: GradCheckConfig, seed: int, break_adjoint: bool = False) -> 
         sys, masks, xs, targets = random_toy_pipeline(cfg, rng)
         grads = pipeline_gradients(sys, masks, xs, targets,
                                    medium=_non_reciprocal(sys) if break_adjoint else None)
-        state = forward(sys, encode_inputs(xs, masks)).a
+        s0 = encode_inputs(xs, masks)
+        state = forward(sys, s0).a
         for name in ALL_BLOCKS:
             full = getattr(sys, name).taps if name in KERNEL_BLOCKS else getattr(masks, name)
             lag0 = int(name == "w_aa")  # w_aa tap 0 is pinned to zero by strict causality
 
+            def probe(w):
+                if name in KERNEL_BLOCKS:
+                    return sys.with_kernel(name, w), masks, s0
+                pm = masks.replace(**{name: w})
+                return sys, pm, encode_inputs(xs, pm) if name in ("m", "s_b") else s0
+
             def losses(points):
-                moved = [np.concatenate((full[:lag0].ravel(), flat)).reshape(full.shape)
-                         for flat in points]
-                probes = [(sys.with_kernel(name, w), masks) if name in KERNEL_BLOCKS
-                          else (sys, masks.replace(**{name: w})) for w in moved]
+                probes = [probe(np.concatenate((full[:lag0].ravel(), flat)).reshape(full.shape))
+                          for flat in points]
                 states = ([state] * len(probes) if name in OUTPUT_SIDE
-                          else _probe_states(sys, name, probes, xs))
-                return _map(lambda job: pipeline_cost(*job[0], xs, targets, job[1]),
+                          else _probe_states(sys, name, probes))
+                return _map(lambda job: pipeline_cost(*job[0], targets, job[1]),
                             zip(probes, states), cfg.threads)
 
             # a probe holds a few copies of its block, w_aa, drive and state

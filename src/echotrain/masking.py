@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, LengthError, NumericError
-from .signal import Signal, _positive_dt
+from .signal import Signal, _as_readonly_f64, _positive_dt
 
 
 @dataclass(frozen=True)
@@ -37,29 +37,24 @@ class MaskSet:
     dt: float
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=np.float64)
-        u = np.asarray(self.u, dtype=np.float64)
-        s_b = np.asarray(self.s_b, dtype=np.float64)
-        y_b = np.asarray(self.y_b, dtype=np.float64)
         P = int(self.period)
         if P < 1:
             raise ConfigurationError(f"period must be positive, got {self.period}", "period")
-        if m.ndim != 3 or u.ndim != 3 or s_b.ndim != 2 or y_b.ndim != 1:
-            raise DimensionError("mask arrays have wrong rank")
+        for name, ndim in (("m", 3), ("u", 3), ("s_b", 2), ("y_b", 1)):
+            # copied, as Signal(...) and Kernel copy, so the caller's arrays stay
+            # its own; a member of another MaskSet (read-only, owning its data)
+            # is shared, so replace() copies only the members it changes
+            arr = getattr(self, name)
+            shared = isinstance(arr, np.ndarray) and arr.base is None and not arr.flags.writeable
+            object.__setattr__(self, name, _as_readonly_f64(arr, ndim, f"mask member {name}",
+                                                            copy=not shared))
+        m, u, s_b, y_b = self.m, self.u, self.s_b, self.y_b
         if not (m.shape[2] == u.shape[2] == s_b.shape[1] == P):
             raise ConfigurationError("all mask members must share the period P")
         if m.shape[0] != s_b.shape[0]:
             raise DimensionError("m and s_b disagree on input channel count")
         if u.shape[0] != y_b.shape[0]:
             raise DimensionError("u and y_b disagree on output dimension")
-        for name, arr in (("m", m), ("u", u), ("s_b", s_b), ("y_b", y_b)):
-            if not np.all(np.isfinite(arr)):
-                raise NumericError(f"mask member {name} has non-finite values")
-            arr.flags.writeable = False
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "s_b", s_b)
-        object.__setattr__(self, "y_b", y_b)
         object.__setattr__(self, "period", P)
         object.__setattr__(self, "dt", _positive_dt(self.dt))
 
@@ -112,7 +107,7 @@ def _as_instances(xs, dim, name):
         arr = arr[:, None]
     if arr.ndim != 2 or arr.shape[1] != dim:
         raise DimensionError(f"{name} must be (n, {dim}), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"{name} has non-finite values")
     return arr
 

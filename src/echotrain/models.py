@@ -156,7 +156,7 @@ def make_acoustic_system(kernel: Kernel, period: int | None = None,
     """
     if kernel.rows != 1 or kernel.cols != 1:
         raise DimensionError("the acoustic plant is scalar; kernel must be 1 x 1")
-    if np.any(kernel.taps[0] != 0.0):
+    if (kernel.taps[0] != 0.0).any():
         raise ConfigurationError("tube kernel must be strictly causal (tap 0 zero)")
     if period is None:
         period = int(np.floor(1.0 / (40.0 * kernel.dt) + 0.5))

@@ -33,7 +33,7 @@ def _as_readonly_f64(arr, ndim, name, copy=True):
     out = (np.array if copy else np.asarray)(arr, dtype=np.float64, order="C")
     if out.ndim != ndim:
         raise DimensionError(f"{name} must be {ndim}-D, got shape {out.shape}")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NumericError(f"{name} contains non-finite values")
     out.flags.writeable = False
     return out
@@ -97,7 +97,7 @@ class Kernel:
             raise DimensionError("a Kernel needs at least one tap")
         object.__setattr__(self, "dt", _positive_dt(self.dt))
         # the taps are read-only, so their live lags are found once
-        lags = np.flatnonzero(np.any(self.taps != 0.0, axis=(1, 2)))
+        lags = np.flatnonzero((self.taps != 0.0).any(axis=(1, 2)))
         lags.flags.writeable = False
         object.__setattr__(self, "_lags", lags)
 
@@ -149,7 +149,7 @@ def convolve(kernel: Kernel, x: Signal) -> Signal:
     _check_pair(kernel, x, expect_cols=True)
     n, xs = x.n_samples, x.samples
     y = np.zeros((kernel.rows, n))
-    for k in kernel.nonzero_lags():
+    for k in kernel.nonzero_lags().tolist():  # int slices are cheaper than np.int64 ones
         if k >= n:
             break
         y[:, k:] += kernel.taps[k] @ xs[:, : n - k]
@@ -162,7 +162,7 @@ def adjoint_convolve(kernel: Kernel, e: Signal) -> Signal:
     _check_pair(kernel, e, expect_cols=False)
     n, es = e.n_samples, e.samples
     r = np.zeros((kernel.cols, n))
-    for k in kernel.nonzero_lags():
+    for k in kernel.nonzero_lags().tolist():
         if k >= n:
             break
         r[:, : n - k] += kernel.taps[k].T @ es[:, k:]

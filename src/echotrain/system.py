@@ -155,7 +155,7 @@ class PhysicalSystem:
             raise DimensionError("w_so cols must match the input channel count")
         if self.w_ao.rows != n_out or self.w_ao.cols != n_state:
             raise DimensionError("w_ao must map state channels to output channels")
-        if np.any(self.w_aa.taps[0] != 0.0):
+        if (self.w_aa.taps[0] != 0.0).any():
             raise ConfigurationError(
                 "w_aa tap 0 must be exactly zero (strictly causal feedback)")
 
@@ -246,7 +246,7 @@ def _partitioned_convolve(w: np.ndarray, drive: np.ndarray | None, block: int, g
     n_parts = max(1, -(-w.size // block))
     parts = np.zeros((n_parts, block))
     parts.ravel()[: w.size] = w
-    live = np.flatnonzero(np.any(parts != 0.0, axis=1))
+    live = np.flatnonzero((parts != 0.0).any(axis=1))
     nfft = _fast_len(2 * block)
     # (partition index, spectrum) of each live partition
     reach = list(zip(live.tolist(), np.fft.rfft(parts[live], nfft)))
@@ -296,7 +296,7 @@ def _causal_feedback(taps: np.ndarray, dt: float, drive: np.ndarray | None, gate
     """
     if transpose:
         taps = taps.transpose(0, 1, 3, 2)
-    lags = np.flatnonzero(np.any(taps != 0.0, axis=(0, 2, 3)))
+    lags = np.flatnonzero((taps != 0.0).any(axis=(0, 2, 3)))
     if lags.size and lags[0] == 0:
         raise ConfigurationError("feedback taps must be strictly causal (tap 0 zero)")
     trace = drive if feed is None else feed

@@ -24,7 +24,7 @@ class SequenceDataset:
         msk = np.asarray(self.cost_mask, dtype=bool)
         if not (len(inp) == len(tgt) == len(msk)):
             raise DimensionError("inputs, targets and cost_mask must share length")
-        if not (np.all(np.isfinite(inp)) and np.all(np.isfinite(tgt))):
+        if not (np.isfinite(inp).all() and np.isfinite(tgt).all()):
             raise ConfigurationError("dataset has non-finite values")
         object.__setattr__(self, "inputs", inp)
         object.__setattr__(self, "targets", tgt)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from echotrain import gradients as gradients_mod
-from echotrain.errors import NumericError
+from echotrain.errors import ConfigurationError, NumericError
 from echotrain.gradients import (
     ALL_BLOCKS,
     KERNEL_BLOCKS,
+    MASK_BLOCKS,
     OUTPUT_SIDE,
     GradCheckConfig,
     _probe_states,
@@ -70,6 +71,7 @@ def test_kernel_gradients_match_fd_on_random_system():
     cfg = GradCheckConfig(n_systems=1, kink_margin=1e-3)
     sys, masks, xs, targets = random_toy_pipeline(cfg, rng)
     bundle = pipeline_gradients(sys, masks, xs, targets)
+    s = encode_inputs(xs, masks)
     for name in ("w_sa", "w_aa", "w_so", "w_ao"):
         kern = getattr(sys, name)
         lag0 = 1 if name == "w_aa" else 0  # tap 0 of w_aa is pinned to zero
@@ -77,7 +79,7 @@ def test_kernel_gradients_match_fd_on_random_system():
         def loss(flat, _n=name, _full=kern.taps, _lag0=lag0):
             taps = _full.copy()
             taps[_lag0:] = flat.reshape(taps[_lag0:].shape)
-            return pipeline_cost(sys.with_kernel(_n, taps), masks, xs, targets)
+            return pipeline_cost(sys.with_kernel(_n, taps), masks, s, targets)
 
         fd = fd_gradient(loss, kern.taps[lag0:].ravel(), eps=1e-5)
         assert rel_err(bundle[name][lag0:].ravel(), fd) < 1e-5, name
@@ -151,14 +153,15 @@ def test_cost_from_the_recorded_state_is_the_full_forward_cost_bit_for_bit():
     rng = np.random.default_rng(5)
     for _ in range(10):
         sys, masks, xs, targets = random_toy_pipeline(cfg, rng)
-        a = forward(sys, encode_inputs(xs, masks)).a
-        assert pipeline_cost(sys, masks, xs, targets, a) == pipeline_cost(sys, masks, xs, targets)
+        s = encode_inputs(xs, masks)
+        a = forward(sys, s).a
+        assert pipeline_cost(sys, masks, s, targets, a) == pipeline_cost(sys, masks, s, targets)
         # an output-side change keeps the state: w_so, w_ao, u and y_b all moved
         moved = sys.with_kernel("w_so", 1.5 * sys.w_so.taps).with_kernel(
             "w_ao", sys.w_ao.taps - 0.1)
         masks2 = masks.replace(u=-masks.u, y_b=masks.y_b + 0.2)
-        assert (pipeline_cost(moved, masks2, xs, targets, a)
-                == pipeline_cost(moved, masks2, xs, targets))
+        assert (pipeline_cost(moved, masks2, s, targets, a)
+                == pipeline_cost(moved, masks2, s, targets))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -166,20 +169,21 @@ def test_output_side_probes_on_the_recorded_state_equal_full_forward_ones(seed):
     # the first toy grad_check(GradCheckConfig(), seed) audits
     cfg = GradCheckConfig()
     sys, masks, xs, targets = random_toy_pipeline(cfg, np.random.default_rng(seed))
-    a = forward(sys, encode_inputs(xs, masks)).a
+    s = encode_inputs(xs, masks)
+    a = forward(sys, s).a
     for name in OUTPUT_SIDE:
         if name in KERNEL_BLOCKS:
             ref = getattr(sys, name).taps
 
             def loss(flat, state, _name=name, _shape=ref.shape):
                 return pipeline_cost(sys.with_kernel(_name, flat.reshape(_shape)),
-                                     masks, xs, targets, state)
+                                     masks, s, targets, state)
         else:
             ref = getattr(masks, name)
 
             def loss(flat, state, _name=name, _shape=ref.shape):
                 return pipeline_cost(sys, masks.replace(**{_name: flat.reshape(_shape)}),
-                                     xs, targets, state)
+                                     s, targets, state)
 
         reused = finite_difference_gradient(lambda t: loss(t, a), ref.ravel(), cfg.eps)
         full = finite_difference_gradient(lambda t: loss(t, None), ref.ravel(), cfg.eps)
@@ -199,9 +203,10 @@ def test_stacked_probe_states_equal_the_probe_plants_forward_bit_for_bit(seed):
             for step in (cfg.eps, -cfg.eps):
                 moved = full.copy()
                 moved.flat[j] += step
-                probes.append((sys.with_kernel(name, moved), masks) if name in KERNEL_BLOCKS
-                              else (sys, masks.replace(**{name: moved})))
-        for (plant, pm), state in zip(probes, _probe_states(sys, name, probes, xs)):
+                plant, pm = ((sys.with_kernel(name, moved), masks) if name in KERNEL_BLOCKS
+                             else (sys, masks.replace(**{name: moved})))
+                probes.append((plant, pm, encode_inputs(xs, pm)))
+        for (plant, pm, _), state in zip(probes, _probe_states(sys, name, probes)):
             assert np.array_equal(state.samples, forward(plant, encode_inputs(xs, pm)).a.samples)
 
 
@@ -298,3 +303,76 @@ def test_kernel_gradients_lag_restriction():
         assert np.array_equal(got[lags], want[lags])
         rest = np.setdiff1d(np.arange(want.shape[0]), lags)
         assert np.all(got[rest] == 0.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("nonlinearities", ()), ("nonlinearities", ("relu",)), ("nonlinearities", ("clip", "tanh")),
+    ("nonlinearities", "clip"),
+    ("dt_range", (0.5, np.nan)), ("dt_range", (-1.0, 0.0)), ("dt_range", (0.0, 1.0)),
+    ("dt_range", (1.2, 0.1)), ("dt_range", (0.1, np.inf)),
+    ("kink_margin", np.nan), ("kink_margin", np.inf), ("kink_margin", -1e-3),
+])
+def test_grad_check_config_rejects_bad_fields_at_construction(field, value):
+    with pytest.raises(ConfigurationError, match=field) as excinfo:
+        GradCheckConfig(**{field: value})
+    assert excinfo.value.fields == (field,)
+
+
+def test_grad_check_config_takes_its_edge_values():
+    GradCheckConfig(nonlinearities=("clip",), dt_range=(0.3, 0.3), kink_margin=0.0)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_grad_check_makes_one_cost_call_per_probe_and_encodes_each_input_once(monkeypatch, seed):
+    calls = {"pipeline_cost": 0, "encode_inputs": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(gradients_mod, name, counted(name, getattr(gradients_mod, name)))
+    cfg = GradCheckConfig(n_systems=1, nonlinearities=("clip",))
+    sys, masks, _, _ = random_toy_pipeline(cfg, np.random.default_rng(seed))  # grad_check's toy
+    attempts = calls["encode_inputs"]  # one kink test per draw attempt
+    calls.update(dict.fromkeys(calls, 0))
+    grad_check(cfg, seed)
+    params = sum(getattr(sys, name).taps[int(name == "w_aa"):].size for name in KERNEL_BLOCKS)
+    params += sum(getattr(masks, name).size for name in MASK_BLOCKS)
+    assert calls["pipeline_cost"] == 2 * params  # the benchmark's traced invariant
+    # the draw's, the gradient run's and the probes' shared input, then one
+    # per m or s_b probe: no other probe changes the encoded input
+    bound = attempts + 2 + 2 * (masks.m.size + masks.s_b.size)
+    assert calls["encode_inputs"] <= bound
+
+
+def naive_entries(cfg, seed):
+    """grad_check's report entries from finite_difference_gradient with a full
+    forward run per probe: no stacked probes and no shared input or state."""
+    rng = np.random.default_rng(seed)
+    worst = dict.fromkeys(ALL_BLOCKS, 0.0)
+    for _ in range(cfg.n_systems):
+        sys, masks, xs, targets = random_toy_pipeline(cfg, rng)
+        grads = pipeline_gradients(sys, masks, xs, targets)
+        for name in ALL_BLOCKS:
+            full = getattr(sys, name).taps if name in KERNEL_BLOCKS else getattr(masks, name)
+            lag0 = int(name == "w_aa")
+
+            def loss(flat, _name=name, _full=full, _lag0=lag0):
+                w = np.concatenate((_full[:_lag0].ravel(), flat)).reshape(_full.shape)
+                plant, pm = ((sys.with_kernel(_name, w), masks) if _name in KERNEL_BLOCKS
+                             else (sys, masks.replace(**{_name: w})))
+                ys = decode_outputs(forward(plant, encode_inputs(xs, pm)).o, pm)
+                return 0.5 * float(np.sum((ys - targets) ** 2))
+
+            fd = finite_difference_gradient(loss, full[lag0:].ravel(), cfg.eps)
+            worst[name] = max(worst[name], relative_error(grads[name][lag0:], fd))
+    return [(name, worst[name], worst[name] < cfg.threshold) for name in ALL_BLOCKS]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_grad_check_entries_equal_the_naive_reference_exactly(seed):
+    cfg = GradCheckConfig(n_systems=2)
+    assert grad_check(cfg, seed).entries == naive_entries(cfg, seed)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from echotrain.errors import ConfigurationError, LengthError
+from echotrain.errors import ConfigurationError, LengthError, NumericError
 from echotrain.masking import (
     MaskSet,
     decode_outputs,
@@ -14,6 +14,7 @@ from echotrain.masking import (
 )
 from echotrain.signal import Kernel, Signal, split_segments
 from echotrain.system import Nonlinearity, PhysicalSystem, backward, forward
+from echotrain.tasks import SequenceDataset
 
 from oracles import fd_gradient, rel_err
 
@@ -252,3 +253,58 @@ def test_zero_masks_have_the_given_shape():
 def test_zero_masks_reject_a_nonpositive_period(period):
     with pytest.raises(ConfigurationError, match="period must be positive"):
         MaskSet.zeros(1, 1, 1, 1, period=period, dt=1.0)
+
+
+def test_mask_set_copies_the_callers_arrays():
+    base = np.zeros((1, 2, 3))
+    u = np.ones((2, 1, 3))
+    masks = MaskSet(m=base[:], u=u, s_b=np.zeros((1, 3)), y_b=np.zeros(2), period=3, dt=0.1)
+    base[0, 0, 0] = 5.0
+    assert masks.m[0, 0, 0] == 0.0
+    assert u.flags.writeable  # still the caller's to write
+    u[0, 0, 0] = 2.0
+    assert masks.u[0, 0, 0] == 1.0
+    assert not (masks.m.flags.writeable or masks.u.flags.writeable)
+    moved = masks.replace(m=np.ones((1, 2, 3)))
+    assert moved.u is masks.u and moved.s_b is masks.s_b  # unchanged members are shared
+    assert not np.shares_memory(MaskSet(m=masks.m[:], u=masks.u, s_b=masks.s_b, y_b=masks.y_b,
+                                        period=3, dt=0.1).m, masks.m)
+
+
+_MASK_SHAPES = {"m": (1, 2, 3), "u": (2, 1, 3), "s_b": (1, 3), "y_b": (2,)}
+
+
+def _ones_masks(**members):
+    arrays = {name: np.ones(shape) for name, shape in _MASK_SHAPES.items()}
+    return MaskSet(**{**arrays, **members}, period=3, dt=0.1)
+
+
+# constructor or codec -> (error, message naming the member, shape of the
+# array it checks, call on that array); the message tells the check apart from
+# a later one on a derived array
+_FINITE_CHECKS = {
+    "Signal": (NumericError, "samples", (2, 5), lambda a: Signal(a, 0.1)),
+    "Signal._own": (NumericError, "samples", (2, 5), lambda a: Signal._own(a, 0.1)),
+    "Kernel": (NumericError, "taps", (3, 2, 2), lambda a: Kernel(a, 0.1)),
+    **{f"MaskSet.{name}": (NumericError, f"mask member {name} ", shape,
+                           lambda a, name=name: _ones_masks(**{name: a}))
+       for name, shape in _MASK_SHAPES.items()},
+    "encode_inputs": (NumericError, "xs", (4, 2), lambda a: encode_inputs(a, _ones_masks())),
+    "encode_output_errors": (NumericError, "errs", (4, 2),
+                             lambda a: encode_output_errors(a, _ones_masks())),
+    "SequenceDataset.inputs": (ConfigurationError, "dataset", (4, 2),
+                               lambda a: SequenceDataset(a, np.ones((4, 1)), np.ones(4, bool))),
+    "SequenceDataset.targets": (ConfigurationError, "dataset", (4, 1),
+                                lambda a: SequenceDataset(np.ones((4, 2)), a, np.ones(4, bool))),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", sorted(_FINITE_CHECKS))
+def test_non_finite_values_are_rejected_everywhere_they_enter(where, bad):
+    error, names, shape, call = _FINITE_CHECKS[where]
+    call(np.ones(shape))  # the finite array passes
+    arr = np.ones(shape)
+    arr.flat[-1] = bad
+    with pytest.raises(error, match=f"^{names}.*non-finite"):
+        call(arr)
