@@ -264,9 +264,10 @@ def _partitioned_convolve(w: np.ndarray, drive: np.ndarray | None, block: int, g
         # a short last block leaves stale samples after t1 - t0 in the window;
         # by causality they reach only blocks past the end of the trace
         win[:block] = win[block : 2 * block]
-        win[block : block + t1 - t0] = y[t0:t1]
-        if feed is not None:
-            win[block : block + t1 - t0] += feed[t0:t1]
+        if feed is None:
+            win[block : block + t1 - t0] = y[t0:t1]
+        else:
+            np.add(y[t0:t1], feed[t0:t1], out=win[block : block + t1 - t0])
         np.fft.rfft(win, out=spec)
         for p, part in reach:
             acc[(j + p) % n_parts] += spec * part
