@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import os
+import platform
 import sys
 import time
 from dataclasses import dataclass, field
@@ -24,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .errors import ConfigurationError, DivergenceError
 from .gradients import GradCheckConfig, grad_check
 from .masking import MaskSet, masks_to_csv
@@ -270,8 +273,11 @@ def build_experiment(cfg: ConfigFile, seed_override=None) -> Experiment:
 
 
 def cmd_run(args) -> int:
-    exp = build_experiment(ConfigFile.parse(resolve_config_path(args.config)),
-                           seed_override=args.seed)
+    import hashlib  # for the run manifest alone: importing the cli does not load it
+
+    cfg_path = resolve_config_path(args.config)
+    cfg_sha256 = hashlib.sha256(cfg_path.read_bytes()).hexdigest()
+    exp = build_experiment(ConfigFile.parse(cfg_path), seed_override=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -308,6 +314,12 @@ def cmd_run(args) -> int:
         fh.write(f"final_metric_source={eval_note}\n")
         fh.write(f"final_cost={float(log.costs[-1])!r}\n")
         fh.write(f"wall_seconds={wall:.3f}\n")
+        # the manifest: what ran, with how many BLAS threads, on which config
+        fh.write(f"python={platform.python_version()}\nnumpy={np.__version__}\n"
+                 f"echotrain={__version__}\n")
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            fh.write(f"{var}={os.environ.get(var, 'unset')}\n")
+        fh.write(f"config_sha256={cfg_sha256}\n")
     print(f"final_metric={float(final_metric)!r}")
     return 0
 

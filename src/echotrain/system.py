@@ -230,47 +230,45 @@ def _partitioned_convolve(w: np.ndarray, drive: np.ndarray | None, block: int, g
     given, receives each block's feedback sum (w * (feed + y))[t0:t1].
 
     The taps w are cut into partitions of `block` taps; each live (not
-    all-zero) partition is transformed once.  Every emitted block is
-    transformed once, together with the block before it, and multiplied into
-    a frequency-domain accumulator for each later block it reaches; a block's
-    feedback sum is one inverse transform of its accumulator.  w must vanish
-    below lag `block` (the caller's block is the first live lag), so each
-    block's feedback is complete before the block is emitted.  The transforms
-    are numpy.fft's, of length _fast_len(2 * block); each block's two
-    transforms write into preallocated buffers.
+    all-zero) partition is transformed once.  w must vanish below lag `block`
+    (the caller's block is the first live lag), so each block's feedback is
+    complete before the block is emitted.  Every emitted block is transformed
+    once, after the N - block samples before it, and multiplied into a
+    frequency-domain accumulator for each later block it reaches; a block's
+    feedback sum is one inverse transform of its accumulator, read at
+    [N - block, N).  With the live taps at offsets below `span` within their
+    partitions, that read is free of circular wrap for N = _fast_len(block +
+    span) (numpy.fft's transforms): _fast_len(2 * block) at most.
     """
     n = (feed if drive is None else drive).size
     y = np.zeros(n)
     nz = np.flatnonzero(w[:n])  # taps at lags >= n never reach the output
-    w = w[: nz[-1] + 1] if nz.size else w[:0]
-    n_parts = max(1, -(-w.size // block))
-    parts = np.zeros((n_parts, block))
-    parts.ravel()[: w.size] = w
+    part, offset = np.divmod(nz, block)
+    parts = np.zeros((1 + part.max(initial=0), block))
+    parts[part, offset] = w[nz]
+    nfft = _fast_len(block + 1 + int(offset.max(initial=0)))  # block + span
+    keep = nfft - block  # the window: [last keep samples before the block | block]
     live = np.flatnonzero((parts != 0.0).any(axis=1))
-    nfft = _fast_len(2 * block)
-    # (partition index, spectrum) of each live partition
-    reach = list(zip(live.tolist(), np.fft.rfft(parts[live], nfft)))
-    acc = np.zeros((n_parts, nfft // 2 + 1), dtype=complex)  # ring: block j in slot j % n_parts
-    win = np.zeros(nfft)  # [previous block | current block | zero pad]
-    spec, back = np.empty(nfft // 2 + 1, dtype=complex), np.empty(nfft)
+    reach = list(zip(live.tolist(), np.fft.rfft(parts[live], nfft)))  # (index, spectrum)
+    acc = np.zeros((len(parts), nfft // 2 + 1), dtype=complex)  # block j's slot: j % len(acc)
+    win, spec, back = np.zeros(nfft), np.empty(nfft // 2 + 1, dtype=complex), np.empty(nfft)
     for j, t0 in enumerate(range(0, n, block)):
         t1 = min(t0 + block, n)
-        slot = j % n_parts
-        fb = np.fft.irfft(acc[slot], nfft, out=back)[block : block + t1 - t0]
+        fb = np.fft.irfft(acc[j % len(acc)], nfft, out=back)[keep : keep + t1 - t0]
         if sums is not None:
             sums[t0:t1] = fb
         y[t0:t1] = gate(fb if drive is None else drive[t0:t1] + fb, t0, t1)
-        acc[slot] = 0.0
-        # a short last block leaves stale samples after t1 - t0 in the window;
+        acc[j % len(acc)] = 0.0
+        # a short last block leaves stale samples after it in the window;
         # by causality they reach only blocks past the end of the trace
-        win[:block] = win[block : 2 * block]
+        win[:keep] = win[block:]
         if feed is None:
-            win[block : block + t1 - t0] = y[t0:t1]
+            win[keep : keep + t1 - t0] = y[t0:t1]
         else:
-            np.add(y[t0:t1], feed[t0:t1], out=win[block : block + t1 - t0])
+            np.add(y[t0:t1], feed[t0:t1], out=win[keep : keep + t1 - t0])
         np.fft.rfft(win, out=spec)
-        for p, part in reach:
-            acc[(j + p) % n_parts] += spec * part
+        for p, part_spec in reach:
+            acc[(j + p) % len(acc)] += spec * part_spec
     return y
 
 

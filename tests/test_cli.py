@@ -1,10 +1,14 @@
 import contextlib
+import hashlib
 import inspect
 import io
+import os
+import platform
 
 import numpy as np
 import pytest
 
+import echotrain
 from echotrain.cli import (
     SCHEMA,
     ConfigFile,
@@ -103,7 +107,9 @@ def test_unknown_subcommand_usage_exit():
     assert main(["frobnicate"]) == 2
 
 
-def test_run_writes_artifacts(tmp_path):
+def test_run_writes_artifacts(tmp_path, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     cfg = write_cfg(tmp_path, SMOKE + "eval.instances = 50\n")
     out = tmp_path / "out"
     rc = main(["run", "--config", str(cfg), "--out", str(out)])
@@ -116,6 +122,14 @@ def test_run_writes_artifacts(tmp_path):
     summary = (out / "summary.txt").read_text()
     assert "final_metric=" in summary
     assert "metric=nrmse" in summary
+    # the run manifest: versions, BLAS thread variables as set, config hash
+    fields = dict(line.split("=", 1) for line in summary.splitlines())
+    assert fields["python"] == platform.python_version()
+    assert fields["numpy"] == np.__version__
+    assert fields["echotrain"] == echotrain.__version__
+    assert (fields["OMP_NUM_THREADS"], fields["MKL_NUM_THREADS"]) == ("3", "unset")
+    assert fields["OPENBLAS_NUM_THREADS"] == os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    assert fields["config_sha256"] == hashlib.sha256(cfg.read_bytes()).hexdigest()
 
 
 def test_run_byte_identical_reruns(tmp_path):

@@ -88,11 +88,13 @@ def test_every_private_definition_is_used_in_the_package():
     assert not unused, "private definitions nothing in the package uses: " + ", ".join(unused)
 
 
-def scipy_modules_after(code):
-    """The scipy modules loaded once `code` has run in a fresh interpreter."""
+def heavy_modules_after(code):
+    """The scipy and numpy.ma modules loaded once `code` has run in a fresh
+    interpreter.  numpy.ma is about 1 MB of peak RSS, and numpy loads it on
+    first use of some functions (np.unique among them)."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p))
-    code += "\nimport sys\nprint(*(m for m in sys.modules if m.startswith('scipy')))"
+    code += "\nimport sys\nprint(*(m for m in sys.modules if m.startswith(('scipy', 'numpy.ma.'))))"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -101,15 +103,16 @@ def scipy_modules_after(code):
 
 def test_importing_the_package_loads_no_scipy():
     # scipy.signal and scipy.stats took most of a run's start-up time and memory
-    assert scipy_modules_after("import echotrain, echotrain.cli") == set()
+    assert heavy_modules_after("import echotrain, echotrain.cli") == set()
 
 
 def test_every_bundled_run_loads_no_scipy():
     # the package's runtime needs numpy alone: building every config, an
     # optical_labels iteration (its label quantiles) and a 40 kHz forward and
     # backward pass (on the partitioned FFT engine: test_system's
-    # test_feedback_path_follows_block_times_live_lags) load no scipy
-    loaded = scipy_modules_after("""
+    # test_feedback_path_follows_block_times_live_lags) load no scipy, and
+    # no numpy.ma either
+    loaded = heavy_modules_after("""
 from dataclasses import replace
 import numpy as np
 from echotrain.cli import ConfigFile, build_experiment, bundled_config_names, resolve_config_path

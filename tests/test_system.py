@@ -580,8 +580,8 @@ def test_long_scalar_plant_adjoint_identity_on_fft_path():
 
 
 def test_engine_transform_length_is_scipy_next_fast_len():
-    # the engine's transform length, and with it its numerics, stays the one
-    # it had on scipy.fft; scipy is a test-only reference
+    # _fast_len is the engine's rounding of a transform length up to pocketfft's
+    # fast sizes; scipy is a test-only reference
     from scipy.fft import next_fast_len
 
     assert [system_mod._fast_len(n) for n in range(1, 20_001)] == \
@@ -684,6 +684,82 @@ def test_shared_tube_adjoint_identity(monkeypatch, n_state, path):
     lhs = inner(forward(sys, s).o, y)
     rhs = inner(s, backward(sys, forward(sys, s), y).e_s)
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
+
+
+# The engine transforms N = _fast_len(B + span) points, span = 1 + the largest
+# offset of a live tap within its partition (lag mod B).  Each geometry gives
+# another N: (block B, live runs as (first lag, taps), N)
+ENGINE_GEOMETRIES = {
+    "first_taps_only": (24, ((24, 1), (48, 1), (96, 1), (120, 1)), 25),  # span 1
+    "last_tap_reached": (7, ((7, 3), (20, 1), (29, 2)), 15),  # span 7 = B: _fast_len(2B)
+    "mid_partition_runs": (40, ((40, 6), (126, 6), (212, 6)), 60),  # offsets 0, 6, 12: span 18
+}
+
+
+def transform_lengths(monkeypatch):
+    """Record the engine's transform length of every call."""
+    fast_len, lengths = system_mod._fast_len, []
+
+    def spy(n):
+        lengths.append(fast_len(n))
+        return lengths[-1]
+
+    monkeypatch.setattr(system_mod, "_fast_len", spy)
+    return lengths
+
+
+@pytest.mark.parametrize("trace", ["multiple", "ragged", "below_block"])
+@pytest.mark.parametrize("geometry", ENGINE_GEOMETRIES)
+def test_engine_transform_length_follows_live_span(monkeypatch, geometry, trace):
+    # one tube as W_sa and W_aa: forward feeds s, backward reads the sums
+    block, runs, nfft = ENGINE_GEOMETRIES[geometry]
+    n = {"multiple": 10 * block, "ragged": 10 * block + 3, "below_block": block - 5}[trace]
+    if n < block:  # no tap is live: the block is the trace, the span 1
+        nfft = system_mod._fast_len(n + 1)
+    rng, dt = np.random.default_rng(73), 0.5
+    taps = np.zeros((runs[-1][0] + runs[-1][1], 1, 1))
+    for first, width in runs:
+        taps[first : first + width] = rng.standard_normal((width, 1, 1))
+    taps *= 0.8 / (dt * np.sum(np.abs(taps)))  # loop gain 0.8: a stable plant
+    tube = Kernel(taps, dt)
+    sys = PhysicalSystem(tube, tube, Kernel(rng.standard_normal((2, 1, 1)), dt),
+                         Kernel(rng.standard_normal((2, 1, 1)), dt), NONLINEARITIES["clip"])
+    blocks, lengths = on_path(monkeypatch, "engine"), transform_lengths(monkeypatch)
+    s = Signal(2.0 * rng.standard_normal((1, n)), dt)
+    e_o = Signal(rng.standard_normal((1, n)), dt)
+    tr = forward(sys, s)
+    bw = backward(sys, tr, e_o)
+    assert (blocks, lengths) == ([min(n, block)] * 2, [nfft] * 2)
+    taps = (sys.w_sa.taps, sys.w_aa.taps, sys.w_so.taps, sys.w_ao.taps)
+    a, o, jac = plant_forward_naive(*taps, dt, naive_f(sys.f), s.samples)
+    e_a, e_s = plant_backward_naive(*taps, dt, jac, e_o.samples)
+    np.testing.assert_array_equal(tr.jac, jac)
+    for fast, slow in ((tr.a, a), (tr.o, o), (bw.e_a, e_a), (bw.e_s, e_s)):
+        np.testing.assert_allclose(fast.samples, slow, rtol=0,
+                                   atol=1e-11 * np.max(np.abs(slow)))
+
+
+def test_bundled_40khz_tube_engine_matches_direct(monkeypatch):
+    # the tube's three echo runs of 101 taps sit at partition offsets 0, 96
+    # and 188 of B = 652: span 289, so the engine transforms 960 points
+    plant = build_experiment(ConfigFile.parse(
+        resolve_config_path("acoustic_delay_task_40khz"))).system
+    assert plant.w_aa.nonzero_lags()[0] == 652
+    rng, n = np.random.default_rng(74), 12 * 652 + 5
+    s = Signal(rng.standard_normal((1, n)), plant.dt)
+    e_o = Signal(rng.standard_normal((1, n)), plant.dt)
+    lengths = transform_lengths(monkeypatch)
+    tr = forward(plant, s)
+    bw = backward(plant, tr, e_o)
+    assert lengths == [960, 960]
+    monkeypatch.setattr(system_mod, "_FFT_MIN_FEEDBACK_MACS", np.inf)
+    tr_d = forward(plant, s)
+    bw_d = backward(plant, tr_d, e_o)
+    assert lengths == [960, 960]  # the direct path makes no transform
+    np.testing.assert_array_equal(tr.jac, tr_d.jac)
+    for fast, slow in ((tr.a, tr_d.a), (tr.o, tr_d.o), (bw.e_a, bw_d.e_a), (bw.e_s, bw_d.e_s)):
+        np.testing.assert_allclose(fast.samples, slow.samples, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(slow.samples)))
 
 
 def test_bundled_plants_take_their_path(monkeypatch):
