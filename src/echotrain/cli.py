@@ -345,12 +345,10 @@ def cmd_reduce_check(args) -> int:
     mlp_err = mlp_equivalence_suite(args.instances, rng)
     fwd_err, grad_err = rnn_equivalence_suite(args.instances, rng)
     ok = mlp_err < tol and fwd_err < tol and grad_err < tol
-    print(f"mlp forward equivalence   max_abs_err {mlp_err:.3e}  "
-          f"{'pass' if mlp_err < tol else 'FAIL'}")
-    print(f"rnn forward equivalence   max_abs_err {fwd_err:.3e}  "
-          f"{'pass' if fwd_err < tol else 'FAIL'}")
-    print(f"rnn bptt gradient match   max_rel_err {grad_err:.3e}  "
-          f"{'pass' if grad_err < tol else 'FAIL'}")
+    for label, err in (("mlp forward equivalence   max_abs_err", mlp_err),
+                       ("rnn forward equivalence   max_abs_err", fwd_err),
+                       ("rnn bptt gradient match   max_rel_err", grad_err)):
+        print(f"{label} {err:.3e}  {'pass' if err < tol else 'FAIL'}")
     print(f"overall: {'pass' if ok else 'FAIL'} ({args.instances} instances per suite)")
     return 0 if ok else FAIL_EXIT
 

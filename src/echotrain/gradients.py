@@ -29,9 +29,9 @@ from .masking import (
     input_mask_gradient,
     output_mask_gradient,
 )
-from .signal import Kernel, Signal, convolve
+from .signal import Kernel, Signal, _convolve_stack, convolve
 from .system import (BackwardTrace, ForwardTrace, Nonlinearity, PhysicalSystem, _activate,
-                     _causal_feedback, backward, forward, output_map)
+                     _causal_feedback, backward, forward)
 
 KERNEL_BLOCKS = ("w_sa", "w_aa", "w_so", "w_ao")
 MASK_BLOCKS = ("m", "s_b", "u", "y_b")
@@ -252,16 +252,10 @@ def _kink_margin(sys: PhysicalSystem, s: Signal) -> float:
     return float(min(np.min(np.abs(pre - sys.f.lo)), np.min(np.abs(pre - sys.f.hi))))
 
 
-def pipeline_cost(sys: PhysicalSystem, masks: MaskSet, s: Signal, targets,
-                  a: Signal | None = None) -> float:
+def pipeline_cost(o: Signal, masks: MaskSet, targets) -> float:
     """Quadratic end-to-end cost 0.5 sum_i |y_i - t_i|^2 (the grad_check cost)
-    of the encoded input s = encode_inputs(xs, masks).
-
-    a, if given, is the state trace forward(sys, s).a of a noise-free plant;
-    only the output map then runs, and the cost is bit for bit that of the
-    full forward run.  Changing an OUTPUT_SIDE block keeps a.
-    """
-    o = forward(sys, s).o if a is None else Signal._own(output_map(sys, s, a), s.dt)
+    of the output trace o, decoded through masks.  The cost of a plant on the
+    encoded input s is pipeline_cost(forward(sys, s).o, masks, targets)."""
     ys = decode_outputs(o, masks)
     return 0.5 * float(np.sum((ys - np.asarray(targets)) ** 2))
 
@@ -298,17 +292,23 @@ def _non_reciprocal(sys: PhysicalSystem) -> PhysicalSystem:
     return sys
 
 
-def _probe_states(sys: PhysicalSystem, name: str, probes: list) -> list:
-    """forward(plant, s).a of each noise-free probe (plant, masks, s) of the
-    state-side block name, as one batched recursion: the w_aa probes share one
-    drive w_sa * s, the others share w_aa."""
-    one_drive = name == "w_aa"
-    taps = (np.stack([plant.w_aa.taps for plant, _, _ in probes]) if one_drive
-            else sys.w_aa.taps[None])
-    drive = np.stack([convolve(plant.w_sa, s).samples
-                      for plant, _, s in (probes[:1] if one_drive else probes)])
-    a = _causal_feedback(taps, sys.dt, drive, lambda x_blk, t0, t1: _activate(sys.f, x_blk))
-    return [Signal._own(a_p, sys.dt) for a_p in a]
+def _probe_outputs(sys: PhysicalSystem, masks: MaskSet, xs, s: Signal, a: Signal,
+                   name: str, w: np.ndarray):
+    """The clean outputs (P, n_out, n) of the P probes that set block name to
+    w[p], and the masks each decodes through.  Kernel probes are stacked taps
+    on the plant's input s; only mask probes build a MaskSet.  The state-side
+    ones run one batched recursion, the output-side ones keep the state a."""
+    taps = {k: w if k == name else getattr(sys, k).taps[None] for k in KERNEL_BLOCKS}
+    decode = ([masks.replace(**{name: w_p}) for w_p in w] if name in MASK_BLOCKS
+              else [masks] * len(w))
+    x = (np.stack([encode_inputs(xs, pm).samples for pm in decode]) if name in ("m", "s_b")
+         else s.samples[None])
+    state = a.samples[None]
+    if name not in OUTPUT_SIDE:
+        state = _causal_feedback(taps["w_aa"], sys.dt, _convolve_stack(taps["w_sa"], sys.dt, x),
+                                 lambda x_blk, t0, t1: _activate(sys.f, x_blk))
+    o = _convolve_stack(taps["w_so"], sys.dt, x) + _convolve_stack(taps["w_ao"], sys.dt, state)
+    return np.broadcast_to(o, (len(w),) + o.shape[1:]), decode
 
 
 def grad_check(cfg: GradCheckConfig, seed: int, break_adjoint: bool = False) -> GradCheckReport:
@@ -316,11 +316,10 @@ def grad_check(cfg: GradCheckConfig, seed: int, break_adjoint: bool = False) -> 
 
     break_adjoint plays the error back through _non_reciprocal(plant) -- a
     deliberate corruption that must make the check fail (negative control).
-    Forward runs and the FD losses stay on the true plant.  Each probe is one
-    pipeline_cost call on its encoded input and state trace: the input is
-    encoded once per toy, and once more per m or s_b probe, the only blocks it
-    depends on; OUTPUT_SIDE probes share the toy's own state, the others' come
-    from one batched recursion per chunk (_probe_states).
+    Forward runs and the FD losses stay on the true plant.  A chunk of probes
+    runs as one stacked computation (_probe_outputs), then each probe is one
+    pipeline_cost call on its own output.  The input is encoded once per toy,
+    and once more per m or s_b probe, the only blocks it depends on.
     """
     rng = np.random.default_rng(seed)
     worst = {name: 0.0 for name in ALL_BLOCKS}
@@ -329,29 +328,25 @@ def grad_check(cfg: GradCheckConfig, seed: int, break_adjoint: bool = False) -> 
         grads = pipeline_gradients(sys, masks, xs, targets,
                                    medium=_non_reciprocal(sys) if break_adjoint else None)
         s0 = encode_inputs(xs, masks)
-        state = forward(sys, s0).a
+        a0 = forward(sys, s0).a
         for name in ALL_BLOCKS:
             full = getattr(sys, name).taps if name in KERNEL_BLOCKS else getattr(masks, name)
-            lag0 = int(name == "w_aa")  # w_aa tap 0 is pinned to zero by strict causality
-
-            def probe(w):
-                if name in KERNEL_BLOCKS:
-                    return sys.with_kernel(name, w), masks, s0
-                pm = masks.replace(**{name: w})
-                return sys, pm, encode_inputs(xs, pm) if name in ("m", "s_b") else s0
+            pinned = full[: int(name == "w_aa")].ravel()  # w_aa tap 0: zero by strict causality
 
             def losses(points):
-                probes = [probe(np.concatenate((full[:lag0].ravel(), flat)).reshape(full.shape))
-                          for flat in points]
-                states = ([state] * len(probes) if name in OUTPUT_SIDE
-                          else _probe_states(sys, name, probes))
-                return _map(lambda job: pipeline_cost(*job[0], targets, job[1]),
-                            zip(probes, states), cfg.threads)
+                w = np.concatenate((np.tile(pinned, (len(points), 1)), points), axis=1)
+                outs, decode = _probe_outputs(sys, masks, xs, s0, a0, name,
+                                              w.reshape((-1,) + full.shape))
+                return _map(lambda p: pipeline_cost(Signal._own(outs[p], sys.dt), decode[p],
+                                                    targets), range(len(w)), cfg.threads)
 
-            # a probe holds a few copies of its block, w_aa, drive and state
-            probe_bytes = 32 * (full.size + sys.w_aa.taps.size + state.samples.size)
-            fd = _central_differences(full[lag0:].ravel(), cfg.eps, probe_bytes, losses)
-            worst[name] = max(worst[name], relative_error(grads[name][lag0:], fd))
+            # a probe's block (point, stacked, MaskSet copy), output traces (w_so * s,
+            # w_ao * a, sum), drive, state and recursion buffer, and input (m, s_b)
+            rows = (3 * sys.n_outputs + 3 * sys.n_state * (name not in OUTPUT_SIDE)
+                    + sys.n_inputs * (name in ("m", "s_b")))
+            probe_bytes = 8 * (3 * full.size + rows * s0.n_samples)
+            fd = _central_differences(full.ravel()[pinned.size:], cfg.eps, probe_bytes, losses)
+            worst[name] = max(worst[name], relative_error(grads[name].ravel()[pinned.size:], fd))
 
     report = GradCheckReport(threshold=cfg.threshold)
     for name in ALL_BLOCKS:

@@ -20,6 +20,13 @@ from .signal import Kernel
 from .system import BackwardPath, NoiseModel, Nonlinearity, PhysicalSystem
 
 
+def _bound_taps(count: int, *fields: str) -> None:
+    """Refuse a plant of over 1 GiB of dense float64 taps before any is allocated."""
+    if 8 * count > 1 << 30:
+        raise ConfigurationError(f"{' and '.join(fields)} ask for {8 * count / 2**30:.3g} GiB "
+                                 "of dense taps, over the 1 GiB bound", *fields)
+
+
 @dataclass(frozen=True)
 class TubeParams:
     """Speaker-tube-microphone model parameters (defaults: 6 m tube, 40 kHz)."""
@@ -50,6 +57,7 @@ class TubeParams:
         if self.filter_taps < 1:
             raise ConfigurationError(f"filter_taps must be >= 1, got {self.filter_taps}",
                                      "filter_taps")
+        _bound_taps(self.kernel_len + self.filter_taps, "kernel_len", "filter_taps")
         arrival = self.length_m / self.speed_of_sound * self.sample_rate
         if not 0.5 <= arrival < np.inf:  # else every echo lands on lag 1, or none fits
             raise ConfigurationError(
@@ -198,6 +206,8 @@ class OpticalParams:
                 "weight_bound")
         if self.delay_samples < 1:
             raise ConfigurationError("delay must be at least one sample", "delay_samples")
+        # W at lags 0..delay, and the identity w_sa and w_ao beside the zero w_so
+        _bound_taps(self.n_nodes ** 2 * (self.delay_samples + 4), "n_nodes", "delay_samples")
         NoiseModel(self.snr_db)  # checks snr_db even when the noise is switched off
         if not (0.0 < self.backward_error_scale <= 1.0):
             raise ConfigurationError("backward_error_scale must lie in (0, 1]",

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
+from .gradients import kernel_gradients
 from .signal import Kernel, Signal
-from .system import Nonlinearity, PhysicalSystem, forward
+from .system import Nonlinearity, PhysicalSystem, apply_nonlinearity, backward, forward
 
 
 @dataclass(frozen=True)
@@ -51,18 +52,15 @@ class DenseRNN:
     period: int = 1  # samples per state update
 
     def __post_init__(self):
-        w_s = np.asarray(self.w_s, dtype=np.float64)
-        w_a = np.asarray(self.w_a, dtype=np.float64)
-        w_o = np.asarray(self.w_o, dtype=np.float64)
+        for name in ("w_s", "w_a", "w_o"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        w_s, w_a, w_o = self.w_s, self.w_a, self.w_o
         if w_a.shape[0] != w_a.shape[1]:
             raise DimensionError("W_a must be square")
         if w_s.shape[0] != w_a.shape[0] or w_o.shape[1] != w_a.shape[0]:
             raise DimensionError("RNN weight shapes inconsistent")
         if self.period < 1:
             raise ConfigurationError("period must be at least one sample")
-        object.__setattr__(self, "w_s", w_s)
-        object.__setattr__(self, "w_a", w_a)
-        object.__setattr__(self, "w_o", w_o)
 
 
 def build_mlp_system(net: DenseNet, dt: float = 1.0) -> PhysicalSystem:
@@ -154,8 +152,6 @@ def rnn_state_trajectory(rnn: DenseRNN, xs: np.ndarray, dt: float = 1.0):
 
 
 def _dense_mlp_reference(weights, f: Nonlinearity, x):
-    from .system import apply_nonlinearity
-
     h = np.asarray(x, dtype=np.float64)
     for W in weights[:-1]:
         h, _ = apply_nonlinearity(f, W @ h)
@@ -182,8 +178,6 @@ def mlp_equivalence_suite(instances: int, rng: np.random.Generator,
 
 def _dense_rnn_reference(rnn: DenseRNN, xs, e_os=None):
     """Dense forward (and BPTT when e_os given), independent of the plant."""
-    from .system import apply_nonlinearity
-
     T = len(xs)
     n = rnn.w_a.shape[0]
     hs = np.zeros((T, n))
@@ -211,9 +205,6 @@ def _dense_rnn_reference(rnn: DenseRNN, xs, e_os=None):
 def rnn_equivalence_suite(instances: int, rng: np.random.Generator,
                           max_units: int = 6, max_len: int = 40):
     """(max forward err, max gradient err) of the plant vs dense RNN + BPTT."""
-    from .gradients import kernel_gradients
-    from .system import backward
-
     worst_fwd, worst_grad = 0.0, 0.0
     for _ in range(instances):
         n_units = int(rng.integers(1, max_units + 1))

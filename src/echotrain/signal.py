@@ -143,18 +143,29 @@ def _check_pair(kernel: Kernel, x: Signal, expect_cols: bool):
         raise ConfigurationError(f"dt mismatch: kernel {kernel.dt} vs signal {x.dt}")
 
 
+def _convolve_stack(taps: np.ndarray, dt: float, x: np.ndarray, lags=None) -> np.ndarray:
+    """convolve over stacks, taps (P|1, L, r, c) and x (P|1, c, n): one product
+    per lag live in any item (lags, ascending, if known).  A lag all zero in an
+    item adds exact zeros there, and numpy makes each item's product the BLAS
+    call of a lone one, so each item is bit for bit its own convolve."""
+    n = x.shape[2]
+    if lags is None:
+        lags = np.flatnonzero((taps != 0.0).any(axis=(0, 2, 3)))
+    y = np.zeros((max(len(taps), len(x)), taps.shape[2], n))
+    for k in lags.tolist():  # int slices are cheaper than np.int64 ones
+        if k >= n:
+            break
+        y[:, :, k:] += taps[:, k] @ x[:, :, : n - k]
+    y *= dt
+    return y
+
+
 def convolve(kernel: Kernel, x: Signal) -> Signal:
     """Causal discrete convolution y[i] = dt * sum_k W[k] @ x[i-k]: one product
     per live lag."""
     _check_pair(kernel, x, expect_cols=True)
-    n, xs = x.n_samples, x.samples
-    y = np.zeros((kernel.rows, n))
-    for k in kernel.nonzero_lags().tolist():  # int slices are cheaper than np.int64 ones
-        if k >= n:
-            break
-        y[:, k:] += kernel.taps[k] @ xs[:, : n - k]
-    y *= kernel.dt
-    return Signal._own(y, x.dt)
+    y = _convolve_stack(kernel.taps[None], kernel.dt, x.samples[None], kernel.nonzero_lags())
+    return Signal._own(y[0], x.dt)
 
 
 def adjoint_convolve(kernel: Kernel, e: Signal) -> Signal:

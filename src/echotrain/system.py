@@ -350,7 +350,7 @@ def forward(sys: PhysicalSystem, s: Signal, rng: np.random.Generator | None = No
                                      lambda x_blk, t0, t1: _activate(f, x_blk),
                                      feed=s.samples[None] if one else None)[0], s.dt)
     jac = _jacobian(f, a.samples)
-    o = output_map(sys, s, a)
+    o = convolve(sys.w_so, s).samples + convolve(sys.w_ao, a).samples
 
     if sys.noise is not None and sys.noise.on_forward:
         if rng is None:
@@ -364,11 +364,6 @@ def forward(sys: PhysicalSystem, s: Signal, rng: np.random.Generator | None = No
 def _one_tube(sys: PhysicalSystem) -> bool:
     """Whether W_sa and W_aa are one kernel, as the acoustic loop's tube is."""
     return sys.w_sa is sys.w_aa or np.array_equal(sys.w_sa.taps, sys.w_aa.taps)
-
-
-def output_map(sys: PhysicalSystem, s: Signal, a: Signal) -> np.ndarray:
-    """The clean output o = W_so * s + W_ao * a of input s and state trace a."""
-    return convolve(sys.w_so, s).samples + convolve(sys.w_ao, a).samples
 
 
 def _add_noise(noise: NoiseModel, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -5,12 +5,18 @@ The two end-to-end training criteria (4, 5) carry the `slow` marker; the full
 suite including them is the shipping gate.
 """
 
+import os
+import subprocess
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import binomtest
 
+import echotrain
 from echotrain.cli import main as cli_main
 from echotrain.gradients import (
     GradCheckConfig,
@@ -100,16 +106,30 @@ def read_final_metric(path):
     raise AssertionError(f"no final_metric in {path}")
 
 
+def run_in_workers(names, root, workers=2):
+    """`echotrain run` of each bundled config in its own child process, at most
+    `workers` at a time, BLAS pinned to one thread in each; name -> output dir.
+    The runs are independent, and each writes what a serial run writes."""
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(p for p in (str(Path(echotrain.__file__).parent.parent),
+                                                      os.environ.get("PYTHONPATH")) if p))
+
+    def run(name):
+        cmd = [sys.executable, "-m", "echotrain", "run", "--config", name,
+               "--out", str(root / name)]
+        return subprocess.run(cmd, env=env, timeout=900).returncode
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:  # each thread waits on one child
+        for name, rc in zip(names, pool.map(run, names)):
+            assert rc == 0, f"{name} run failed"
+    return {name: root / name for name in names}
+
+
 @pytest.mark.slow
 def test_criterion_4_acoustic_delay_reproduction(tmp_path):
     t0 = time.perf_counter()
-    outs = {}
-    for name in ("acoustic_delay_task", "acoustic_delay_input_only",
-                 "acoustic_delay_output_only"):
-        out = tmp_path / name
-        rc = cli_main(["run", "--config", name, "--out", str(out)])
-        assert rc == 0, f"{name} run failed"
-        outs[name] = out
+    outs = run_in_workers(("acoustic_delay_task", "acoustic_delay_input_only",
+                           "acoustic_delay_output_only"), tmp_path)
     elapsed = time.perf_counter() - t0
 
     full = read_final_metric(outs["acoustic_delay_task"] / "summary.txt")

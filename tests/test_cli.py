@@ -4,6 +4,9 @@ import inspect
 import io
 import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -345,6 +348,7 @@ train.trainable = m,{tube}
 @pytest.mark.parametrize("base,key,value", [
     ("toy_delay_smoke", "plant.n_echoes", "300000000"),  # kernel_len 40 holds no such echo
     ("toy_delay_smoke", "plant.kernel_len", "10"),
+    ("toy_delay_smoke", "plant.kernel_len", "200000000"),  # 1.5 GiB of taps, over the bound
     ("toy_delay_smoke", "plant.filter_taps", "0"),
     ("toy_delay_smoke", "plant.sample_rate", "nan"),
     ("toy_delay_smoke", "plant.tube_length_m", "0.01"),
@@ -354,6 +358,7 @@ train.trainable = m,{tube}
     ("toy_delay_smoke", "plant.passband_high_hz", "5000"),
     ("optical_labels", "plant.n_nodes", "0"),
     ("optical_labels", "plant.delay_samples", "0"),
+    ("optical_labels", "plant.n_nodes", "5000"),  # 21 GiB of taps, over the bound
     ("optical_labels", "plant.weight_bound", "nan"),
     ("optical_labels", "plant.weight_scale", "nan"),
     ("optical_labels", "plant.snr_db", "5000"),
@@ -399,6 +404,24 @@ def test_a_lone_passband_edge_is_named_at_its_line(tmp_path, capsys, edge, other
     assert f"usage error: {path}:{line}: give both or neither passband edge" in err
 
 
+def test_a_plant_too_large_for_memory_exits_two_under_an_address_space_limit(tmp_path):
+    # 5000 nodes ask Kernel.delta for 22 GB: refused before any allocation,
+    # in a child process whose address space alone is capped at 3 GiB
+    pytest.importorskip("resource")  # POSIX only
+    path, line = mutated(tmp_path, "optical_labels", "plant.n_nodes", "5000")
+    code = (f"import resource, sys\nresource.setrlimit(resource.RLIMIT_AS, ({3 << 30}, {3 << 30}))\n"
+            "from echotrain.cli import main\nsys.exit(main(sys.argv[1:]))")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(echotrain.__file__).parent.parent), os.environ.get("PYTHONPATH"))
+        if p))
+    proc = subprocess.run([sys.executable, "-c", code, "run", "--config", str(path),
+                           "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert f"{path}:{line}" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_every_schema_key_sets_a_parameter_of_its_owner():
     for key, (owner, name) in SCHEMA.items():
         assert name in inspect.signature(owner).parameters, key
@@ -437,9 +460,10 @@ def test_damaged_config_builds_or_names_its_file(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     bases = {name: resolve_config_path(name).read_text().splitlines()
              for name in bundled_config_names()}
-    # an n_nodes x n_nodes mixing matrix at every lag up to the fibre delay: a
-    # large node count is a real request for gigabytes, not a parser defect
-    caps = {"plant.n_nodes": 64}
+    # an n_nodes x n_nodes mixing matrix at every lag up to the fibre delay:
+    # below the tap bound (1 GiB) a large node count is a real request for
+    # memory, so the draws stop where a build still takes tens of MB
+    caps = {"plant.n_nodes": 256}
 
     @st.composite
     def mutation(draw):

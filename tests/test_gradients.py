@@ -1,17 +1,20 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from echotrain import gradients as gradients_mod
+from echotrain import training
+from echotrain.cli import ConfigFile, build_experiment, bundled_config_names, resolve_config_path
 from echotrain.errors import ConfigurationError, NumericError
 from echotrain.gradients import (
     ALL_BLOCKS,
     KERNEL_BLOCKS,
     MASK_BLOCKS,
-    OUTPUT_SIDE,
     GradCheckConfig,
-    _probe_states,
+    _non_reciprocal,
+    _probe_outputs,
     finite_difference_gradient,
     grad_check,
     kernel_gradients,
@@ -20,9 +23,9 @@ from echotrain.gradients import (
     random_toy_pipeline,
     relative_error,
 )
-from echotrain.masking import decode_outputs, encode_inputs, encode_output_errors
+from echotrain.masking import decode_outputs, encode_inputs, encode_output_errors, init_masks
 from echotrain.signal import Kernel, Signal
-from echotrain.system import Nonlinearity, PhysicalSystem, backward, forward
+from echotrain.system import Nonlinearity, PhysicalSystem, _one_tube, backward, forward
 
 from oracles import fd_gradient, rel_err
 
@@ -79,7 +82,7 @@ def test_kernel_gradients_match_fd_on_random_system():
         def loss(flat, _n=name, _full=kern.taps, _lag0=lag0):
             taps = _full.copy()
             taps[_lag0:] = flat.reshape(taps[_lag0:].shape)
-            return pipeline_cost(sys.with_kernel(_n, taps), masks, s, targets)
+            return pipeline_cost(forward(sys.with_kernel(_n, taps), s).o, masks, targets)
 
         fd = fd_gradient(loss, kern.taps[lag0:].ravel(), eps=1e-5)
         assert rel_err(bundle[name][lag0:].ravel(), fd) < 1e-5, name
@@ -148,66 +151,30 @@ def test_grad_check_broken_adjoint_fails():
     assert not report.passed
 
 
-def test_cost_from_the_recorded_state_is_the_full_forward_cost_bit_for_bit():
-    cfg = GradCheckConfig()
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        sys, masks, xs, targets = random_toy_pipeline(cfg, rng)
-        s = encode_inputs(xs, masks)
-        a = forward(sys, s).a
-        assert pipeline_cost(sys, masks, s, targets, a) == pipeline_cost(sys, masks, s, targets)
-        # an output-side change keeps the state: w_so, w_ao, u and y_b all moved
-        moved = sys.with_kernel("w_so", 1.5 * sys.w_so.taps).with_kernel(
-            "w_ao", sys.w_ao.taps - 0.1)
-        masks2 = masks.replace(u=-masks.u, y_b=masks.y_b + 0.2)
-        assert (pipeline_cost(moved, masks2, s, targets, a)
-                == pipeline_cost(moved, masks2, s, targets))
-
-
 @pytest.mark.parametrize("seed", range(20))
-def test_output_side_probes_on_the_recorded_state_equal_full_forward_ones(seed):
-    # the first toy grad_check(GradCheckConfig(), seed) audits
-    cfg = GradCheckConfig()
-    sys, masks, xs, targets = random_toy_pipeline(cfg, np.random.default_rng(seed))
-    s = encode_inputs(xs, masks)
-    a = forward(sys, s).a
-    for name in OUTPUT_SIDE:
-        if name in KERNEL_BLOCKS:
-            ref = getattr(sys, name).taps
-
-            def loss(flat, state, _name=name, _shape=ref.shape):
-                return pipeline_cost(sys.with_kernel(_name, flat.reshape(_shape)),
-                                     masks, s, targets, state)
-        else:
-            ref = getattr(masks, name)
-
-            def loss(flat, state, _name=name, _shape=ref.shape):
-                return pipeline_cost(sys, masks.replace(**{_name: flat.reshape(_shape)}),
-                                     s, targets, state)
-
-        reused = finite_difference_gradient(lambda t: loss(t, a), ref.ravel(), cfg.eps)
-        full = finite_difference_gradient(lambda t: loss(t, None), ref.ravel(), cfg.eps)
-        np.testing.assert_array_equal(reused, full)
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_stacked_probe_states_equal_the_probe_plants_forward_bit_for_bit(seed):
-    # every state-side probe of the first toy grad_check(GradCheckConfig(), seed)
-    # audits: its state from the batched recursion is its own forward run's
+def test_stacked_probe_outputs_equal_the_probe_plants_forward_bit_for_bit(seed):
+    # every probe of the first toy grad_check(GradCheckConfig(), seed) audits:
+    # its output from the stacked computation is its own plant's forward run's,
+    # and it decodes through its own masks
     cfg = GradCheckConfig()
     sys, masks, xs, _ = random_toy_pipeline(cfg, np.random.default_rng(seed))
-    for name in ("w_sa", "w_aa", "m", "s_b"):
+    s = encode_inputs(xs, masks)
+    a = forward(sys, s).a
+    for name in ALL_BLOCKS:
         full = getattr(sys, name).taps if name in KERNEL_BLOCKS else getattr(masks, name)
         probes = []
         for j in range(int(name == "w_aa") * full[0].size, full.size):
             for step in (cfg.eps, -cfg.eps):
                 moved = full.copy()
                 moved.flat[j] += step
-                plant, pm = ((sys.with_kernel(name, moved), masks) if name in KERNEL_BLOCKS
-                             else (sys, masks.replace(**{name: moved})))
-                probes.append((plant, pm, encode_inputs(xs, pm)))
-        for (plant, pm, _), state in zip(probes, _probe_states(sys, name, probes)):
-            assert np.array_equal(state.samples, forward(plant, encode_inputs(xs, pm)).a.samples)
+                probes.append(moved)
+        outs, decode = _probe_outputs(sys, masks, xs, s, a, name, np.stack(probes))
+        assert len(outs) == len(decode) == len(probes)
+        for w, o, pm in zip(probes, outs, decode):
+            plant, own = ((sys.with_kernel(name, w), masks) if name in KERNEL_BLOCKS
+                          else (sys, masks.replace(**{name: w})))
+            assert np.array_equal(o, forward(plant, encode_inputs(xs, own)).o.samples), name
+            assert all(np.array_equal(getattr(pm, k), getattr(own, k)) for k in MASK_BLOCKS)
 
 
 def test_grad_check_threads_give_the_serial_report():
@@ -376,3 +343,82 @@ def naive_entries(cfg, seed):
 def test_grad_check_entries_equal_the_naive_reference_exactly(seed):
     cfg = GradCheckConfig(n_systems=2)
     assert grad_check(cfg, seed).entries == naive_entries(cfg, seed)
+
+
+def directional_misses(name, backward_medium=None):
+    """Block -> worst |fd - <g, v>| / |g| on the first batch of bundled config
+    name, noise and backward path off, over the gradient direction and two
+    random unit directions v on each block's live lags.  fd is the central
+    difference of the task cost along v; g is training._batch_gradients'
+    gradient, the error played back through backward_medium(plant) if given.
+    The acoustic tube is w_sa and w_aa at once, so it is perturbed as one
+    kernel, with the sum of their gradients."""
+    exp = build_experiment(ConfigFile.parse(resolve_config_path(name)))
+    plant = replace(exp.system, noise=None, backward_path=None)
+    rng = np.random.default_rng(exp.seed)
+    t = exp.template
+    masks = init_masks(t.n_in, exp.task.dim_x, t.n_out, exp.task.dim_y, t.period, t.dt,
+                       exp.train_cfg.init_std_input_mask, exp.train_cfg.init_std_output_mask,
+                       rng)
+    data = exp.task.sample(exp.train_cfg.batch_len, rng)
+    medium = plant if backward_medium is None else backward_medium(plant)
+    honest = training.backward
+    training.backward = lambda sys, *args: honest(medium, *args)
+    try:
+        _, _, grads = training._batch_gradients(plant, masks, exp.task, data, ALL_BLOCKS, None)
+    finally:
+        training.backward = honest
+
+    tube = _one_tube(plant)
+    blocks = {"tube": (plant.w_sa.taps, grads["w_sa"] + grads["w_aa"])} if tube else {}
+    for block in (("w_so", "w_ao") if tube else KERNEL_BLOCKS) + MASK_BLOCKS:
+        full = getattr(plant, block).taps if block in KERNEL_BLOCKS else getattr(masks, block)
+        blocks[block] = (full, grads[block])
+
+    def cost(block, theta):
+        sys, pm = plant, masks
+        if block == "tube":
+            kern = Kernel(theta, plant.dt)
+            sys = replace(plant, w_sa=kern, w_aa=kern)
+        elif block in KERNEL_BLOCKS:
+            sys = plant.with_kernel(block, theta)
+        else:
+            pm = masks.replace(**{block: theta})
+        ys = decode_outputs(forward(sys, encode_inputs(data.inputs, pm)).o, pm)
+        return exp.task.cost(ys, data)[0]
+
+    worst = {}
+    for block, (full, g) in blocks.items():
+        live = np.zeros(full.shape, dtype=bool)
+        if block in MASK_BLOCKS:
+            live[...] = True
+        else:
+            live[Kernel(full, plant.dt).nonzero_lags()] = True
+        if not live.any():
+            continue  # a kernel with no live lag holds no parameter
+        g = np.where(live, g, 0.0)
+        norm = np.linalg.norm(g)
+        step = 1e-6 * max(1.0, float(np.max(np.abs(full))))
+        worst[block] = 0.0
+        for v in [g / norm] + [np.where(live, rng.standard_normal(full.shape), 0.0)
+                               for _ in range(2)]:
+            v = v / np.linalg.norm(v)
+            fd = finite_difference_gradient(lambda h: cost(block, full + h[0] * v),
+                                            np.zeros(1), eps=step)[0]
+            worst[block] = max(worst[block], abs(fd - float(np.vdot(g, v))) / norm)
+    return worst
+
+
+@pytest.mark.parametrize("name", bundled_config_names())
+def test_training_gradients_match_directional_differences_at_full_scale(name):
+    # the bundled plants at full size: their blocks, the FFT engine (40 kHz),
+    # the one recursion on s + a (every tube) and live-lag tap gradients
+    worst = directional_misses(name)
+    assert worst and max(worst.values()) < 1e-6, worst
+
+
+def test_full_scale_directional_check_fails_on_a_non_reciprocal_backward_run():
+    # negative control; transposing taps changes only a square kernel of more
+    # than one channel, so of the bundled plants only the optical one can break
+    worst = directional_misses("optical_labels", backward_medium=_non_reciprocal)
+    assert max(worst.values()) > 1e-6, worst
