@@ -12,6 +12,7 @@ from echotrain.gradients import (
     ALL_BLOCKS,
     KERNEL_BLOCKS,
     MASK_BLOCKS,
+    OUTPUT_SIDE,
     GradCheckConfig,
     _non_reciprocal,
     _probe_outputs,
@@ -149,6 +150,50 @@ def test_grad_check_broken_adjoint_fails():
     cfg = GradCheckConfig(n_systems=2)
     report = grad_check(cfg, seed=11, break_adjoint=True)
     assert not report.passed
+
+
+def test_cost_from_the_recorded_state_is_the_full_forward_cost_bit_for_bit():
+    cfg = GradCheckConfig()
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        sys, masks, xs, targets = random_toy_pipeline(cfg, rng)
+        s = encode_inputs(xs, masks)
+        a = forward(sys, s).a
+        # an output-side change keeps the state: w_so, w_ao, u and y_b each moved
+        for name, w in (("w_so", 1.5 * sys.w_so.taps), ("w_ao", sys.w_ao.taps - 0.1),
+                        ("u", -masks.u), ("y_b", masks.y_b + 0.2)):
+            outs, decode = _probe_outputs(sys, masks, xs, s, a, name, w[None])
+            plant, own = ((sys.with_kernel(name, w), masks) if name in KERNEL_BLOCKS
+                          else (sys, masks.replace(**{name: w})))
+            assert (pipeline_cost(Signal._own(outs[0], sys.dt), decode[0], targets)
+                    == pipeline_cost(forward(plant, s).o, own, targets)), name
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_output_side_probes_on_the_recorded_state_equal_full_forward_ones(seed):
+    # the first toy grad_check(GradCheckConfig(), seed) audits: the central
+    # differences of its output-side blocks, taken on the recorded state through
+    # the stacked outputs, are those of full forward runs
+    cfg = GradCheckConfig()
+    sys, masks, xs, targets = random_toy_pipeline(cfg, np.random.default_rng(seed))
+    s = encode_inputs(xs, masks)
+    a = forward(sys, s).a
+    for name in OUTPUT_SIDE:
+        ref = getattr(sys, name).taps if name in KERNEL_BLOCKS else getattr(masks, name)
+
+        def reused(flat, _name=name, _shape=ref.shape):
+            outs, decode = _probe_outputs(sys, masks, xs, s, a, _name,
+                                          flat.reshape((1,) + _shape))
+            return pipeline_cost(Signal._own(outs[0], sys.dt), decode[0], targets)
+
+        def full(flat, _name=name, _shape=ref.shape):
+            w = flat.reshape(_shape)
+            plant, own = ((sys.with_kernel(_name, w), masks) if _name in KERNEL_BLOCKS
+                          else (sys, masks.replace(**{_name: w})))
+            return pipeline_cost(forward(plant, s).o, own, targets)
+
+        np.testing.assert_array_equal(finite_difference_gradient(reused, ref.ravel(), cfg.eps),
+                                      finite_difference_gradient(full, ref.ravel(), cfg.eps))
 
 
 @pytest.mark.parametrize("seed", range(20))
