@@ -69,7 +69,6 @@ from .system import (
     NoiseModel,
     Nonlinearity,
     PhysicalSystem,
-    apply_nonlinearity,
     backward,
     forward,
 )

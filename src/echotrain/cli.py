@@ -4,7 +4,6 @@ Subcommands:
     run          train a plant on a task from a config file; writes log.csv,
                  timing.csv, masks.csv, system.txt, summary.txt
     gradcheck    compare physical gradients against finite differences
-    reduce-check verify the dense MLP / RNN equivalence constructions
 
 Configs are flat text files with dotted keys (`plant.kind = acoustic`,
 `train.lr0 = 0.25`); `#` starts a comment.  Bundled configs resolve by bare
@@ -38,7 +37,6 @@ from .models import (
     make_tube_kernel,
     random_optical_weights,
 )
-from .reductions import mlp_equivalence_suite, rnn_equivalence_suite
 from .serialize import load_system, save_system
 from .system import _one_tube
 from .training import (
@@ -251,6 +249,14 @@ def build_experiment(cfg: ConfigFile, seed_override=None) -> Experiment:
     if _one_tube(system) and {"w_sa", "w_aa"} & set(train_cfg.trainable):
         raise UsageError(f"{cfg.where('train.trainable')}: the plant's one tube kernel "
                          "is both w_sa and w_aa; training either would untie them")
+    # a batch's dense float64 traces: the task's draw, then the plant's channels
+    # over batch_len * period samples; refused before the draw allocates them
+    trace_bytes = 8 * train_cfg.batch_len * (task.dim_x + task.dim_y + template.period * (
+        system.n_inputs + system.n_state + system.n_outputs))
+    if trace_bytes > 1 << 30:
+        raise UsageError(f"{cfg.where('train.batch_len')}: train.batch_len = "
+                         f"{train_cfg.batch_len} asks for {trace_bytes / 2**30:.3g} GiB "
+                         "of batch traces, over the 1 GiB bound")
     try:  # one batch from a throwaway generator: the run's own stays untouched
         batch = task.sample(train_cfg.batch_len, np.random.default_rng(0))
         if not batch.cost_mask.any():
@@ -339,31 +345,12 @@ def cmd_gradcheck(args) -> int:
     return 0 if report.passed else FAIL_EXIT
 
 
-def cmd_reduce_check(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    tol = 1e-8
-    mlp_err = mlp_equivalence_suite(args.instances, rng)
-    fwd_err, grad_err = rnn_equivalence_suite(args.instances, rng)
-    ok = mlp_err < tol and fwd_err < tol and grad_err < tol
-    for label, err in (("mlp forward equivalence   max_abs_err", mlp_err),
-                       ("rnn forward equivalence   max_abs_err", fwd_err),
-                       ("rnn bptt gradient match   max_rel_err", grad_err)):
-        print(f"{label} {err:.3e}  {'pass' if err < tol else 'FAIL'}")
-    print(f"overall: {'pass' if ok else 'FAIL'} ({args.instances} instances per suite)")
-    return 0 if ok else FAIL_EXIT
-
-
-def _at_least(minimum):
-    """argparse type of an integer >= minimum."""
-    def parse(text) -> int:
-        val = int(text)
-        if val < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {val}")
-        return val
-    return parse
-
-
-_seed = _at_least(0)  # numpy takes non-negative seeds only
+def _seed(text) -> int:
+    """argparse type of a seed: numpy takes non-negative integers only."""
+    val = int(text)
+    if val < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {val}")
+    return val
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -388,11 +375,6 @@ def make_parser() -> argparse.ArgumentParser:
                       help="negative control: play the error back through a "
                            "non-reciprocal medium")
     p_gc.set_defaults(func=cmd_gradcheck)
-
-    p_rc = sub.add_parser("reduce-check", help="MLP/RNN equivalence suites")
-    p_rc.add_argument("--seed", type=_seed, default=0)
-    p_rc.add_argument("--instances", type=_at_least(1), default=50)  # 0 passes vacuously
-    p_rc.set_defaults(func=cmd_reduce_check)
     return parser
 
 

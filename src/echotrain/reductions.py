@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
-from .gradients import kernel_gradients
 from .signal import Kernel, Signal
-from .system import Nonlinearity, PhysicalSystem, apply_nonlinearity, backward, forward
+from .system import Nonlinearity, PhysicalSystem, forward
 
 
 @dataclass(frozen=True)
@@ -145,96 +144,3 @@ def rnn_state_trajectory(rnn: DenseRNN, xs: np.ndarray, dt: float = 1.0):
     tr = forward(sys, s)
     idx = np.arange(len(np.atleast_2d(xs))) * rnn.period
     return tr.a.samples[:, idx].T, tr.o.samples[:, idx].T
-
-
-# --------------------------------------------------------------------------
-# equivalence suites (randomized checks against independent dense math)
-
-
-def _dense_mlp_reference(weights, f: Nonlinearity, x):
-    h = np.asarray(x, dtype=np.float64)
-    for W in weights[:-1]:
-        h, _ = apply_nonlinearity(f, W @ h)
-    return weights[-1] @ h
-
-
-def mlp_equivalence_suite(instances: int, rng: np.random.Generator,
-                          max_depth: int = 4, max_width: int = 6) -> float:
-    """Max |settled plant output - dense forward| over random nets."""
-    worst = 0.0
-    for _ in range(instances):
-        depth = int(rng.integers(1, max_depth + 1))
-        sizes = [int(rng.integers(1, max_width + 1)) for _ in range(depth + 2)]
-        ws = tuple(rng.standard_normal((sizes[i + 1], sizes[i]))
-                   for i in range(depth + 1))
-        kind = "rectifier" if rng.random() < 0.7 else "identity"
-        net = DenseNet(ws, Nonlinearity(kind))
-        x = rng.standard_normal(sizes[0])
-        expect = _dense_mlp_reference(ws, net.activation, x)
-        got = mlp_settled_output(net, x)
-        worst = max(worst, float(np.max(np.abs(got - expect))) if expect.size else 0.0)
-    return worst
-
-
-def _dense_rnn_reference(rnn: DenseRNN, xs, e_os=None):
-    """Dense forward (and BPTT when e_os given), independent of the plant."""
-    T = len(xs)
-    n = rnn.w_a.shape[0]
-    hs = np.zeros((T, n))
-    jacs = np.zeros((T, n))
-    h = np.zeros(n)
-    for k in range(T):
-        h, j = apply_nonlinearity(rnn.activation, rnn.w_s @ xs[k] + rnn.w_a @ h)
-        hs[k], jacs[k] = h, j
-    os_ = hs @ rnn.w_o.T
-    if e_os is None:
-        return hs, os_, None
-    dW_s = np.zeros_like(rnn.w_s)
-    dW_a = np.zeros_like(rnn.w_a)
-    dW_o = np.zeros_like(rnn.w_o)
-    g_next = np.zeros(n)
-    for k in reversed(range(T)):
-        g = jacs[k] * (rnn.w_o.T @ e_os[k] + rnn.w_a.T @ g_next)
-        dW_o += np.outer(e_os[k], hs[k])
-        dW_s += np.outer(g, xs[k])
-        dW_a += np.outer(g, hs[k - 1] if k else np.zeros(n))
-        g_next = g
-    return hs, os_, (dW_s, dW_a, dW_o)
-
-
-def rnn_equivalence_suite(instances: int, rng: np.random.Generator,
-                          max_units: int = 6, max_len: int = 40):
-    """(max forward err, max gradient err) of the plant vs dense RNN + BPTT."""
-    worst_fwd, worst_grad = 0.0, 0.0
-    for _ in range(instances):
-        n_units = int(rng.integers(1, max_units + 1))
-        dim = int(rng.integers(1, 4))
-        dim_o = int(rng.integers(1, 4))
-        T = int(rng.integers(3, max_len + 1))
-        period = int(rng.integers(1, 4))
-        rnn = DenseRNN(rng.standard_normal((n_units, dim)),
-                       (0.8 / np.sqrt(n_units)) * rng.standard_normal((n_units, n_units)),
-                       rng.standard_normal((dim_o, n_units)),
-                       Nonlinearity.rectifier(), period=period)
-        xs = rng.standard_normal((T, dim))
-        targets = rng.standard_normal((T, dim_o))
-
-        states, outputs = rnn_state_trajectory(rnn, xs)
-        hs, os_, _ = _dense_rnn_reference(rnn, xs)
-        worst_fwd = max(worst_fwd, float(np.max(np.abs(states - hs))),
-                        float(np.max(np.abs(outputs - os_))))
-
-        sys = build_rnn_system(rnn)
-        s = rnn_input_signal(rnn, xs)
-        tr = forward(sys, s)
-        idx = np.arange(T) * period
-        e_os = tr.o.samples[:, idx].T - targets
-        e = np.zeros_like(tr.o.samples)
-        e[:, idx] = e_os.T  # dt = 1: density == per-sample gradient
-        bw = backward(sys, tr, Signal(e, 1.0))
-        g = kernel_gradients(sys, tr, bw, s)
-        _, _, dense = _dense_rnn_reference(rnn, xs, e_os)
-        for got, want in zip((g["w_sa"][0], g["w_aa"][period], g["w_ao"][0]), dense):
-            denom = max(float(np.linalg.norm(want)), 1e-12)
-            worst_grad = max(worst_grad, float(np.linalg.norm(got - want)) / denom)
-    return worst_fwd, worst_grad

@@ -63,14 +63,6 @@ class Nonlinearity:
         return Nonlinearity("identity")
 
 
-def apply_nonlinearity(f: Nonlinearity, x: np.ndarray):
-    """Return (f(x), jac_diag).  jac is 0 at the rectifier origin and at clip
-    boundaries (fixed subgradient choice, keeps reruns deterministic)."""
-    x = np.asarray(x, dtype=np.float64)
-    val = _activate(f, x)
-    return (x.copy() if val is x else val), _jacobian(f, val)
-
-
 def _activate(f: Nonlinearity, x: np.ndarray) -> np.ndarray:
     """f(x) alone, by plain ufuncs; the identity returns x itself."""
     if f.kind == "rectifier":

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per shipping criterion, each printing a
 PASS/FAIL line (run with -s to watch) and enforcing its runtime budget.
 
-The two end-to-end training criteria (4, 5) carry the `slow` marker; the full
-suite including them is the shipping gate.
+The two end-to-end training criteria (4, 5) carry the `slow` marker; their
+four bundled runs start together in one pool of two worker processes.  The
+full suite including them is the shipping gate.
 """
 
 import os
@@ -32,7 +33,6 @@ from echotrain.masking import (
     input_mask_gradient,
 )
 from echotrain.models import OpticalParams, make_optical_system, random_optical_weights
-from echotrain.reductions import mlp_equivalence_suite, rnn_equivalence_suite
 from echotrain.serialize import load_system
 from echotrain.signal import Kernel, Signal, adjoint_convolve, convolve, inner
 from echotrain.system import backward, forward
@@ -41,6 +41,8 @@ from echotrain.training import (
     synthetic_label_task,
     window_means,
 )
+
+from test_reductions import mlp_reduction_error, rnn_reduction_errors
 
 
 def report(n, name, ok, detail=""):
@@ -84,8 +86,8 @@ def test_criterion_2_gradient_oracle_suite():
 def test_criterion_3_reduction_equivalence():
     t0 = time.perf_counter()
     rng = np.random.default_rng(20240603)
-    mlp_err = mlp_equivalence_suite(50, rng)
-    fwd_err, grad_err = rnn_equivalence_suite(50, rng)
+    mlp_err = mlp_reduction_error(50, rng)
+    fwd_err, grad_err = rnn_reduction_errors(50, rng)
     elapsed = time.perf_counter() - t0
     ok = mlp_err < 1e-8 and fwd_err < 1e-8 and grad_err < 1e-8 and elapsed < 60.0
     report(3, "MLP/RNN reduction equivalence (50 each)", ok,
@@ -106,30 +108,42 @@ def read_final_metric(path):
     raise AssertionError(f"no final_metric in {path}")
 
 
-def run_in_workers(names, root, workers=2):
-    """`echotrain run` of each bundled config in its own child process, at most
-    `workers` at a time, BLAS pinned to one thread in each; name -> output dir.
-    The runs are independent, and each writes what a serial run writes."""
+# the bundled configs that criteria 4 and 5 train, by test
+RUNS = {
+    "test_criterion_4_acoustic_delay_reproduction": (
+        "acoustic_delay_task", "acoustic_delay_input_only", "acoustic_delay_output_only"),
+    "test_criterion_5_optical_plant_properties": ("optical_labels",),
+}
+
+
+def run_config(name, root):
+    """`echotrain run` of a bundled config in a child process with BLAS pinned
+    to one thread; its output dir.  Each writes what a serial run writes."""
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(p for p in (str(Path(echotrain.__file__).parent.parent),
                                                       os.environ.get("PYTHONPATH")) if p))
+    cmd = [sys.executable, "-m", "echotrain", "run", "--config", name, "--out", str(root / name)]
+    assert subprocess.run(cmd, env=env, timeout=900).returncode == 0, f"{name} run failed"
+    return root / name
 
-    def run(name):
-        cmd = [sys.executable, "-m", "echotrain", "run", "--config", name,
-               "--out", str(root / name)]
-        return subprocess.run(cmd, env=env, timeout=900).returncode
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:  # each thread waits on one child
-        for name, rc in zip(names, pool.map(run, names)):
-            assert rc == 0, f"{name} run failed"
-    return {name: root / name for name in names}
+@pytest.fixture(scope="module")
+def bundled_runs(request, tmp_path_factory):
+    """(start time, name -> future of the output dir) of the runs of every
+    selected test in RUNS, started at once in one pool of two workers."""
+    selected = {item.name for item in request.session.items}
+    names = [name for test, run in RUNS.items() if test in selected for name in run]
+    root = tmp_path_factory.mktemp("runs")
+    t0 = time.perf_counter()
+    with ThreadPoolExecutor(max_workers=2) as pool:  # each thread waits on one child
+        yield t0, {name: pool.submit(run_config, name, root) for name in names}
 
 
 @pytest.mark.slow
-def test_criterion_4_acoustic_delay_reproduction(tmp_path):
-    t0 = time.perf_counter()
-    outs = run_in_workers(("acoustic_delay_task", "acoustic_delay_input_only",
-                           "acoustic_delay_output_only"), tmp_path)
+def test_criterion_4_acoustic_delay_reproduction(bundled_runs):
+    t0, runs = bundled_runs
+    outs = {name: runs[name].result()
+            for name in RUNS["test_criterion_4_acoustic_delay_reproduction"]}
     elapsed = time.perf_counter() - t0
 
     full = read_final_metric(outs["acoustic_delay_task"] / "summary.txt")
@@ -150,11 +164,9 @@ def test_criterion_4_acoustic_delay_reproduction(tmp_path):
 
 
 @pytest.mark.slow
-def test_criterion_5_optical_plant_properties(tmp_path):
-    t0 = time.perf_counter()
-    out = tmp_path / "optical"
-    rc = cli_main(["run", "--config", "optical_labels", "--out", str(out)])
-    assert rc == 0
+def test_criterion_5_optical_plant_properties(bundled_runs):
+    t0, runs = bundled_runs
+    out = runs["optical_labels"].result()
     metrics = read_log_metrics(out / "log.csv")
     wm = window_means(metrics, 200)
     monotone = bool(np.all(np.diff(wm) <= 1e-12))

@@ -5,7 +5,6 @@ from echotrain.gradients import kernel_gradients, relative_error
 from echotrain.reductions import (
     DenseNet,
     DenseRNN,
-    _dense_mlp_reference,
     build_mlp_system,
     build_rnn_system,
     mlp_settled_output,
@@ -60,7 +59,7 @@ def test_mlp_settling_time_by_perturbation():
     base = forward(sys, Signal(np.tile(x0[:, None], (1, n)), 1.0))
     diff = np.flatnonzero(np.any(tr.o.samples != base.o.samples, axis=0))
     assert diff[0] == i0 + L
-    np.testing.assert_allclose(tr.o.samples[:, -1], _dense_mlp_reference(net.weights, net.activation, x1),
+    np.testing.assert_allclose(tr.o.samples[:, -1], dense_mlp_forward(ws, lambda v: v, x1),
                                rtol=1e-12)
 
 
@@ -117,6 +116,55 @@ def rnn_physical_bptt(rnn, xs, targets, dt=1.0):
     g = kernel_gradients(sys, tr, bw, s)
     # tap gradient -> dense weight gradient: tap = W/dt, so dW = d_tap/dt
     return (g["w_sa"][0] / dt, g["w_aa"][P] / dt, g["w_ao"][0] / dt)
+
+
+# the randomized reduction suites of acceptance criterion 3: each draws its
+# instances from rng in a fixed order, so a seed names the same nets
+
+
+def mlp_reduction_error(instances, rng):
+    """Max |settled plant output - dense chain| over random nets."""
+    worst = 0.0
+    for _ in range(instances):
+        depth = int(rng.integers(1, 5))
+        sizes = [int(rng.integers(1, 7)) for _ in range(depth + 2)]
+        ws = [rng.standard_normal((sizes[i + 1], sizes[i])) for i in range(depth + 1)]
+        kind = "rectifier" if rng.random() < 0.7 else "identity"
+        x = rng.standard_normal(sizes[0])
+        expect = dense_mlp_forward(ws, relu if kind == "rectifier" else (lambda v: v), x)
+        got = mlp_settled_output(DenseNet(tuple(ws), Nonlinearity(kind)), x)
+        worst = max(worst, float(np.max(np.abs(got - expect))))
+    return worst
+
+
+def rnn_reduction_errors(instances, rng):
+    """(max |plant - dense| over states and outputs, max relative error of the
+    plant's BPTT weight gradients) over random rectifier RNNs."""
+    worst_fwd, worst_grad = 0.0, 0.0
+    for _ in range(instances):
+        n_units = int(rng.integers(1, 7))
+        dim = int(rng.integers(1, 4))
+        dim_o = int(rng.integers(1, 4))
+        T = int(rng.integers(3, 41))
+        period = int(rng.integers(1, 4))
+        rnn = DenseRNN(rng.standard_normal((n_units, dim)),
+                       (0.8 / np.sqrt(n_units)) * rng.standard_normal((n_units, n_units)),
+                       rng.standard_normal((dim_o, n_units)),
+                       Nonlinearity.rectifier(), period=period)
+        xs = rng.standard_normal((T, dim))
+        targets = rng.standard_normal((T, dim_o))
+
+        states, outputs = rnn_state_trajectory(rnn, xs)
+        hs, os_ = dense_rnn_forward(rnn.w_s, rnn.w_a, rnn.w_o, relu, xs)
+        worst_fwd = max(worst_fwd, float(np.max(np.abs(states - hs))),
+                        float(np.max(np.abs(outputs - os_))))
+        # both sides back-propagate the plant's own output error
+        dense = dense_rnn_bptt(rnn.w_s, rnn.w_a, rnn.w_o, (hs > 0).astype(float), xs,
+                               outputs - targets, hs)
+        for got, want in zip(rnn_physical_bptt(rnn, xs, targets), dense):
+            denom = max(float(np.linalg.norm(want)), 1e-12)
+            worst_grad = max(worst_grad, float(np.linalg.norm(got - want)) / denom)
+    return worst_fwd, worst_grad
 
 
 def test_rnn_bptt_gradients_match_dense_oracle():

@@ -10,8 +10,9 @@ from echotrain.system import (
     NoiseModel,
     Nonlinearity,
     PhysicalSystem,
+    _activate,
     _causal_feedback,
-    apply_nonlinearity,
+    _jacobian,
     backward,
     forward,
 )
@@ -48,20 +49,26 @@ def rand_system(rng, n_in=2, n_state=3, n_out=2, L=4, dt=0.1, kind="rectifier",
 
 
 def naive_f(nl):
-    return lambda x: apply_nonlinearity(nl, x)
+    return nonlinearity_naive(nl.kind, nl.lo, nl.hi)
 
 
-def test_apply_nonlinearity_examples():
-    v, j = apply_nonlinearity(Nonlinearity.rectifier(), np.array([2.0, -1.0, 0.0]))
+def gate(nl, x):
+    """(f(x), jac) as forward computes them: the value, then the Jacobian read off it."""
+    v = _activate(nl, x)
+    return v, _jacobian(nl, v)
+
+
+def test_activation_and_jacobian_examples():
+    v, j = gate(Nonlinearity.rectifier(), np.array([2.0, -1.0, 0.0]))
     np.testing.assert_array_equal(v, [2.0, 0.0, 0.0])
     np.testing.assert_array_equal(j, [1.0, 0.0, 0.0])
 
-    v, j = apply_nonlinearity(Nonlinearity.clip(-1, 1), np.array([0.5, 1.5, -3.0]))
+    v, j = gate(Nonlinearity.clip(-1, 1), np.array([0.5, 1.5, -3.0]))
     np.testing.assert_array_equal(v, [0.5, 1.0, -1.0])
     np.testing.assert_array_equal(j, [1.0, 0.0, 0.0])
 
     x = np.array([-2.0, 0.0, 7.0])
-    v, j = apply_nonlinearity(Nonlinearity.identity(), x)
+    v, j = gate(Nonlinearity.identity(), x)
     np.testing.assert_array_equal(v, x)
     np.testing.assert_array_equal(j, [1.0, 1.0, 1.0])
 
@@ -302,8 +309,8 @@ def same_bits(x, y):
 
 
 @pytest.mark.parametrize("kind", NONLINEARITIES)
-def test_apply_nonlinearity_at_kinks_matches_textbook_bits(kind):
-    v, j = apply_nonlinearity(NONLINEARITIES[kind], EDGES)
+def test_activation_at_kinks_matches_textbook_bits(kind):
+    v, j = gate(NONLINEARITIES[kind], EDGES)
     v_ref, j_ref = nonlinearity_naive(kind)(EDGES)
     assert same_bits(v, v_ref) and same_bits(j, j_ref)
     if kind != "identity":
