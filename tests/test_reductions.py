@@ -167,6 +167,29 @@ def rnn_reduction_errors(instances, rng):
     return worst_fwd, worst_grad
 
 
+def test_reduction_suites_pass_on_a_small_draw():
+    rng = np.random.default_rng(2)
+    assert mlp_reduction_error(5, rng) < 1e-8
+    assert max(rnn_reduction_errors(5, rng)) < 1e-8
+
+
+def test_reduction_suites_repeat_for_a_seed():
+    def draw():
+        rng = np.random.default_rng(9)
+        return mlp_reduction_error(5, rng), rnn_reduction_errors(5, rng)
+
+    assert draw() == draw()
+
+
+def test_reduction_suites_catch_a_wrong_dense_nonlinearity(monkeypatch):
+    # negative control: a dense side without the rectifier disagrees with
+    # the rectifier plants by far more than the suites' 1e-8 tolerance
+    monkeypatch.setitem(globals(), "relu", lambda v: v)
+    rng = np.random.default_rng(2)
+    assert mlp_reduction_error(10, rng) > 1e-3
+    assert rnn_reduction_errors(10, rng)[0] > 1e-3
+
+
 def test_rnn_bptt_gradients_match_dense_oracle():
     rng = np.random.default_rng(6)
     n_units, dim, T = 4, 2, 12
