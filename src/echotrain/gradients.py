@@ -305,8 +305,9 @@ def _probe_outputs(sys: PhysicalSystem, masks: MaskSet, xs, s: Signal, a: Signal
          else s.samples[None])
     state = a.samples[None]
     if name not in OUTPUT_SIDE:
-        state = _causal_feedback(taps["w_aa"], sys.dt, _convolve_stack(taps["w_sa"], sys.dt, x),
-                                 lambda x_blk, t0, t1: _activate(sys.f, x_blk))
+        drive = _convolve_stack(taps["w_sa"], sys.dt, x)
+        state = _causal_feedback(taps["w_aa"], sys.dt, len(w), s.n_samples,
+                                 lambda fb, t0, t1: _activate(sys.f, drive[:, :, t0:t1] + fb))
     o = _convolve_stack(taps["w_so"], sys.dt, x) + _convolve_stack(taps["w_ao"], sys.dt, state)
     return np.broadcast_to(o, (len(w),) + o.shape[1:]), decode
 

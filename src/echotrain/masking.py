@@ -64,6 +64,10 @@ class MaskSet:
         """All-zero masks of the given shape (a template for train())."""
         if period < 1:
             raise ConfigurationError(f"period must be positive, got {period}", "period")
+        gib = 8 * period * (n_in * (dim_x + 1) + dim_y * n_out) / 2**30  # m, s_b and u
+        if gib > 1.0:  # refused before any is allocated
+            raise ConfigurationError(f"period {period} asks for {gib:.3g} GiB of masks, "
+                                     "over the 1 GiB bound", "period")
         return MaskSet(m=np.zeros((n_in, dim_x, period)), u=np.zeros((dim_y, n_out, period)),
                        s_b=np.zeros((n_in, period)), y_b=np.zeros(dim_y),
                        period=period, dt=dt)

@@ -151,9 +151,7 @@ def make_tube_kernel(p: TubeParams, rng: np.random.Generator | None = None,
     return Kernel(taps[:, None, None], dt)
 
 
-def make_acoustic_system(kernel: Kernel, period: int | None = None,
-                         noise: NoiseModel | None = None,
-                         backward_path: BackwardPath | None = None):
+def make_acoustic_system(kernel: Kernel, period: int | None = None):
     """Acoustic plant a = f(W * (s + a)), o = a, with a mask-set template.
 
     Maps onto the general plant as W_sa = W_aa = W, W_ao = delta, W_so = 0.
@@ -178,8 +176,6 @@ def make_acoustic_system(kernel: Kernel, period: int | None = None,
         w_so=Kernel.zero(1, 1, kernel.dt),
         w_ao=Kernel.delta(np.eye(1), kernel.dt),
         f=Nonlinearity.rectifier(),
-        noise=noise,
-        backward_path=backward_path,
     )
     return system, MaskSet.zeros(1, 1, 1, 1, period, kernel.dt)
 

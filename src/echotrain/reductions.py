@@ -106,12 +106,11 @@ def build_mlp_system(net: DenseNet, dt: float = 1.0) -> PhysicalSystem:
     )
 
 
-def mlp_settled_output(net: DenseNet, x: np.ndarray, dt: float = 1.0,
-                       hold: int | None = None) -> np.ndarray:
-    """Drive the stacked plant with a held input and read the settled output."""
+def mlp_settled_output(net: DenseNet, x: np.ndarray, dt: float = 1.0) -> np.ndarray:
+    """Drive the stacked plant with an input held for depth + 1 samples and
+    read the settled output."""
     sys = build_mlp_system(net, dt)
-    hold = (net.depth + 1) if hold is None else hold
-    s = Signal(np.tile(np.asarray(x, dtype=np.float64)[:, None], (1, hold)), dt)
+    s = Signal(np.tile(np.asarray(x, dtype=np.float64)[:, None], (1, net.depth + 1)), dt)
     tr = forward(sys, s)
     return tr.o.samples[:, -1]
 

@@ -213,113 +213,82 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def _partitioned_convolve(w: np.ndarray, drive: np.ndarray | None, block: int, gate,
-                          feed: np.ndarray | None = None,
-                          sums: np.ndarray | None = None) -> np.ndarray:
-    """The scalar recursion y[t0:t1] = gate(drive[t0:t1] + (w * (feed +
-    y))[t0:t1], t0, t1), one block at a time, by uniformly partitioned
-    overlap-save (Wefers 2015); drive or feed may be None (zero), and sums, if
-    given, receives each block's feedback sum (w * (feed + y))[t0:t1].
+def _partitioned_convolve(w: np.ndarray, n: int, block: int, gate) -> np.ndarray:
+    """The scalar recursion y[t0:t1] = gate((w * y)[t0:t1], t0, t1), one block
+    at a time, by uniformly partitioned overlap-save (Wefers 2015), in a lone
+    recursion's layout: gate maps (1, 1, B) blocks and y is (1, 1, n).
 
     The taps w are cut into partitions of `block` taps; each live (not
     all-zero) partition is transformed once.  w must vanish below lag `block`
     (the caller's block is the first live lag), so each block's feedback is
-    complete before the block is emitted.  Every emitted block is transformed
-    once, after the N - block samples before it, and multiplied into a
-    frequency-domain accumulator for each later block it reaches; a block's
-    feedback sum is one inverse transform of its accumulator, read at
-    [N - block, N).  With the live taps at offsets below `span` within their
-    partitions, that read is free of circular wrap for N = _fast_len(block +
-    span) (numpy.fft's transforms): _fast_len(2 * block) at most.
+    complete before the block is emitted.  y sits after keep = N - block zeros;
+    each block's window (the keep samples before it, then the block) is read
+    off y, transformed once and multiplied into a frequency-domain accumulator
+    for each later block it reaches.  A block's feedback sum is one inverse
+    transform of its accumulator, read at [keep, N): free of circular wrap for
+    N = _fast_len(block + span) (numpy.fft's transforms), with the live taps at
+    offsets below `span` within their partitions; _fast_len(2 * block) at most.
     """
-    n = (feed if drive is None else drive).size
-    y = np.zeros(n)
     nz = np.flatnonzero(w[:n])  # taps at lags >= n never reach the output
     part, offset = np.divmod(nz, block)
     parts = np.zeros((1 + part.max(initial=0), block))
     parts[part, offset] = w[nz]
     nfft = _fast_len(block + 1 + int(offset.max(initial=0)))  # block + span
-    keep = nfft - block  # the window: [last keep samples before the block | block]
+    keep = nfft - block
     live = np.flatnonzero((parts != 0.0).any(axis=1))
     reach = list(zip(live.tolist(), np.fft.rfft(parts[live], nfft)))  # (index, spectrum)
     acc = np.zeros((len(parts), nfft // 2 + 1), dtype=complex)  # block j's slot: j % len(acc)
-    win, spec, back = np.zeros(nfft), np.empty(nfft // 2 + 1, dtype=complex), np.empty(nfft)
+    y, back = np.zeros((1, 1, keep + n)), np.empty(nfft)
+    spec = np.empty(nfft // 2 + 1, dtype=complex)
     for j, t0 in enumerate(range(0, n, block)):
         t1 = min(t0 + block, n)
-        fb = np.fft.irfft(acc[j % len(acc)], nfft, out=back)[keep : keep + t1 - t0]
-        if sums is not None:
-            sums[t0:t1] = fb
-        y[t0:t1] = gate(fb if drive is None else drive[t0:t1] + fb, t0, t1)
+        np.fft.irfft(acc[j % len(acc)], nfft, out=back)
+        y[:, :, keep + t0 : keep + t1] = gate(back[None, None, keep : keep + t1 - t0], t0, t1)
         acc[j % len(acc)] = 0.0
-        # a short last block leaves stale samples after it in the window;
-        # by causality they reach only blocks past the end of the trace
-        win[:keep] = win[block:]
-        if feed is None:
-            win[keep : keep + t1 - t0] = y[t0:t1]
-        else:
-            np.add(y[t0:t1], feed[t0:t1], out=win[keep : keep + t1 - t0])
-        np.fft.rfft(win, out=spec)
+        np.fft.rfft(y[0, 0, t0 : t0 + nfft], nfft, out=spec)  # the last window is zero-padded
         for p, part_spec in reach:
             acc[(j + p) % len(acc)] += spec * part_spec
-    return y
+    return y[:, :, keep:]
 
 
-def _causal_feedback(taps: np.ndarray, dt: float, drive: np.ndarray | None, gate,
-                     transpose: bool = False, feed: np.ndarray | None = None,
-                     sums: np.ndarray | None = None):
-    """Solve a[p, :, i] = gate(drive[p, :, i] + dt * sum_k W_p[k] @ (feed + a)[p, :, i-k])
-    blockwise for P recursions: taps (P, L, c, c) hold the W_p (transposed per
-    lag when transpose is set), drive and feed are (P, c, n) or None (zero,
-    not both), and any may have P = 1; sums, if given, receives each block's
-    feedback term dt * sum_k W_p[k] @ (feed + a)[p, :, i-k].
+def _causal_feedback(taps: np.ndarray, dt: float, batch: int, n: int, gate) -> np.ndarray:
+    """Solve y[p, :, i] = gate(dt * sum_k W_p[k] @ y[p, :, i-k]) blockwise for
+    P = batch recursions of n samples: taps (P, L, c, c) hold the W_p and may
+    have P = 1.  gate maps a (P, c, B) block of feedback sums and its samples
+    t0:t1 to the emitted block, which is fed back and returned in y (P, c, n);
+    a caller adds its drive, and keeps any other trace, inside its gate.
 
     W[0] must be zero; blocks of size B = the first lag live in any item keep
-    the recursion explicit.  gate maps a (P, c, B) pre-activation block and its
-    samples t0:t1 to the emitted block.  A lone scalar recursion with B * (live
-    lags) >= _FFT_MIN_FEEDBACK_MACS runs on the partitioned FFT engine
-    (_partitioned_convolve, the only FFT path in the package).  All others
-    run direct: feed + a sits after m zero columns (m the largest live
-    lag below n); a block gathers the B-sample windows of its past of all K
-    live lags into H, one product W_cat @ H with W_cat[p, r, c*K + k] =
-    W_p[lag_k][r, c].  Each item's W_cat and H are laid out as a lone
-    recursion's (hence the batch index below), so numpy makes the same BLAS
-    call: items that share their live lags are bit for bit their own recursions.
+    the recursion explicit.  A lone scalar recursion with B * (live lags) >=
+    _FFT_MIN_FEEDBACK_MACS runs on the partitioned FFT engine
+    (_partitioned_convolve, the only FFT path in the package).  All others run
+    direct: y sits after m zero columns (m the largest live lag below n); a
+    block gathers the B-sample windows of its past of all K live lags into H,
+    one product W_cat @ H with W_cat[p, r, c*K + k] = W_p[lag_k][r, c].  Each
+    item's W_cat and H are laid out as a lone recursion's (hence the batch
+    index below), so numpy makes the same BLAS call: items that share their
+    live lags are bit for bit their own recursions.
     """
-    if transpose:
-        taps = taps.transpose(0, 1, 3, 2)
     lags = np.flatnonzero((taps != 0.0).any(axis=(0, 2, 3)))
     if lags.size and lags[0] == 0:
         raise ConfigurationError("feedback taps must be strictly causal (tap 0 zero)")
-    trace = drive if feed is None else feed
-    batch, (n_state, n) = max(taps.shape[0], trace.shape[0]), trace.shape[1:]
+    n_state = taps.shape[2]
     if n == 0:
         return np.zeros((batch, n_state, 0))
     lags = lags[lags < n]  # taps at lags >= n never reach the output
     block, m = (int(lags[0]), int(lags[-1])) if lags.size else (n, 0)
     if batch == n_state == 1 and block * lags.size >= _FFT_MIN_FEEDBACK_MACS:
-        return _partitioned_convolve(
-            dt * taps[0, :, 0, 0], None if drive is None else drive[0, 0], block,
-            gate=lambda x_blk, t0, t1: gate(x_blk[None, None], t0, t1)[0, 0],
-            feed=None if feed is None else feed[0, 0],
-            sums=None if sums is None else sums[0, 0])[None, None]
+        return _partitioned_convolve(dt * taps[0, :, 0, 0], n, block, gate)
     w_cat = taps[np.arange(len(taps))[:, None], lags].transpose(0, 2, 3, 1)
     w_cat = w_cat.reshape(len(taps), n_state, -1)
-    ap = np.zeros((batch, n_state, m + n))
-    if feed is not None:
-        ap[:, :, m:] = feed
-    a = ap[:, :, m:] if feed is None else np.empty((batch, n_state, n))
-    windows = sliding_window_view(ap, block, axis=2)  # windows[p, c, j] = ap[p, c, j:j+B]
+    y = np.zeros((batch, n_state, m + n))
+    windows = sliding_window_view(y, block, axis=2)  # windows[p, c, j] = y[p, c, j:j+B]
     with np.errstate(over="ignore", invalid="ignore"):  # Signal's checks report divergence
         for t0 in range(0, n, block):
             t1 = min(t0 + block, n)
             h = np.ascontiguousarray(windows[:, :, m + t0 - lags, : t1 - t0])
-            fb = dt * (w_cat @ h.reshape(batch, -1, t1 - t0))
-            if sums is not None:
-                sums[:, :, t0:t1] = fb
-            a[:, :, t0:t1] = gate(fb if drive is None else drive[:, :, t0:t1] + fb, t0, t1)
-            if feed is not None:
-                ap[:, :, m + t0 : m + t1] += a[:, :, t0:t1]
-    return a
+            y[:, :, m + t0 : m + t1] = gate(dt * (w_cat @ h.reshape(batch, -1, t1 - t0)), t0, t1)
+    return y[:, :, m:]
 
 
 def forward(sys: PhysicalSystem, s: Signal, rng: np.random.Generator | None = None) -> ForwardTrace:
@@ -334,13 +303,22 @@ def forward(sys: PhysicalSystem, s: Signal, rng: np.random.Generator | None = No
     if s.dt != sys.dt:
         raise ConfigurationError(f"dt mismatch: signal {s.dt} vs system {sys.dt}")
 
-    f = sys.f
-    one = _one_tube(sys)  # W_sa * s + W_aa * a = W * (s + a): one recursion on s + a
-    # each block pays for f alone; the Jacobian is read off the state once
-    a = Signal._own(_causal_feedback(sys.w_aa.taps[None], s.dt,
-                                     None if one else convolve(sys.w_sa, s).samples[None],
-                                     lambda x_blk, t0, t1: _activate(f, x_blk),
-                                     feed=s.samples[None] if one else None)[0], s.dt)
+    # the gates apply f alone; the Jacobian is read off the state once
+    f, x, n = sys.f, s.samples[None], s.n_samples
+    if _one_tube(sys):  # W_sa * s + W_aa * a = W * (s + a): one recursion on s + a
+        a = np.empty(x.shape)
+
+        def gate(fb, t0, t1):
+            a[:, :, t0:t1] = _activate(f, fb)
+            return a[:, :, t0:t1] + x[:, :, t0:t1]
+
+        _causal_feedback(sys.w_aa.taps[None], s.dt, 1, n, gate)
+    else:
+        x = convolve(sys.w_sa, s).samples[None]
+        a = _causal_feedback(sys.w_aa.taps[None], s.dt, 1, n,
+                             lambda fb, t0, t1: _activate(f, x[:, :, t0:t1] + fb))
+        del x
+    a = Signal._own(a[0], s.dt)
     jac = _jacobian(f, a.samples)
     o = convolve(sys.w_so, s).samples + convolve(sys.w_ao, a).samples
 
@@ -402,22 +380,23 @@ def backward(
     # as a temporary; on 3.10 the caller's frame keeps it alive for the call.
     del e_o, e_o_arr
 
-    contrib_o = adjoint_convolve(sys.w_ao, e_o_used).samples
-
     # anti-causal recursion == causal recursion on time-reversed traces with
     # transposed taps; reuse the blocked forward engine
+    drive = adjoint_convolve(sys.w_ao, e_o_used).samples[None, :, ::-1]
     jac_rev = trace.jac[:, ::-1]
     clip_f = sys.f if (bp.clip and sys.f.kind == "clip") else None
+    sums = np.empty((1, sys.n_state, n)) if _one_tube(sys) else None
 
-    def gate(x_blk, t0, t1):
+    def gate(fb, t0, t1):
+        if sums is not None:  # W_sa^T e_a, as W_sa is W_aa
+            sums[:, :, t0:t1] = fb
+        x_blk = drive[:, :, t0:t1] + fb
         if clip_f is not None:
             x_blk = _activate(clip_f, x_blk)
         return jac_rev[:, t0:t1] * x_blk
 
-    sums = np.empty((1, sys.n_state, n)) if _one_tube(sys) else None
-    e_a_rev = _causal_feedback(sys.w_aa.taps[None], sys.dt, contrib_o[None, :, ::-1], gate,
-                               transpose=True, sums=sums)[0]
-    del contrib_o
+    e_a_rev = _causal_feedback(sys.w_aa.taps[None].transpose(0, 1, 3, 2), sys.dt, 1, n, gate)[0]
+    del drive
     e_a = Signal._own(e_a_rev[:, ::-1].copy(), sys.dt)
     del e_a_rev
     e_sa = adjoint_convolve(sys.w_sa, e_a).samples if sums is None else sums[0, :, ::-1]

@@ -34,13 +34,11 @@ class SequenceDataset:
         return len(self.inputs)
 
 
-def gen_variable_delay(n: int, rng: np.random.Generator,
-                       one_hot: bool = False) -> SequenceDataset:
+def gen_variable_delay(n: int, rng: np.random.Generator) -> SequenceDataset:
     """Scalar q_i i.i.d. from {0,1,2}; target y_i = q_{i - q_i}.
 
     The delay depends on the current input, so no linear filter solves it.
     The first two instances are excluded from the cost (lookback undefined).
-    one_hot encodes q as a 3-dim indicator instead of the raw scalar.
     """
     if n < 3:
         raise ConfigurationError(f"need n >= 3, got {n}")
@@ -48,17 +46,16 @@ def gen_variable_delay(n: int, rng: np.random.Generator,
     y = np.zeros(n)
     y[2:] = q[np.arange(2, n) - q[2:]]
     mask = np.arange(n) >= 2
-    inputs = np.eye(3)[q] if one_hot else q.astype(np.float64)[:, None]
-    return SequenceDataset(inputs, y[:, None], mask)
+    return SequenceDataset(q.astype(np.float64)[:, None], y[:, None], mask)
 
 
 def gen_synthetic_labels(n: int, n_classes: int, input_dim: int,
-                         rng: np.random.Generator, window: int = 3,
-                         ar_coeff: float = 0.8) -> SequenceDataset:
+                         rng: np.random.Generator, window: int = 3) -> SequenceDataset:
     """Frame-labeling stand-in task with one-hot targets.
 
     Inputs follow a stationary AR(1) process per channel,
-    u_i = ar * u_{i-1} + sqrt(1 - ar^2) * xi_i (unit marginal variance).
+    u_i = ar * u_{i-1} + sqrt(1 - ar^2) * xi_i with ar = 0.8 (unit marginal
+    variance).
     The label of frame i quantizes the mean of channel 0 over the last
     `window` frames at the exact Gaussian quantiles for that window mean, so
     classes are equiprobable by construction.  Frames with incomplete windows
@@ -74,7 +71,7 @@ def gen_synthetic_labels(n: int, n_classes: int, input_dim: int,
     # which only runs of this task need
     from statistics import NormalDist
 
-    ar = float(ar_coeff)
+    ar = 0.8
     # one draw is the same stream as one standard_normal(input_dim) per row
     u = rng.standard_normal((n, input_dim))
     innov = np.sqrt(1.0 - ar * ar)

@@ -99,12 +99,9 @@ class Task:
         return "nrmse" if self.kind == "regression" else "frame_error"
 
 
-def variable_delay_task(one_hot: bool = False) -> Task:
-    def sample(n, rng):
-        return gen_variable_delay(n, rng, one_hot=one_hot)
-
-    return Task(name="variable_delay", dim_x=3 if one_hot else 1, dim_y=1,
-                kind="regression", sample=sample)
+def variable_delay_task() -> Task:
+    return Task(name="variable_delay", dim_x=1, dim_y=1, kind="regression",
+                sample=gen_variable_delay)
 
 
 def synthetic_label_task(n_classes: int = 4, input_dim: int = 8,

@@ -391,16 +391,18 @@ def test_a_lone_passband_edge_is_named_at_its_line(tmp_path, capsys, edge, other
 
 
 def test_a_plant_too_large_for_memory_exits_two_under_an_address_space_limit(tmp_path):
-    # 5000 nodes ask Kernel.delta for 22 GB, and 1e8 frames per batch ask
-    # task.sample for 9.6 GB: each refused before any allocation, in a child
-    # process whose address space alone is capped at 3 GiB
+    # 5000 nodes ask Kernel.delta for 22 GB, 1e8 frames per batch ask
+    # task.sample for 9.6 GB, and a 1e8-sample period asks MaskSet.zeros for
+    # 45 GiB of masks: each refused before any allocation, in a child process
+    # whose address space alone is capped at 3 GiB
     pytest.importorskip("resource")  # POSIX only
     code = (f"import resource, sys\nresource.setrlimit(resource.RLIMIT_AS, ({3 << 30}, {3 << 30}))\n"
             "from echotrain.cli import main\nsys.exit(main(sys.argv[1:]))")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
         p for p in (str(Path(echotrain.__file__).parent.parent), os.environ.get("PYTHONPATH"))
         if p))
-    for key, value in (("plant.n_nodes", "5000"), ("train.batch_len", "100000000")):
+    for key, value in (("plant.n_nodes", "5000"), ("train.batch_len", "100000000"),
+                       ("mask.period", "100000000")):
         path, line = mutated(tmp_path, "optical_labels", key, value)
         proc = subprocess.run([sys.executable, "-c", code, "run", "--config", str(path),
                                "--out", str(tmp_path / "out")],

@@ -88,6 +88,14 @@ def test_every_private_definition_is_used_in_the_package():
     assert not unused, "private definitions nothing in the package uses: " + ", ".join(unused)
 
 
+def test_the_package_keeps_its_line_budget():
+    # counted as `wc -l src/echotrain/*.py` counts them: newline characters
+    lines = sum(p.read_bytes().count(b"\n") for p in PACKAGE.glob("*.py"))
+    assert lines <= 2850, (f"src/echotrain/*.py has {lines} lines, over the budget of 2850 "
+                           "that ROADMAP.md item 5 (aim 2, lean core) sets: pay for new "
+                           "code with deletions")
+
+
 def heavy_modules_after(code):
     """The scipy and numpy.ma modules loaded once `code` has run in a fresh
     interpreter.  numpy.ma is about 1 MB of peak RSS, and numpy loads it on

@@ -255,6 +255,13 @@ def test_zero_masks_reject_a_nonpositive_period(period):
         MaskSet.zeros(1, 1, 1, 1, period=period, dt=1.0)
 
 
+def test_zero_masks_refuse_over_a_gib_before_allocating():
+    # 3 channels x 5e7 samples: 1.1 GiB of m, s_b and u, refused at "period"
+    with pytest.raises(ConfigurationError, match="1.12 GiB of masks") as exc:
+        MaskSet.zeros(1, 1, 1, 1, period=50_000_000, dt=1.0)
+    assert exc.value.fields == ("period",)
+
+
 def test_mask_set_copies_the_callers_arrays():
     base = np.zeros((1, 2, 3))
     u = np.ones((2, 1, 3))

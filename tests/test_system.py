@@ -403,7 +403,7 @@ def test_direct_recursion_matches_naive_forward_and_transposed(case):
 
 # ---------------------------------------------------------------------------
 # the batch axis: P recursions share one block loop and one stacked product
-# per block; taps or drive may have P = 1 and serve every item
+# per block; taps or a gate's drive may have P = 1 and serve every item
 
 
 @pytest.mark.parametrize("lags", [[3, 4, 7, 11], [5]])  # n = 97 is no multiple of the block
@@ -416,18 +416,21 @@ def test_batched_recursion_items_equal_their_own_recursion_bit_for_bit(
     taps = np.zeros((taps_batch, L, n_state, n_state))
     taps[:, lags] = rng.standard_normal((taps_batch, len(lags), n_state, n_state))
     taps *= 0.8 / (dt * np.sum(np.abs(taps), axis=(1, 2, 3), keepdims=True))
+    if transpose:  # the orientation backward passes: W[k].T per lag
+        taps = taps.transpose(0, 1, 3, 2)
     drive = rng.standard_normal((drive_batch, n_state, n))
     jac = (rng.random((n_state, n)) > 0.3).astype(np.float64)
 
-    def gate(x_blk, t0, t1):  # a clip, then a recorded Jacobian window as backward gates
-        return jac[:, t0:t1] * np.minimum(np.maximum(x_blk, -1.0), 1.0)
+    def gate(drive):  # the drive plus feedback, clipped, then a recorded Jacobian window
+        return lambda fb, t0, t1: jac[:, t0:t1] * np.minimum(
+            np.maximum(drive[:, :, t0:t1] + fb, -1.0), 1.0)
 
-    batched = _causal_feedback(taps, dt, drive, gate, transpose)
     batch = max(taps_batch, drive_batch)
+    batched = _causal_feedback(taps, dt, batch, n, gate(drive))
     assert batched.shape == (batch, n_state, n)
     for p in range(batch):
-        alone = _causal_feedback(taps[p % taps_batch][None], dt, drive[p % drive_batch][None],
-                                 gate, transpose)
+        alone = _causal_feedback(taps[p % taps_batch][None], dt, 1, n,
+                                 gate(drive[p % drive_batch][None]))
         assert same_bits(batched[p], alone[0])
 
 
@@ -442,8 +445,9 @@ def test_batched_recursion_with_differing_live_lags_matches_naive():
             aa *= 0.8 / (dt * np.sum(np.abs(aa)))
         items.append((rng.standard_normal((2, n_state, 2)), aa, rng.standard_normal((2, n))))
     drive = np.stack([convolve(Kernel(w_sa, dt), Signal(s, dt)).samples for w_sa, _, s in items])
-    a = _causal_feedback(np.stack([aa for _, aa, _ in items]), dt, drive,
-                         lambda x_blk, t0, t1: np.minimum(np.maximum(x_blk, -1.0), 1.0))
+    a = _causal_feedback(np.stack([aa for _, aa, _ in items]), dt, len(items), n,
+                         lambda fb, t0, t1: np.minimum(np.maximum(drive[:, :, t0:t1] + fb, -1.0),
+                                                       1.0))
     for a_p, (w_sa, aa, s) in zip(a, items):
         ref, _, _ = plant_forward_naive(w_sa, aa, np.zeros((1, 1, 2)), np.zeros((1, 1, n_state)),
                                         dt, nonlinearity_naive("clip"), s)
@@ -718,7 +722,8 @@ def transform_lengths(monkeypatch):
 @pytest.mark.parametrize("trace", ["multiple", "ragged", "below_block"])
 @pytest.mark.parametrize("geometry", ENGINE_GEOMETRIES)
 def test_engine_transform_length_follows_live_span(monkeypatch, geometry, trace):
-    # one tube as W_sa and W_aa: forward feeds s, backward reads the sums
+    # one tube as W_sa and W_aa: forward's gate emits s + a, backward's records
+    # the sums; ragged and below-block traces end on a short, zero-padded window
     block, runs, nfft = ENGINE_GEOMETRIES[geometry]
     n = {"multiple": 10 * block, "ragged": 10 * block + 3, "below_block": block - 5}[trace]
     if n < block:  # no tap is live: the block is the trace, the span 1
@@ -776,8 +781,7 @@ def test_bundled_plants_take_their_path(monkeypatch):
 
     def spy(fn, tag):
         def call(*args, **kwargs):
-            one_tube = kwargs.get("feed") is not None or kwargs.get("sums") is not None
-            seen.append((tag, args[0], one_tube))
+            seen.append((tag, args[0]))
             return fn(*args, **kwargs)
         return call
 
@@ -792,14 +796,14 @@ def test_bundled_plants_take_their_path(monkeypatch):
         tr = forward(plant, s, np.random.default_rng(1))
         backward(plant, tr, Signal(np.ones((plant.n_outputs, n)), plant.dt),
                  np.random.default_rng(2))
-        recursions = [one_tube for tag, _, one_tube in seen if tag == "_causal_feedback"]
-        open_sa = [tag for tag, kern, _ in seen if tag != "_causal_feedback" and kern is plant.w_sa]
+        recursions = [tag for tag, _ in seen if tag == "_causal_feedback"]
+        open_sa = [tag for tag, kern in seen if tag != "_causal_feedback" and kern is plant.w_sa]
         acoustic = cfg.values["plant.kind"][0] == "acoustic"
-        assert (recursions, open_sa) == (([True, True], []) if acoustic else
-                                         ([False, False], ["convolve", "adjoint_convolve"]))
+        assert (len(recursions), open_sa) == (2, [] if acoustic else
+                                              ["convolve", "adjoint_convolve"])
         # open products run one product per live lag; a scalar kernel with
         # several live lags would pay that per tap where an FFT would not
-        dense = [(tag, kern.nonzero_lags().size) for tag, kern, _ in seen
+        dense = [(tag, kern.nonzero_lags().size) for tag, kern in seen
                  if tag != "_causal_feedback" and kern.rows == kern.cols == 1
                  and kern.nonzero_lags().size > 1]
         assert dense == [], name

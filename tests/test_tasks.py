@@ -189,13 +189,3 @@ def test_metrics_permutation_invariant():
     lp = (pred > 0).astype(int)
     lt = (targ > 0).astype(int)
     assert frame_error_rate(lp, lt, mask) == frame_error_rate(lp[perm], lt[perm], mask[perm])
-
-
-def test_variable_delay_one_hot_option():
-    rng = np.random.default_rng(10)
-    ds = gen_variable_delay(50, rng, one_hot=True)
-    assert ds.inputs.shape == (50, 3)
-    np.testing.assert_array_equal(ds.inputs.sum(axis=1), np.ones(50))
-    q = np.argmax(ds.inputs, axis=1)
-    for i in range(2, 50):
-        assert ds.targets[i, 0] == q[i - q[i]]
