@@ -23,6 +23,8 @@ import numpy as np
 from .errors import ConfigurationError, DimensionError, NumericError
 from .masking import (
     MaskSet,
+    _decode_stack,
+    _encode_stack,
     decode_outputs,
     encode_inputs,
     encode_output_errors,
@@ -252,11 +254,10 @@ def _kink_margin(sys: PhysicalSystem, s: Signal) -> float:
     return float(min(np.min(np.abs(pre - sys.f.lo)), np.min(np.abs(pre - sys.f.hi))))
 
 
-def pipeline_cost(o: Signal, masks: MaskSet, targets) -> float:
-    """Quadratic end-to-end cost 0.5 sum_i |y_i - t_i|^2 (the grad_check cost)
-    of the output trace o, decoded through masks.  The cost of a plant on the
-    encoded input s is pipeline_cost(forward(sys, s).o, masks, targets)."""
-    ys = decode_outputs(o, masks)
+def pipeline_cost(ys: np.ndarray, targets) -> float:
+    """Quadratic end-to-end cost 0.5 sum_i |y_i - t_i|^2 (the grad_check cost) of
+    the decoded outputs ys.  The cost of a plant on the encoded input s is
+    pipeline_cost(decode_outputs(forward(sys, s).o, masks), targets)."""
     return 0.5 * float(np.sum((ys - np.asarray(targets)) ** 2))
 
 
@@ -292,24 +293,23 @@ def _non_reciprocal(sys: PhysicalSystem) -> PhysicalSystem:
     return sys
 
 
-def _probe_outputs(sys: PhysicalSystem, masks: MaskSet, xs, s: Signal, a: Signal,
-                   name: str, w: np.ndarray):
-    """The clean outputs (P, n_out, n) of the P probes that set block name to
-    w[p], and the masks each decodes through.  Kernel probes are stacked taps
-    on the plant's input s; only mask probes build a MaskSet.  The state-side
-    ones run one batched recursion, the output-side ones keep the state a."""
+def _probe_outputs(sys: PhysicalSystem, masks: MaskSet, xs: np.ndarray, s: Signal,
+                   a: Signal, name: str, w: np.ndarray) -> np.ndarray:
+    """The clean decoded outputs (P, n, dim_y) of the P probes that set block
+    name to w[p].  Every block is a stack, w for the probed one and the toy's
+    own [None] for the others, so no probe builds a MaskSet or a Signal.  The
+    input is s but for m and s_b probes; the state-side probes run one batched
+    recursion, the output-side ones keep the state a."""
     taps = {k: w if k == name else getattr(sys, k).taps[None] for k in KERNEL_BLOCKS}
-    decode = ([masks.replace(**{name: w_p}) for w_p in w] if name in MASK_BLOCKS
-              else [masks] * len(w))
-    x = (np.stack([encode_inputs(xs, pm).samples for pm in decode]) if name in ("m", "s_b")
-         else s.samples[None])
+    mask = {k: w if k == name else getattr(masks, k)[None] for k in MASK_BLOCKS}
+    x = _encode_stack(mask["m"], mask["s_b"], xs) if name in ("m", "s_b") else s.samples[None]
     state = a.samples[None]
     if name not in OUTPUT_SIDE:
         drive = _convolve_stack(taps["w_sa"], sys.dt, x)
         state = _causal_feedback(taps["w_aa"], sys.dt, len(w), s.n_samples,
                                  lambda fb, t0, t1: _activate(sys.f, drive[:, :, t0:t1] + fb))
     o = _convolve_stack(taps["w_so"], sys.dt, x) + _convolve_stack(taps["w_ao"], sys.dt, state)
-    return np.broadcast_to(o, (len(w),) + o.shape[1:]), decode
+    return _decode_stack(o, mask["u"], mask["y_b"], sys.dt)
 
 
 def grad_check(cfg: GradCheckConfig, seed: int, break_adjoint: bool = False) -> GradCheckReport:
@@ -318,9 +318,8 @@ def grad_check(cfg: GradCheckConfig, seed: int, break_adjoint: bool = False) -> 
     break_adjoint plays the error back through _non_reciprocal(plant) -- a
     deliberate corruption that must make the check fail (negative control).
     Forward runs and the FD losses stay on the true plant.  A chunk of probes
-    runs as one stacked computation (_probe_outputs), then each probe is one
-    pipeline_cost call on its own output.  The input is encoded once per toy,
-    and once more per m or s_b probe, the only blocks it depends on.
+    runs as one stacked computation (_probe_outputs) from the toy's input and
+    state, then each probe is one pipeline_cost call on its own decoded outputs.
     """
     rng = np.random.default_rng(seed)
     worst = {name: 0.0 for name in ALL_BLOCKS}
@@ -336,16 +335,15 @@ def grad_check(cfg: GradCheckConfig, seed: int, break_adjoint: bool = False) -> 
 
             def losses(points):
                 w = np.concatenate((np.tile(pinned, (len(points), 1)), points), axis=1)
-                outs, decode = _probe_outputs(sys, masks, xs, s0, a0, name,
-                                              w.reshape((-1,) + full.shape))
-                return _map(lambda p: pipeline_cost(Signal._own(outs[p], sys.dt), decode[p],
-                                                    targets), range(len(w)), cfg.threads)
+                ys = _probe_outputs(sys, masks, xs, s0, a0, name, w.reshape((-1,) + full.shape))
+                return _map(lambda y: pipeline_cost(y, targets), ys, cfg.threads)
 
-            # a probe's block (point, stacked, MaskSet copy), output traces (w_so * s,
-            # w_ao * a, sum), drive, state and recursion buffer, and input (m, s_b)
+            # a probe's block (point, stacked), output traces (w_so * s, w_ao * a, sum),
+            # drive, state and recursion buffer, input (product, sum; m, s_b) and
+            # decoded outputs (product, sum)
             rows = (3 * sys.n_outputs + 3 * sys.n_state * (name not in OUTPUT_SIDE)
-                    + sys.n_inputs * (name in ("m", "s_b")))
-            probe_bytes = 8 * (3 * full.size + rows * s0.n_samples)
+                    + 2 * sys.n_inputs * (name in ("m", "s_b")))
+            probe_bytes = 8 * (2 * full.size + rows * s0.n_samples + 2 * targets.size)
             fd = _central_differences(full.ravel()[pinned.size:], cfg.eps, probe_bytes, losses)
             worst[name] = max(worst[name], relative_error(grads[name].ravel()[pinned.size:], fd))
 

@@ -68,9 +68,11 @@ class MaskSet:
         if gib > 1.0:  # refused before any is allocated
             raise ConfigurationError(f"period {period} asks for {gib:.3g} GiB of masks, "
                                      "over the 1 GiB bound", "period")
-        return MaskSet(m=np.zeros((n_in, dim_x, period)), u=np.zeros((dim_y, n_out, period)),
-                       s_b=np.zeros((n_in, period)), y_b=np.zeros(dim_y),
-                       period=period, dt=dt)
+        members = {"m": np.zeros((n_in, dim_x, period)), "u": np.zeros((dim_y, n_out, period)),
+                   "s_b": np.zeros((n_in, period)), "y_b": np.zeros(dim_y)}
+        for arr in members.values():  # read-only and owning its data: shared, not copied
+            arr.flags.writeable = False
+        return MaskSet(**members, period=period, dt=dt)
 
     @property
     def n_in(self) -> int:
@@ -116,13 +118,24 @@ def _as_instances(xs, dim, name):
     return arr
 
 
+def _encode_stack(m: np.ndarray, s_b: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """encode_inputs over stacks of masks: m (Q|1, N, dim_x, P) and s_b (Q|1, N, P)
+    give the Q encoded inputs (Q, N, n*P) of the checked instances xs (n, dim_x)."""
+    segs = np.einsum("qrcp,ic->qrip", m, xs) + s_b[:, :, None, :]  # (Q, N, n, P)
+    return segs.reshape(len(segs), m.shape[1], -1)
+
+
+def _decode_stack(o: np.ndarray, u: np.ndarray, y_b: np.ndarray, dt: float) -> np.ndarray:
+    """decode_outputs over stacks: outputs o (Q|1, M, n*P) through u (Q|1, dim_y, M, P)
+    and y_b (Q|1, dim_y) give the Q decoded outputs (Q, n, dim_y)."""
+    segs = o.reshape(len(o), o.shape[1], -1, u.shape[-1])  # (Q|1, M, n, P)
+    return dt * np.einsum("qdcp,qcip->qid", u, segs) + y_b[:, None, :]
+
+
 def encode_inputs(xs, masks: MaskSet) -> Signal:
     """Concatenate segments s_b + m @ x_i; one period per instance."""
     xs = _as_instances(xs, masks.dim_x, "xs")
-    # (n, N, P) = instances x channels x segment clock
-    segs = np.einsum("rcp,ic->irp", masks.m, xs) + masks.s_b[None, :, :]
-    n, N, P = segs.shape
-    return Signal._own(segs.transpose(1, 0, 2).reshape(N, n * P), masks.dt)
+    return Signal._own(_encode_stack(masks.m[None], masks.s_b[None], xs)[0], masks.dt)
 
 
 def decode_outputs(o: Signal, masks: MaskSet) -> np.ndarray:
@@ -133,10 +146,7 @@ def decode_outputs(o: Signal, masks: MaskSet) -> np.ndarray:
     P = masks.period
     if o.n_samples % P:
         raise LengthError(f"signal length {o.n_samples} not divisible by period {P}")
-    n = o.n_samples // P
-    segs = o.samples.reshape(masks.n_out, n, P).transpose(1, 0, 2)  # (n, M, P)
-    ys = o.dt * np.einsum("dcp,icp->id", masks.u, segs)
-    return ys + masks.y_b[None, :]
+    return _decode_stack(o.samples[None], masks.u[None], masks.y_b[None], o.dt)[0]
 
 
 def encode_output_errors(errs, masks: MaskSet) -> Signal:

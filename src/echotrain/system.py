@@ -244,8 +244,10 @@ def _partitioned_convolve(w: np.ndarray, n: int, block: int, gate) -> np.ndarray
         t1 = min(t0 + block, n)
         np.fft.irfft(acc[j % len(acc)], nfft, out=back)
         y[:, :, keep + t0 : keep + t1] = gate(back[None, None, keep : keep + t1 - t0], t0, t1)
+        if t1 == n:  # no later block to reach
+            break
         acc[j % len(acc)] = 0.0
-        np.fft.rfft(y[0, 0, t0 : t0 + nfft], nfft, out=spec)  # the last window is zero-padded
+        np.fft.rfft(y[0, 0, t0 : t0 + nfft], nfft, out=spec)
         for p, part_spec in reach:
             acc[(j + p) % len(acc)] += spec * part_spec
     return y[:, :, keep:]

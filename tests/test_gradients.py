@@ -83,7 +83,8 @@ def test_kernel_gradients_match_fd_on_random_system():
         def loss(flat, _n=name, _full=kern.taps, _lag0=lag0):
             taps = _full.copy()
             taps[_lag0:] = flat.reshape(taps[_lag0:].shape)
-            return pipeline_cost(forward(sys.with_kernel(_n, taps), s).o, masks, targets)
+            return pipeline_cost(decode_outputs(forward(sys.with_kernel(_n, taps), s).o, masks),
+                                 targets)
 
         fd = fd_gradient(loss, kern.taps[lag0:].ravel(), eps=1e-5)
         assert rel_err(bundle[name][lag0:].ravel(), fd) < 1e-5, name
@@ -152,6 +153,14 @@ def test_grad_check_broken_adjoint_fails():
     assert not report.passed
 
 
+def full_forward_outputs(sys, masks, xs, name, w):
+    """The decoded outputs of the probe that sets block name to w, from its own
+    plant and masks: encoded, run forward and decoded in full."""
+    plant, own = ((sys.with_kernel(name, w), masks) if name in KERNEL_BLOCKS
+                  else (sys, masks.replace(**{name: w})))
+    return decode_outputs(forward(plant, encode_inputs(xs, own)).o, own)
+
+
 def test_cost_from_the_recorded_state_is_the_full_forward_cost_bit_for_bit():
     cfg = GradCheckConfig()
     rng = np.random.default_rng(5)
@@ -162,11 +171,10 @@ def test_cost_from_the_recorded_state_is_the_full_forward_cost_bit_for_bit():
         # an output-side change keeps the state: w_so, w_ao, u and y_b each moved
         for name, w in (("w_so", 1.5 * sys.w_so.taps), ("w_ao", sys.w_ao.taps - 0.1),
                         ("u", -masks.u), ("y_b", masks.y_b + 0.2)):
-            outs, decode = _probe_outputs(sys, masks, xs, s, a, name, w[None])
-            plant, own = ((sys.with_kernel(name, w), masks) if name in KERNEL_BLOCKS
-                          else (sys, masks.replace(**{name: w})))
-            assert (pipeline_cost(Signal._own(outs[0], sys.dt), decode[0], targets)
-                    == pipeline_cost(forward(plant, s).o, own, targets)), name
+            ys = _probe_outputs(sys, masks, xs, s, a, name, w[None])
+            full = full_forward_outputs(sys, masks, xs, name, w)
+            assert np.array_equal(ys[0], full), name
+            assert pipeline_cost(ys[0], targets) == pipeline_cost(full, targets), name
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -182,15 +190,12 @@ def test_output_side_probes_on_the_recorded_state_equal_full_forward_ones(seed):
         ref = getattr(sys, name).taps if name in KERNEL_BLOCKS else getattr(masks, name)
 
         def reused(flat, _name=name, _shape=ref.shape):
-            outs, decode = _probe_outputs(sys, masks, xs, s, a, _name,
-                                          flat.reshape((1,) + _shape))
-            return pipeline_cost(Signal._own(outs[0], sys.dt), decode[0], targets)
+            ys = _probe_outputs(sys, masks, xs, s, a, _name, flat.reshape((1,) + _shape))
+            return pipeline_cost(ys[0], targets)
 
         def full(flat, _name=name, _shape=ref.shape):
-            w = flat.reshape(_shape)
-            plant, own = ((sys.with_kernel(_name, w), masks) if _name in KERNEL_BLOCKS
-                          else (sys, masks.replace(**{_name: w})))
-            return pipeline_cost(forward(plant, s).o, own, targets)
+            return pipeline_cost(full_forward_outputs(sys, masks, xs, _name,
+                                                      flat.reshape(_shape)), targets)
 
         np.testing.assert_array_equal(finite_difference_gradient(reused, ref.ravel(), cfg.eps),
                                       finite_difference_gradient(full, ref.ravel(), cfg.eps))
@@ -199,8 +204,8 @@ def test_output_side_probes_on_the_recorded_state_equal_full_forward_ones(seed):
 @pytest.mark.parametrize("seed", range(20))
 def test_stacked_probe_outputs_equal_the_probe_plants_forward_bit_for_bit(seed):
     # every probe of the first toy grad_check(GradCheckConfig(), seed) audits:
-    # its output from the stacked computation is its own plant's forward run's,
-    # and it decodes through its own masks
+    # its decoded outputs from the stacked computation are those of its own
+    # plant's forward run on its own encoded input, through its own masks
     cfg = GradCheckConfig()
     sys, masks, xs, _ = random_toy_pipeline(cfg, np.random.default_rng(seed))
     s = encode_inputs(xs, masks)
@@ -213,13 +218,10 @@ def test_stacked_probe_outputs_equal_the_probe_plants_forward_bit_for_bit(seed):
                 moved = full.copy()
                 moved.flat[j] += step
                 probes.append(moved)
-        outs, decode = _probe_outputs(sys, masks, xs, s, a, name, np.stack(probes))
-        assert len(outs) == len(decode) == len(probes)
-        for w, o, pm in zip(probes, outs, decode):
-            plant, own = ((sys.with_kernel(name, w), masks) if name in KERNEL_BLOCKS
-                          else (sys, masks.replace(**{name: w})))
-            assert np.array_equal(o, forward(plant, encode_inputs(xs, own)).o.samples), name
-            assert all(np.array_equal(getattr(pm, k), getattr(own, k)) for k in MASK_BLOCKS)
+        ys = _probe_outputs(sys, masks, xs, s, a, name, np.stack(probes))
+        assert len(ys) == len(probes)
+        for w, y in zip(probes, ys):
+            assert np.array_equal(y, full_forward_outputs(sys, masks, xs, name, w)), name
 
 
 def test_grad_check_threads_give_the_serial_report():
@@ -354,10 +356,9 @@ def test_grad_check_makes_one_cost_call_per_probe_and_encodes_each_input_once(mo
     params = sum(getattr(sys, name).taps[int(name == "w_aa"):].size for name in KERNEL_BLOCKS)
     params += sum(getattr(masks, name).size for name in MASK_BLOCKS)
     assert calls["pipeline_cost"] == 2 * params  # the benchmark's traced invariant
-    # the draw's, the gradient run's and the probes' shared input, then one
-    # per m or s_b probe: no other probe changes the encoded input
-    bound = attempts + 2 + 2 * (masks.m.size + masks.s_b.size)
-    assert calls["encode_inputs"] <= bound
+    # the draw's, then the gradient run's and the probes' shared input: the m and
+    # s_b probes encode as one stack, without encode_inputs
+    assert calls["encode_inputs"] == attempts + 2
 
 
 def naive_entries(cfg, seed):
@@ -374,9 +375,7 @@ def naive_entries(cfg, seed):
 
             def loss(flat, _name=name, _full=full, _lag0=lag0):
                 w = np.concatenate((_full[:_lag0].ravel(), flat)).reshape(_full.shape)
-                plant, pm = ((sys.with_kernel(_name, w), masks) if _name in KERNEL_BLOCKS
-                             else (sys, masks.replace(**{_name: w})))
-                ys = decode_outputs(forward(plant, encode_inputs(xs, pm)).o, pm)
+                ys = full_forward_outputs(sys, masks, xs, _name, w)
                 return 0.5 * float(np.sum((ys - targets) ** 2))
 
             fd = finite_difference_gradient(loss, full[lag0:].ravel(), cfg.eps)
@@ -385,9 +384,17 @@ def naive_entries(cfg, seed):
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_grad_check_entries_equal_the_naive_reference_exactly(seed):
-    cfg = GradCheckConfig(n_systems=2)
+@pytest.mark.parametrize("family", [GradCheckConfig().nonlinearities, ("clip",)],
+                         ids=["default", "clip"])  # the clip family is the benchmark's
+def test_grad_check_entries_equal_the_naive_reference_exactly(family, seed):
+    cfg = GradCheckConfig(n_systems=2, nonlinearities=family)
     assert grad_check(cfg, seed).entries == naive_entries(cfg, seed)
+
+
+def test_grad_check_reports_a_non_finite_probe_loss():
+    # probes a step of 1e308 away overflow the toy plant's outputs
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
+        grad_check(GradCheckConfig(n_systems=1, eps=1e308), 0)
 
 
 def directional_misses(name, backward_medium=None):

@@ -1,9 +1,14 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from echotrain.errors import ConfigurationError, LengthError, NumericError
 from echotrain.masking import (
     MaskSet,
+    _decode_stack,
+    _encode_stack,
     decode_outputs,
     encode_inputs,
     encode_output_errors,
@@ -88,6 +93,34 @@ def test_decode_matches_per_segment_sum_oracle():
         for t in range(4):
             expect = expect + 0.3 * masks.u[:, :, t] @ o.samples[:, i * 4 + t]
         np.testing.assert_allclose(ys[i], expect, rtol=1e-13)
+
+
+@pytest.mark.parametrize("size", [1, 5])
+def test_stacked_codec_items_are_lone_encodes_and_decodes_bit_for_bit(size):
+    # each member is a stack of size items, or the first item's alone (a stack
+    # of one) broadcast against the others; item p is the lone codec of its masks
+    rng = np.random.default_rng(30)
+    sets = [rand_masks(rng, n_in=3, dim_x=4, n_out=2, dim_y=3, period=7, dt=0.3)
+            for _ in range(size)]
+    outs = [Signal(rng.standard_normal((2, 5 * 7)), 0.3) for _ in range(size)]
+    xs = rng.standard_normal((5, 4))
+    members = ("m", "s_b", "u", "y_b", "o")
+    for stacked in itertools.product((False, True), repeat=len(members)):
+        own = dict(zip(members, stacked))
+
+        def stack(name):
+            items = outs if name == "o" else [getattr(pm, name) for pm in sets]
+            return np.stack([getattr(x, "samples", x) for x in items[: size if own[name] else 1]])
+
+        enc = _encode_stack(stack("m"), stack("s_b"), xs)
+        dec = _decode_stack(stack("o"), stack("u"), stack("y_b"), 0.3)
+        assert len(enc) == (size if own["m"] or own["s_b"] else 1)
+        assert len(dec) == (size if own["u"] or own["y_b"] or own["o"] else 1)
+        for p in range(size):
+            pm = sets[0].replace(**{k: getattr(sets[p], k) for k in members[:4] if own[k]})
+            o = outs[p if own["o"] else 0]
+            assert np.array_equal(enc[p % len(enc)], encode_inputs(xs, pm).samples), own
+            assert np.array_equal(dec[p % len(dec)], decode_outputs(o, pm)), own
 
 
 def test_decode_length_error():
@@ -247,6 +280,19 @@ def test_zero_masks_have_the_given_shape():
     assert masks.m.shape == (3, 2, 6) and masks.u.shape == (5, 4, 6)
     assert masks.s_b.shape == (3, 6) and masks.y_b.shape == (5,)
     assert masks.dt == 0.5 and not any(np.any(getattr(masks, k)) for k in ("m", "u", "s_b", "y_b"))
+
+
+def test_zero_masks_allocate_each_member_once():
+    # 20 channels x 1e5 samples of m, s_b and u: 45.8 MiB kept; a copy of a
+    # member on the way in would peak about 16 MB above it
+    tracemalloc.start()
+    try:
+        masks = MaskSet.zeros(20, 1, 20, 1, 100_000, 1.0)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept >= sum(getattr(masks, k).nbytes for k in ("m", "u", "s_b", "y_b"))
+    assert peak < 1.1 * kept
 
 
 @pytest.mark.parametrize("period", [0, -3])

@@ -209,7 +209,7 @@ def test_optical_update_straddles_mask_boundary_by_nine():
 
 def test_optical_gradients_match_fd_with_distortion_off():
     from echotrain.gradients import pipeline_cost, pipeline_gradients, relative_error
-    from echotrain.masking import MaskSet, encode_inputs
+    from echotrain.masking import MaskSet, decode_outputs, encode_inputs
     from oracles import fd_gradient
 
     p = OpticalParams(n_nodes=3, delay_samples=4, backward_clip=False,
@@ -232,7 +232,7 @@ def test_optical_gradients_match_fd_with_distortion_off():
 
     def loss_m(flat):
         pm = masks.replace(m=flat.reshape(masks.m.shape))
-        return pipeline_cost(forward(sys, encode_inputs(xs, pm)).o, pm, targets)
+        return pipeline_cost(decode_outputs(forward(sys, encode_inputs(xs, pm)).o, pm), targets)
 
     fd = fd_gradient(loss_m, masks.m.ravel(), eps=1e-5)
     assert relative_error(bundle["m"], fd) < 1e-5
@@ -241,8 +241,8 @@ def test_optical_gradients_match_fd_with_distortion_off():
     def loss_w(flat):
         taps = sys.w_aa.taps.copy()
         taps[4] = flat.reshape(3, 3)
-        return pipeline_cost(forward(sys.with_kernel("w_aa", taps), encode_inputs(xs, masks)).o,
-                             masks, targets)
+        o = forward(sys.with_kernel("w_aa", taps), encode_inputs(xs, masks)).o
+        return pipeline_cost(decode_outputs(o, masks), targets)
 
     fd_w = fd_gradient(loss_w, sys.w_aa.taps[4].ravel(), eps=1e-5)
     assert relative_error(bundle["w_aa"][4], fd_w) < 1e-5

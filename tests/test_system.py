@@ -723,7 +723,7 @@ def transform_lengths(monkeypatch):
 @pytest.mark.parametrize("geometry", ENGINE_GEOMETRIES)
 def test_engine_transform_length_follows_live_span(monkeypatch, geometry, trace):
     # one tube as W_sa and W_aa: forward's gate emits s + a, backward's records
-    # the sums; ragged and below-block traces end on a short, zero-padded window
+    # the sums; ragged and below-block traces end on a short block
     block, runs, nfft = ENGINE_GEOMETRIES[geometry]
     n = {"multiple": 10 * block, "ragged": 10 * block + 3, "below_block": block - 5}[trace]
     if n < block:  # no tap is live: the block is the trace, the span 1
@@ -749,6 +749,27 @@ def test_engine_transform_length_follows_live_span(monkeypatch, geometry, trace)
     for fast, slow in ((tr.a, a), (tr.o, o), (bw.e_a, e_a), (bw.e_s, e_s)):
         np.testing.assert_allclose(fast.samples, slow, rtol=0,
                                    atol=1e-11 * np.max(np.abs(slow)))
+
+
+@pytest.mark.parametrize("trace", ["multiple", "ragged", "below_block"])
+def test_engine_transforms_no_window_after_the_last_block(monkeypatch, trace):
+    # one rfft for the partition spectra, then one per block that a later block
+    # reads: the last block's window reaches past the trace and is not transformed
+    block, runs, _ = ENGINE_GEOMETRIES["mid_partition_runs"]
+    n = {"multiple": 10 * block, "ragged": 10 * block + 3, "below_block": block - 5}[trace]
+    w = np.zeros(runs[-1][0] + runs[-1][1])
+    for first, width in runs:
+        w[first : first + width] = 0.01
+    rfft, calls = np.fft.rfft, []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", spy)
+    drive = np.random.default_rng(75).standard_normal(n)
+    system_mod._partitioned_convolve(w, n, block, lambda fb, t0, t1: fb + drive[t0:t1])
+    assert len(calls) == 1 + (-(-n // block) - 1)
 
 
 def test_bundled_40khz_tube_engine_matches_direct(monkeypatch):
