@@ -102,15 +102,15 @@ def test_stacked_codec_items_are_lone_encodes_and_decodes_bit_for_bit(size):
     rng = np.random.default_rng(30)
     sets = [rand_masks(rng, n_in=3, dim_x=4, n_out=2, dim_y=3, period=7, dt=0.3)
             for _ in range(size)]
-    outs = [Signal(rng.standard_normal((2, 5 * 7)), 0.3) for _ in range(size)]
+    outs = rng.standard_normal((size, 2, 5 * 7))
     xs = rng.standard_normal((5, 4))
     members = ("m", "s_b", "u", "y_b", "o")
     for stacked in itertools.product((False, True), repeat=len(members)):
         own = dict(zip(members, stacked))
 
         def stack(name):
-            items = outs if name == "o" else [getattr(pm, name) for pm in sets]
-            return np.stack([getattr(x, "samples", x) for x in items[: size if own[name] else 1]])
+            items = outs if name == "o" else np.stack([getattr(pm, name) for pm in sets])
+            return items[: size if own[name] else 1]
 
         enc = _encode_stack(stack("m"), stack("s_b"), xs)
         dec = _decode_stack(stack("o"), stack("u"), stack("y_b"), 0.3)
@@ -118,7 +118,7 @@ def test_stacked_codec_items_are_lone_encodes_and_decodes_bit_for_bit(size):
         assert len(dec) == (size if own["u"] or own["y_b"] or own["o"] else 1)
         for p in range(size):
             pm = sets[0].replace(**{k: getattr(sets[p], k) for k in members[:4] if own[k]})
-            o = outs[p if own["o"] else 0]
+            o = Signal(outs[p if own["o"] else 0], 0.3)
             assert np.array_equal(enc[p % len(enc)], encode_inputs(xs, pm).samples), own
             assert np.array_equal(dec[p % len(dec)], decode_outputs(o, pm)), own
 
