@@ -38,8 +38,9 @@ from .system import (BackwardTrace, ForwardTrace, Nonlinearity, PhysicalSystem, 
 KERNEL_BLOCKS = ("w_sa", "w_aa", "w_so", "w_ao")
 MASK_BLOCKS = ("m", "s_b", "u", "y_b")
 ALL_BLOCKS = KERNEL_BLOCKS + MASK_BLOCKS
+STATE_SIDE = ("w_sa", "w_aa", "m", "s_b")
 OUTPUT_SIDE = ("w_so", "w_ao", "u", "y_b")  # blocks the state equation never sees
-_STACK_BYTES = 1 << 20  # the bytes the probes of one finite-difference chunk may hold
+_STACK_BYTES = 2 << 20  # the bytes the probes of one finite-difference chunk may hold
 _NONLINEARITIES = {"rectifier": Nonlinearity.rectifier,  # the toy family's choices
                    "clip": lambda: Nonlinearity.clip(-1.0, 1.0),
                    "identity": Nonlinearity.identity}
@@ -293,23 +294,23 @@ def _non_reciprocal(sys: PhysicalSystem) -> PhysicalSystem:
     return sys
 
 
-def _probe_outputs(sys: PhysicalSystem, masks: MaskSet, xs: np.ndarray, s: Signal,
-                   a: Signal, name: str, w: np.ndarray) -> np.ndarray:
-    """The clean decoded outputs (P, n, dim_y) of the P probes that set block
-    name to w[p].  Every block is a stack, w for the probed one and the toy's
-    own [None] for the others, so no probe builds a MaskSet or a Signal.  The
-    input is s but for m and s_b probes; the state-side probes run one batched
-    recursion, the output-side ones keep the state a."""
-    taps = {k: w if k == name else getattr(sys, k).taps[None] for k in KERNEL_BLOCKS}
-    mask = {k: w if k == name else getattr(masks, k)[None] for k in MASK_BLOCKS}
-    x = _encode_stack(mask["m"], mask["s_b"], xs) if name in ("m", "s_b") else s.samples[None]
-    state = a.samples[None]
-    if name not in OUTPUT_SIDE:
+def _probe_outputs(sys: PhysicalSystem, masks: MaskSet, xs: np.ndarray, stacks: dict,
+                   toy: tuple | None = None) -> tuple:
+    """The clean decoded outputs (P, n, dim_y), inputs and states of P probes:
+    stacks maps blocks to stacks of P members, the others are the toy's own
+    [None].  Without toy the probes run the state equation as one batched
+    recursion; output-side probes keep the toy's input and state (x, a)."""
+    taps = {k: stacks.get(k, getattr(sys, k).taps[None]) for k in KERNEL_BLOCKS}
+    mask = {k: stacks.get(k, getattr(masks, k)[None]) for k in MASK_BLOCKS}
+    if toy is None:
+        x = _encode_stack(mask["m"], mask["s_b"], xs)
         drive = _convolve_stack(taps["w_sa"], sys.dt, x)
-        state = _causal_feedback(taps["w_aa"], sys.dt, len(w), s.n_samples,
-                                 lambda fb, t0, t1: _activate(sys.f, drive[:, :, t0:t1] + fb))
-    o = _convolve_stack(taps["w_so"], sys.dt, x) + _convolve_stack(taps["w_ao"], sys.dt, state)
-    return _decode_stack(o, mask["u"], mask["y_b"], sys.dt)
+        a = _causal_feedback(taps["w_aa"], sys.dt, max(len(drive), len(taps["w_aa"])), x.shape[2],
+                             lambda fb, t0, t1: _activate(sys.f, drive[:, :, t0:t1] + fb))
+    else:
+        x, a = toy
+    o = _convolve_stack(taps["w_so"], sys.dt, x) + _convolve_stack(taps["w_ao"], sys.dt, a)
+    return _decode_stack(o, mask["u"], mask["y_b"], sys.dt), x, a
 
 
 def grad_check(cfg: GradCheckConfig, seed: int, break_adjoint: bool = False) -> GradCheckReport:
@@ -317,9 +318,10 @@ def grad_check(cfg: GradCheckConfig, seed: int, break_adjoint: bool = False) -> 
 
     break_adjoint plays the error back through _non_reciprocal(plant) -- a
     deliberate corruption that must make the check fail (negative control).
-    Forward runs and the FD losses stay on the true plant.  A chunk of probes
-    runs as one stacked computation (_probe_outputs) from the toy's input and
-    state, then each probe is one pipeline_cost call on its own decoded outputs.
+    Forward runs and the FD losses stay on the true plant.  A toy's probes run
+    as two stacks (_probe_outputs), one per side of the state equation; the
+    state side's first row is the toy, whose input and state the output side
+    keeps.  Each probe is one pipeline_cost call on its decoded outputs.
     """
     rng = np.random.default_rng(seed)
     worst = {name: 0.0 for name in ALL_BLOCKS}
@@ -327,27 +329,37 @@ def grad_check(cfg: GradCheckConfig, seed: int, break_adjoint: bool = False) -> 
         sys, masks, xs, targets = random_toy_pipeline(cfg, rng)
         grads = pipeline_gradients(sys, masks, xs, targets,
                                    medium=_non_reciprocal(sys) if break_adjoint else None)
-        s0 = encode_inputs(xs, masks)
-        a0 = forward(sys, s0).a
-        for name in ALL_BLOCKS:
-            full = getattr(sys, name).taps if name in KERNEL_BLOCKS else getattr(masks, name)
-            pinned = full[: int(name == "w_aa")].ravel()  # w_aa tap 0: zero by strict causality
+        toy = []  # the toy's own input and state, from the first state-side chunk
+        for side in (STATE_SIDE, OUTPUT_SIDE):
+            full = [getattr(sys, k).taps if k in KERNEL_BLOCKS else getattr(masks, k) for k in side]
+            whole = np.concatenate([w.ravel() for w in full])
+            ends = np.cumsum([w.size for w in full])[:-1]  # each block's columns end to end
+            free = np.concatenate([np.arange(w.size) >= w[0].size * (k == "w_aa")  # w_aa tap 0 is
+                                   for k, w in zip(side, full)])  # zero by strict causality
 
             def losses(points):
-                w = np.concatenate((np.tile(pinned, (len(points), 1)), points), axis=1)
-                ys = _probe_outputs(sys, masks, xs, s0, a0, name, w.reshape((-1,) + full.shape))
-                return _map(lambda y: pipeline_cost(y, targets), ys, cfg.threads)
+                lead = int(not toy)  # the toy's own row leads the chunk, one over its budget
+                rows = np.tile(whole, (lead + len(points), 1))
+                rows[lead:, free] = points
+                stacks = {k: np.ascontiguousarray(col).reshape((len(rows),) + w.shape)
+                          for k, w, col in zip(side, full, np.split(rows, ends, axis=1))}
+                # a diverging probe's loss is non-finite, which _central_differences reports
+                with np.errstate(over="ignore", invalid="ignore"):
+                    ys, x, a = _probe_outputs(sys, masks, xs, stacks,
+                                              toy[0] if side is OUTPUT_SIDE else None)
+                    if lead:
+                        toy.append((x[:1].copy(), a[:1].copy()))
+                    return _map(lambda y: pipeline_cost(y, targets), ys[lead:], cfg.threads)
 
-            # a probe's block (point, stacked), output traces (w_so * s, w_ao * a, sum),
-            # drive, state and recursion buffer, input (product, sum; m, s_b) and
-            # decoded outputs (product, sum)
-            rows = (3 * sys.n_outputs + 3 * sys.n_state * (name not in OUTPUT_SIDE)
-                    + 2 * sys.n_inputs * (name in ("m", "s_b")))
-            probe_bytes = 8 * (2 * full.size + rows * s0.n_samples + 2 * targets.size)
-            fd = _central_differences(full.ravel()[pinned.size:], cfg.eps, probe_bytes, losses)
-            worst[name] = max(worst[name], relative_error(grads[name].ravel()[pinned.size:], fd))
+            # a probe's point, row and blocks, traces (w_so * s, w_ao * a, sum; the state side's
+            # input product and sum, drive, state, recursion buffer) and outputs (product, sum)
+            rows = 3 * sys.n_outputs + (2 * sys.n_inputs + 3 * sys.n_state) * (side is STATE_SIDE)
+            probe_bytes = 8 * (3 * whole.size + rows * len(xs) * masks.period + 2 * targets.size)
+            fd = np.zeros(whole.size)
+            fd[free] = _central_differences(whole[free], cfg.eps, probe_bytes, losses)
+            g = np.concatenate([grads[k].ravel() for k in side])
+            for k, gk, fk, ok in zip(side, *(np.split(v, ends) for v in (g, fd, free))):
+                worst[k] = max(worst[k], relative_error(gk[ok], fk[ok]))
 
-    report = GradCheckReport(threshold=cfg.threshold)
-    for name in ALL_BLOCKS:
-        report.entries.append((name, worst[name], worst[name] < cfg.threshold))
-    return report
+    return GradCheckReport([(k, worst[k], worst[k] < cfg.threshold) for k in ALL_BLOCKS],
+                           cfg.threshold)

@@ -13,6 +13,7 @@ from echotrain.gradients import (
     KERNEL_BLOCKS,
     MASK_BLOCKS,
     OUTPUT_SIDE,
+    STATE_SIDE,
     GradCheckConfig,
     _non_reciprocal,
     _probe_outputs,
@@ -161,17 +162,42 @@ def full_forward_outputs(sys, masks, xs, name, w):
     return decode_outputs(forward(plant, encode_inputs(xs, own)).o, own)
 
 
+def member(sys, masks, name):
+    return getattr(sys, name).taps if name in KERNEL_BLOCKS else getattr(masks, name)
+
+
+def probes_of(sys, masks, names, eps):
+    """(block, member) of every probe grad_check makes of blocks names: each
+    coordinate moved by +eps, then by -eps, but w_aa's tap 0."""
+    probes = []
+    for name in names:
+        full = member(sys, masks, name)
+        for j in range(int(name == "w_aa") * full[0].size, full.size):
+            for step in (eps, -eps):
+                moved = full.copy()
+                moved.flat[j] += step
+                probes.append((name, moved))
+    return probes
+
+
+def stacks_of(sys, masks, names, probes):
+    """Every block of names as a full stack, one row per probe: the probe's
+    member for its block, the toy's own member for the others."""
+    return {k: np.stack([w if name == k else member(sys, masks, k) for name, w in probes])
+            for k in names}
+
+
 def test_cost_from_the_recorded_state_is_the_full_forward_cost_bit_for_bit():
     cfg = GradCheckConfig()
     rng = np.random.default_rng(5)
     for _ in range(10):
         sys, masks, xs, targets = random_toy_pipeline(cfg, rng)
         s = encode_inputs(xs, masks)
-        a = forward(sys, s).a
+        toy = (s.samples[None], forward(sys, s).a.samples[None])
         # an output-side change keeps the state: w_so, w_ao, u and y_b each moved
         for name, w in (("w_so", 1.5 * sys.w_so.taps), ("w_ao", sys.w_ao.taps - 0.1),
                         ("u", -masks.u), ("y_b", masks.y_b + 0.2)):
-            ys = _probe_outputs(sys, masks, xs, s, a, name, w[None])
+            ys, _, _ = _probe_outputs(sys, masks, xs, {name: w[None]}, toy)
             full = full_forward_outputs(sys, masks, xs, name, w)
             assert np.array_equal(ys[0], full), name
             assert pipeline_cost(ys[0], targets) == pipeline_cost(full, targets), name
@@ -185,12 +211,12 @@ def test_output_side_probes_on_the_recorded_state_equal_full_forward_ones(seed):
     cfg = GradCheckConfig()
     sys, masks, xs, targets = random_toy_pipeline(cfg, np.random.default_rng(seed))
     s = encode_inputs(xs, masks)
-    a = forward(sys, s).a
+    toy = (s.samples[None], forward(sys, s).a.samples[None])
     for name in OUTPUT_SIDE:
-        ref = getattr(sys, name).taps if name in KERNEL_BLOCKS else getattr(masks, name)
+        ref = member(sys, masks, name)
 
         def reused(flat, _name=name, _shape=ref.shape):
-            ys = _probe_outputs(sys, masks, xs, s, a, _name, flat.reshape((1,) + _shape))
+            ys, _, _ = _probe_outputs(sys, masks, xs, {_name: flat.reshape((1,) + _shape)}, toy)
             return pipeline_cost(ys[0], targets)
 
         def full(flat, _name=name, _shape=ref.shape):
@@ -209,19 +235,38 @@ def test_stacked_probe_outputs_equal_the_probe_plants_forward_bit_for_bit(seed):
     cfg = GradCheckConfig()
     sys, masks, xs, _ = random_toy_pipeline(cfg, np.random.default_rng(seed))
     s = encode_inputs(xs, masks)
-    a = forward(sys, s).a
+    toy = (s.samples[None], forward(sys, s).a.samples[None])
     for name in ALL_BLOCKS:
-        full = getattr(sys, name).taps if name in KERNEL_BLOCKS else getattr(masks, name)
-        probes = []
-        for j in range(int(name == "w_aa") * full[0].size, full.size):
-            for step in (cfg.eps, -cfg.eps):
-                moved = full.copy()
-                moved.flat[j] += step
-                probes.append(moved)
-        ys = _probe_outputs(sys, masks, xs, s, a, name, np.stack(probes))
+        probes = [w for _, w in probes_of(sys, masks, [name], cfg.eps)]
+        ys, _, _ = _probe_outputs(sys, masks, xs, {name: np.stack(probes)},
+                                  toy if name in OUTPUT_SIDE else None)
         assert len(ys) == len(probes)
         for w, y in zip(probes, ys):
             assert np.array_equal(y, full_forward_outputs(sys, masks, xs, name, w)), name
+
+
+@pytest.mark.parametrize("family, seed", [
+    pytest.param(family, seed, id=f"{label}{seed}") for seed in range(20)
+    for label, family in (("", GradCheckConfig().nonlinearities), ("clip-", ("clip",)))])
+def test_merged_side_stacks_equal_the_probe_plants_forward_bit_for_bit(family, seed):
+    # the two stacks grad_check runs for its first toy: the state side, the toy
+    # itself then every probe of w_sa, w_aa, m and s_b, and the output side,
+    # every probe of w_so, w_ao, u and y_b on the first row's input and state;
+    # each row is its own plant's forward run on its own input, decoded
+    cfg = GradCheckConfig(nonlinearities=family)
+    sys, masks, xs, _ = random_toy_pipeline(cfg, np.random.default_rng(seed))
+    s = encode_inputs(xs, masks)
+    tr = forward(sys, s)
+    rows = [("m", masks.m)] + probes_of(sys, masks, STATE_SIDE, cfg.eps)
+    ys, x, a = _probe_outputs(sys, masks, xs, stacks_of(sys, masks, STATE_SIDE, rows))
+    assert np.array_equal(x[0], s.samples) and np.array_equal(a[0], tr.a.samples)
+    assert np.array_equal(ys[0], decode_outputs(tr.o, masks))
+    toy = (x[:1], a[:1])
+    probes = probes_of(sys, masks, OUTPUT_SIDE, cfg.eps)
+    outs, _, _ = _probe_outputs(sys, masks, xs, stacks_of(sys, masks, OUTPUT_SIDE, probes), toy)
+    assert len(ys) == len(rows) and len(outs) == len(probes)
+    for (name, w), y in zip(rows + probes, list(ys) + list(outs)):
+        assert np.array_equal(y, full_forward_outputs(sys, masks, xs, name, w)), name
 
 
 def test_grad_check_threads_give_the_serial_report():
@@ -338,7 +383,8 @@ def test_grad_check_config_takes_its_edge_values():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_grad_check_makes_one_cost_call_per_probe_and_encodes_each_input_once(monkeypatch, seed):
-    calls = {"pipeline_cost": 0, "encode_inputs": 0}
+    calls = {"pipeline_cost": 0, "encode_inputs": 0, "forward": 0}
+    batches = []  # the batch of each recursion the probes run
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -348,6 +394,13 @@ def test_grad_check_makes_one_cost_call_per_probe_and_encodes_each_input_once(mo
 
     for name in calls:
         monkeypatch.setattr(gradients_mod, name, counted(name, getattr(gradients_mod, name)))
+    recursion = gradients_mod._causal_feedback
+
+    def batched(taps, dt, batch, *rest):
+        batches.append(batch)
+        return recursion(taps, dt, batch, *rest)
+
+    monkeypatch.setattr(gradients_mod, "_causal_feedback", batched)
     cfg = GradCheckConfig(n_systems=1, nonlinearities=("clip",))
     sys, masks, _, _ = random_toy_pipeline(cfg, np.random.default_rng(seed))  # grad_check's toy
     attempts = calls["encode_inputs"]  # one kink test per draw attempt
@@ -356,9 +409,11 @@ def test_grad_check_makes_one_cost_call_per_probe_and_encodes_each_input_once(mo
     params = sum(getattr(sys, name).taps[int(name == "w_aa"):].size for name in KERNEL_BLOCKS)
     params += sum(getattr(masks, name).size for name in MASK_BLOCKS)
     assert calls["pipeline_cost"] == 2 * params  # the benchmark's traced invariant
-    # the draw's, then the gradient run's and the probes' shared input: the m and
-    # s_b probes encode as one stack, without encode_inputs
-    assert calls["encode_inputs"] == attempts + 2
+    # the draw's, then the gradient run's: the probes encode and run the toy
+    # itself as the first row of the state side's one stack
+    assert calls["encode_inputs"] == calls["forward"] == attempts + 1
+    state = sum(member(sys, masks, name)[int(name == "w_aa"):].size for name in STATE_SIDE)
+    assert batches == [1 + 2 * state] == [169]  # one recursion: the toy and every state probe
 
 
 def naive_entries(cfg, seed):
@@ -384,16 +439,19 @@ def naive_entries(cfg, seed):
 
 
 @pytest.mark.parametrize("family, seed", [  # the clip family is the benchmark's
-    pytest.param(family, seed, id=f"{label}{seed}") for seed in range(5)
+    pytest.param(family, seed, id=f"{label}{seed}", marks=[pytest.mark.slow] * (seed >= 5))
+    for seed in range(30)
     for label, family in (("", GradCheckConfig().nonlinearities), ("clip-", ("clip",)))])
 def test_grad_check_entries_equal_the_naive_reference_exactly(family, seed):
     cfg = GradCheckConfig(n_systems=2, nonlinearities=family)
     assert grad_check(cfg, seed).entries == naive_entries(cfg, seed)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_grad_check_reports_a_non_finite_probe_loss():
-    # probes a step of 1e308 away overflow the toy plant's outputs
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
+    # probes a step of 1e308 away overflow the toy plant's outputs: the audit
+    # reports it, and numpy warns of nothing on the way
+    with pytest.raises(NumericError):
         grad_check(GradCheckConfig(n_systems=1, eps=1e308), 0)
 
 
