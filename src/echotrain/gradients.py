@@ -259,7 +259,7 @@ def pipeline_cost(ys: np.ndarray, targets) -> float:
     """Quadratic end-to-end cost 0.5 sum_i |y_i - t_i|^2 (the grad_check cost) of
     the decoded outputs ys.  The cost of a plant on the encoded input s is
     pipeline_cost(decode_outputs(forward(sys, s).o, masks), targets)."""
-    return 0.5 * float(np.sum((ys - np.asarray(targets)) ** 2))
+    return 0.5 * float(((ys - np.asarray(targets)) ** 2).sum())  # np.sum's reduce, no dispatch
 
 
 def pipeline_gradients(sys: PhysicalSystem, masks: MaskSet, xs, targets,
@@ -332,10 +332,10 @@ def grad_check(cfg: GradCheckConfig, seed: int, break_adjoint: bool = False) -> 
         toy = []  # the toy's own input and state, from the first state-side chunk
         for side in (STATE_SIDE, OUTPUT_SIDE):
             full = [getattr(sys, k).taps if k in KERNEL_BLOCKS else getattr(masks, k) for k in side]
-            whole = np.concatenate([w.ravel() for w in full])
-            ends = np.cumsum([w.size for w in full])[:-1]  # each block's columns end to end
-            free = np.concatenate([np.arange(w.size) >= w[0].size * (k == "w_aa")  # w_aa tap 0 is
-                                   for k, w in zip(side, full)])  # zero by strict causality
+            whole = np.concatenate([w.ravel() for w in full])  # a row: the blocks in turn
+            ends = np.cumsum([w.size for w in full])[:-1]
+            free = np.concatenate([np.arange(w.size) >= w[0].size * (k == "w_aa")
+                                   for k, w in zip(side, full)])  # w_aa tap 0 is zero: not probed
 
             def losses(points):
                 lead = int(not toy)  # the toy's own row leads the chunk, one over its budget
@@ -353,8 +353,8 @@ def grad_check(cfg: GradCheckConfig, seed: int, break_adjoint: bool = False) -> 
 
             # a probe's point, row and blocks, traces (w_so * s, w_ao * a, sum; the state side's
             # input product and sum, drive, state, recursion buffer) and outputs (product, sum)
-            rows = 3 * sys.n_outputs + (2 * sys.n_inputs + 3 * sys.n_state) * (side is STATE_SIDE)
-            probe_bytes = 8 * (3 * whole.size + rows * len(xs) * masks.period + 2 * targets.size)
+            traces = 3 * sys.n_outputs + (2 * sys.n_inputs + 3 * sys.n_state) * (side is STATE_SIDE)
+            probe_bytes = 8 * (3 * whole.size + traces * len(xs) * masks.period + 2 * targets.size)
             fd = np.zeros(whole.size)
             fd[free] = _central_differences(whole[free], cfg.eps, probe_bytes, losses)
             g = np.concatenate([grads[k].ravel() for k in side])
