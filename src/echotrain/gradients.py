@@ -110,8 +110,18 @@ def _central_differences(theta: np.ndarray, eps: float, probe_bytes: int, losses
 
 
 def _map(fn, items, threads: int) -> list:
-    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:  # no thread unless used
-        return list((pool.map if threads > 1 else map)(fn, items))
+    """[fn(item) for item in items], spread over a pool of threads if threads > 1.
+    Each call runs under the caller's numpy error state, which threads do not inherit."""
+    if threads <= 1:
+        return list(map(fn, items))
+    err = np.geterr()
+
+    def call(item):
+        with np.errstate(**err):
+            return fn(item)
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(call, items))
 
 
 def finite_difference_gradient(loss, theta: np.ndarray, eps: float = 1e-5,
@@ -207,6 +217,12 @@ class GradCheckReport:
 
 def random_toy_pipeline(cfg: GradCheckConfig, rng: np.random.Generator):
     """One random (system, masks, xs, targets) draw with a kink-safe trace."""
+    return _draw_toy(cfg, rng)[:4]
+
+
+def _draw_toy(cfg: GradCheckConfig, rng: np.random.Generator):
+    """random_toy_pipeline's draw and the accepted toy's encoded input s and
+    clean forward trace tr: (sys, masks, xs, targets, s, tr)."""
     for _ in range(64):
         dt = float(rng.uniform(*cfg.dt_range))
         kind = cfg.nonlinearities[int(rng.integers(len(cfg.nonlinearities)))]
@@ -239,16 +255,18 @@ def random_toy_pipeline(cfg: GradCheckConfig, rng: np.random.Generator):
         )
         xs = rng.standard_normal((cfg.instances, cfg.dim_x))
         targets = rng.standard_normal((cfg.instances, cfg.dim_y))
-        if _kink_margin(sys, encode_inputs(xs, masks)) > cfg.kink_margin:
-            return sys, masks, xs, targets
+        s = encode_inputs(xs, masks)
+        tr = forward(sys, s)
+        if _kink_margin(sys, s, tr) > cfg.kink_margin:
+            return sys, masks, xs, targets, s, tr
     raise ConfigurationError("could not draw a kink-safe toy system; widen margins")
 
 
-def _kink_margin(sys: PhysicalSystem, s: Signal) -> float:
-    """Distance of the closest pre-activation sample to a nonlinearity kink."""
+def _kink_margin(sys: PhysicalSystem, s: Signal, tr: ForwardTrace) -> float:
+    """Distance of the closest pre-activation sample of the run tr of sys on s
+    to a nonlinearity kink."""
     if sys.f.kind == "identity":
         return np.inf
-    tr = forward(sys, s)
     pre = convolve(sys.w_sa, s).samples + convolve(sys.w_aa, tr.a).samples
     if sys.f.kind == "rectifier":
         return float(np.min(np.abs(pre))) if pre.size else np.inf
@@ -270,7 +288,12 @@ def pipeline_gradients(sys: PhysicalSystem, masks: MaskSet, xs, targets,
     itself, whose reciprocity makes the backward run the exact adjoint).
     """
     s = encode_inputs(xs, masks)
-    tr = forward(sys, s)
+    return _trace_gradients(sys, masks, xs, targets, s, forward(sys, s), medium)
+
+
+def _trace_gradients(sys: PhysicalSystem, masks: MaskSet, xs, targets, s: Signal,
+                     tr: ForwardTrace, medium: PhysicalSystem | None) -> dict:
+    """pipeline_gradients from the encoded input s and its clean forward trace tr."""
     ys = decode_outputs(tr.o, masks)
     errs = ys - np.asarray(targets, dtype=np.float64)
     e_o = encode_output_errors(errs, masks)
@@ -318,17 +341,18 @@ def grad_check(cfg: GradCheckConfig, seed: int, break_adjoint: bool = False) -> 
 
     break_adjoint plays the error back through _non_reciprocal(plant) -- a
     deliberate corruption that must make the check fail (negative control).
-    Forward runs and the FD losses stay on the true plant.  A toy's probes run
-    as two stacks (_probe_outputs), one per side of the state equation; the
-    state side's first row is the toy, whose input and state the output side
-    keeps.  Each probe is one pipeline_cost call on its decoded outputs.
+    Forward runs and the FD losses stay on the true plant; the gradient run
+    takes the accepted draw's encoded input and forward trace.  A toy's probes
+    run as two stacks (_probe_outputs), one per side of the state equation;
+    the state side's first row is the toy, whose input and state the output
+    side keeps.  Each probe is one pipeline_cost call on its decoded outputs.
     """
     rng = np.random.default_rng(seed)
     worst = {name: 0.0 for name in ALL_BLOCKS}
     for _ in range(cfg.n_systems):
-        sys, masks, xs, targets = random_toy_pipeline(cfg, rng)
-        grads = pipeline_gradients(sys, masks, xs, targets,
-                                   medium=_non_reciprocal(sys) if break_adjoint else None)
+        sys, masks, xs, targets, s, tr = _draw_toy(cfg, rng)
+        grads = _trace_gradients(sys, masks, xs, targets, s, tr,
+                                 _non_reciprocal(sys) if break_adjoint else None)
         toy = []  # the toy's own input and state, from the first state-side chunk
         for side in (STATE_SIDE, OUTPUT_SIDE):
             full = [getattr(sys, k).taps if k in KERNEL_BLOCKS else getattr(masks, k) for k in side]

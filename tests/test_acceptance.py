@@ -2,22 +2,18 @@
 PASS/FAIL line (run with -s to watch) and enforcing its runtime budget.
 
 The two end-to-end training criteria (4, 5) carry the `slow` marker; their
-four bundled runs start together in one pool of two worker processes.  The
-full suite including them is the shipping gate.
+four bundled runs start at the session's first test, in one pool of two worker
+processes at a lower scheduling priority (tests/conftest.py), and the two
+tests run last.  Each budget counts from the runs' submit to their children's
+exit.  The full suite including them is the shipping gate.
 """
 
-import os
-import subprocess
-import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import binomtest
 
-import echotrain
 from echotrain.cli import main as cli_main
 from echotrain.gradients import (
     GradCheckConfig,
@@ -108,43 +104,17 @@ def read_final_metric(path):
     raise AssertionError(f"no final_metric in {path}")
 
 
-# the bundled configs that criteria 4 and 5 train, by test
-RUNS = {
-    "test_criterion_4_acoustic_delay_reproduction": (
-        "acoustic_delay_task", "acoustic_delay_input_only", "acoustic_delay_output_only"),
-    "test_criterion_5_optical_plant_properties": ("optical_labels",),
-}
-
-
-def run_config(name, root):
-    """`echotrain run` of a bundled config in a child process with BLAS pinned
-    to one thread; its output dir.  Each writes what a serial run writes."""
-    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(p for p in (str(Path(echotrain.__file__).parent.parent),
-                                                      os.environ.get("PYTHONPATH")) if p))
-    cmd = [sys.executable, "-m", "echotrain", "run", "--config", name, "--out", str(root / name)]
-    assert subprocess.run(cmd, env=env, timeout=900).returncode == 0, f"{name} run failed"
-    return root / name
-
-
-@pytest.fixture(scope="module")
-def bundled_runs(request, tmp_path_factory):
-    """(start time, name -> future of the output dir) of the runs of every
-    selected test in RUNS, started at once in one pool of two workers."""
-    selected = {item.name for item in request.session.items}
-    names = [name for test, run in RUNS.items() if test in selected for name in run]
-    root = tmp_path_factory.mktemp("runs")
-    t0 = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=2) as pool:  # each thread waits on one child
-        yield t0, {name: pool.submit(run_config, name, root) for name in names}
+def finished(runs):
+    """(config name -> output dir, seconds from submit until the last of the
+    runs exited) of a test's bundled runs (conftest.bundled_runs)."""
+    done = {name: run.result() for name, run in runs.items()}
+    return ({name: out for name, (out, _) in done.items()},
+            max(seconds for _, seconds in done.values()))
 
 
 @pytest.mark.slow
 def test_criterion_4_acoustic_delay_reproduction(bundled_runs):
-    t0, runs = bundled_runs
-    outs = {name: runs[name].result()
-            for name in RUNS["test_criterion_4_acoustic_delay_reproduction"]}
-    elapsed = time.perf_counter() - t0
+    outs, elapsed = finished(bundled_runs["test_criterion_4_acoustic_delay_reproduction"])
 
     full = read_final_metric(outs["acoustic_delay_task"] / "summary.txt")
     m_in = read_final_metric(outs["acoustic_delay_input_only"] / "summary.txt")
@@ -165,8 +135,9 @@ def test_criterion_4_acoustic_delay_reproduction(bundled_runs):
 
 @pytest.mark.slow
 def test_criterion_5_optical_plant_properties(bundled_runs):
-    t0, runs = bundled_runs
-    out = runs["optical_labels"].result()
+    outs, run_s = finished(bundled_runs["test_criterion_5_optical_plant_properties"])
+    t0 = time.perf_counter()
+    out = outs["optical_labels"]
     metrics = read_log_metrics(out / "log.csv")
     wm = window_means(metrics, 200)
     monotone = bool(np.all(np.diff(wm) <= 1e-12))
@@ -184,7 +155,7 @@ def test_criterion_5_optical_plant_properties(bundled_runs):
     k = int(np.sum(pred[data.cost_mask] != true[data.cost_mask]))
     fer = k / m
     pval = binomtest(k, m, 1.0 - 1.0 / 4.0, alternative="less").pvalue
-    elapsed = time.perf_counter() - t0
+    elapsed = run_s + time.perf_counter() - t0
 
     ok = pval < 0.01 and monotone and elapsed < 1200.0
     report(5, "optical plant training properties", ok,

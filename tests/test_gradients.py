@@ -409,11 +409,33 @@ def test_grad_check_makes_one_cost_call_per_probe_and_encodes_each_input_once(mo
     params = sum(getattr(sys, name).taps[int(name == "w_aa"):].size for name in KERNEL_BLOCKS)
     params += sum(getattr(masks, name).size for name in MASK_BLOCKS)
     assert calls["pipeline_cost"] == 2 * params  # the benchmark's traced invariant
-    # the draw's, then the gradient run's: the probes encode and run the toy
-    # itself as the first row of the state side's one stack
-    assert calls["encode_inputs"] == calls["forward"] == attempts + 1
+    # the draw's only: the gradient run takes the accepted draw's trace, and the
+    # probes encode and run the toy itself as the first row of the state side's stack
+    assert calls["encode_inputs"] == calls["forward"] == attempts
     state = sum(member(sys, masks, name)[int(name == "w_aa"):].size for name in STATE_SIDE)
     assert batches == [1 + 2 * state] == [169]  # one recursion: the toy and every state probe
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["reciprocal", "non-reciprocal"])
+@pytest.mark.parametrize("kind", GradCheckConfig().nonlinearities)
+def test_the_draws_trace_feeds_the_gradient_run_bit_for_bit(kind, broken):
+    # grad_check's gradient run takes the accepted draw's encoded input and
+    # forward trace: they are the toy's own, and give pipeline_gradients exactly
+    cfg = GradCheckConfig(nonlinearities=(kind,))
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        sys, masks, xs, targets, s, tr = gradients_mod._draw_toy(cfg, rng)
+        ref_s = encode_inputs(xs, masks)
+        ref = forward(sys, ref_s)
+        for got, want in ((s, ref_s), (tr.a, ref.a), (tr.o, ref.o)):
+            assert np.array_equal(got.samples, want.samples)
+        assert np.array_equal(tr.jac, ref.jac)
+        medium = _non_reciprocal(sys) if broken else None
+        grads = gradients_mod._trace_gradients(sys, masks, xs, targets, s, tr, medium)
+        want = pipeline_gradients(sys, masks, xs, targets, medium=medium)
+        assert grads.keys() == want.keys() == set(ALL_BLOCKS)
+        for name in ALL_BLOCKS:
+            assert np.array_equal(grads[name], want[name]), name
 
 
 def naive_entries(cfg, seed):
@@ -448,11 +470,12 @@ def test_grad_check_entries_equal_the_naive_reference_exactly(family, seed):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_grad_check_reports_a_non_finite_probe_loss():
+@pytest.mark.parametrize("threads", [1, 2])
+def test_grad_check_reports_a_non_finite_probe_loss(threads):
     # probes a step of 1e308 away overflow the toy plant's outputs: the audit
-    # reports it, and numpy warns of nothing on the way
+    # reports it, and numpy warns of nothing on the way, in the pool's threads too
     with pytest.raises(NumericError):
-        grad_check(GradCheckConfig(n_systems=1, eps=1e308), 0)
+        grad_check(GradCheckConfig(n_systems=1, eps=1e308, threads=threads), 0)
 
 
 def directional_misses(name, backward_medium=None):
