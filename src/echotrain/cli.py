@@ -109,9 +109,12 @@ class ConfigFile:
     @staticmethod
     def parse(path) -> "ConfigFile":
         cfg = ConfigFile(path=str(path))
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
+        with open(path, "rb") as fh:  # bytes.splitlines: \n, \r and \r\n, as text mode reads
+            for lineno, raw in enumerate(fh.read().splitlines(), start=1):
+                try:
+                    line = raw.decode("utf-8").split("#", 1)[0].strip()
+                except UnicodeDecodeError:
+                    raise UsageError(f"{path}:{lineno}: not UTF-8 text") from None
                 if not line:
                     continue
                 if "=" not in line:
@@ -336,12 +339,12 @@ def cmd_gradcheck(args) -> int:
         cfg = ConfigFile.parse(resolve_config_path(args.config))
         check_cfg = cfg.build(GradCheckConfig, threads=args.threads)
         cfg.reject_unknown()
+    if args.out:  # made before the audit, so that an --out in the way ends it unrun
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     report = grad_check(check_cfg, seed=args.seed, break_adjoint=args.break_adjoint)
     print(report.to_text())
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        report.to_csv(out / "gradcheck.csv")
+        report.to_csv(Path(args.out) / "gradcheck.csv")
     return 0 if report.passed else FAIL_EXIT
 
 
@@ -391,6 +394,9 @@ def main(argv=None) -> int:
         return USAGE_EXIT
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
+    except (FileExistsError, IsADirectoryError, NotADirectoryError) as exc:  # a path in the way
+        print(f"usage error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return USAGE_EXIT
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

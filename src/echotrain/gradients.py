@@ -32,10 +32,9 @@ from .masking import (
     output_mask_gradient,
 )
 from .signal import Kernel, Signal, _convolve_stack, convolve
-from .system import (BackwardTrace, ForwardTrace, Nonlinearity, PhysicalSystem, _activate,
-                     _causal_feedback, backward, forward)
+from .system import (KERNELS as KERNEL_BLOCKS, BackwardTrace, ForwardTrace, Nonlinearity,
+                     PhysicalSystem, _activate, _causal_feedback, backward, forward)
 
-KERNEL_BLOCKS = ("w_sa", "w_aa", "w_so", "w_ao")
 MASK_BLOCKS = ("m", "s_b", "u", "y_b")
 ALL_BLOCKS = KERNEL_BLOCKS + MASK_BLOCKS
 STATE_SIDE = ("w_sa", "w_aa", "m", "s_b")
@@ -92,20 +91,21 @@ def kernel_gradients(sys: PhysicalSystem, fwd: ForwardTrace, bwd: BackwardTrace,
     return out
 
 
-def _central_differences(theta: np.ndarray, eps: float, probe_bytes: int, losses) -> np.ndarray:
-    """(loss(theta + eps e_j) - loss(theta - eps e_j)) / 2 eps for every j; losses maps
-    a chunk of probe points, rows theta + eps e_j and theta - eps e_j in turn, to
+def _central_differences(theta, coords, eps: float, probe_bytes: int, losses) -> np.ndarray:
+    """(loss(theta + eps e_j) - loss(theta - eps e_j)) / 2 eps for each j of coords; losses
+    maps a chunk of probe points, rows theta + eps e_j and theta - eps e_j in turn, to
     their losses, and a chunk of probes of probe_bytes each holds <= _STACK_BYTES."""
     step = max(1, _STACK_BYTES // max(probe_bytes, 1))
     vals = []
-    for lo in range(0, 2 * theta.size, step):
-        rows = np.arange(lo, min(lo + step, 2 * theta.size))
+    for lo in range(0, 2 * coords.size, step):
+        rows = np.arange(lo, min(lo + step, 2 * coords.size))
         points = np.tile(theta, (rows.size, 1))
-        points[np.arange(rows.size), rows // 2] += np.where(rows % 2, -eps, eps)
+        points[np.arange(rows.size), coords[rows // 2]] += np.where(rows % 2, -eps, eps)
         vals += losses(points)
     pairs = np.reshape(vals, (-1, 2))
-    if not np.isfinite(pairs).all():
-        raise NumericError(f"loss non-finite at coordinate {np.nonzero(~np.isfinite(pairs))[0][0]}")
+    bad = ~np.isfinite(pairs).all(axis=1)
+    if bad.any():
+        raise NumericError(f"loss non-finite at coordinate {coords[np.argmax(bad)]}")
     return (pairs[:, 0] - pairs[:, 1]) / (2.0 * eps)
 
 
@@ -134,7 +134,7 @@ def finite_difference_gradient(loss, theta: np.ndarray, eps: float = 1e-5,
     if not (eps > 0.0):
         raise ConfigurationError(f"eps must be positive, got {eps}")
     theta = np.asarray(theta, dtype=np.float64).ravel()
-    return _central_differences(theta, eps, 8 * theta.size,
+    return _central_differences(theta, np.arange(theta.size), eps, 8 * theta.size,
                                 lambda points: _map(loss, points, threads))
 
 
@@ -318,11 +318,11 @@ def _non_reciprocal(sys: PhysicalSystem) -> PhysicalSystem:
 
 
 def _probe_outputs(sys: PhysicalSystem, masks: MaskSet, xs: np.ndarray, stacks: dict,
-                   toy: tuple | None = None) -> tuple:
-    """The clean decoded outputs (P, n, dim_y), inputs and states of P probes:
-    stacks maps blocks to stacks of P members, the others are the toy's own
-    [None].  Without toy the probes run the state equation as one batched
-    recursion; output-side probes keep the toy's input and state (x, a)."""
+                   toy: tuple | None = None) -> np.ndarray:
+    """The clean decoded outputs (P, n, dim_y) of P probes: stacks maps blocks to
+    stacks of P members, the others are the toy's own [None].  Without toy the
+    probes run the state equation as one batched recursion; output-side probes
+    keep the toy's input and state toy = (x, a), each a stack of one."""
     taps = {k: stacks.get(k, getattr(sys, k).taps[None]) for k in KERNEL_BLOCKS}
     mask = {k: stacks.get(k, getattr(masks, k)[None]) for k in MASK_BLOCKS}
     if toy is None:
@@ -333,7 +333,7 @@ def _probe_outputs(sys: PhysicalSystem, masks: MaskSet, xs: np.ndarray, stacks: 
     else:
         x, a = toy
     o = _convolve_stack(taps["w_so"], sys.dt, x) + _convolve_stack(taps["w_ao"], sys.dt, a)
-    return _decode_stack(o, mask["u"], mask["y_b"], sys.dt), x, a
+    return _decode_stack(o, mask["u"], mask["y_b"], sys.dt)
 
 
 def grad_check(cfg: GradCheckConfig, seed: int, break_adjoint: bool = False) -> GradCheckReport:
@@ -344,8 +344,8 @@ def grad_check(cfg: GradCheckConfig, seed: int, break_adjoint: bool = False) -> 
     Forward runs and the FD losses stay on the true plant; the gradient run
     takes the accepted draw's encoded input and forward trace.  A toy's probes
     run as two stacks (_probe_outputs), one per side of the state equation;
-    the state side's first row is the toy, whose input and state the output
-    side keeps.  Each probe is one pipeline_cost call on its decoded outputs.
+    the output side keeps the draw's input and state.  Each probe is one
+    pipeline_cost call on its decoded outputs.
     """
     rng = np.random.default_rng(seed)
     worst = {name: 0.0 for name in ALL_BLOCKS}
@@ -353,34 +353,28 @@ def grad_check(cfg: GradCheckConfig, seed: int, break_adjoint: bool = False) -> 
         sys, masks, xs, targets, s, tr = _draw_toy(cfg, rng)
         grads = _trace_gradients(sys, masks, xs, targets, s, tr,
                                  _non_reciprocal(sys) if break_adjoint else None)
-        toy = []  # the toy's own input and state, from the first state-side chunk
-        for side in (STATE_SIDE, OUTPUT_SIDE):
+        toy = (s.samples[None], tr.a.samples[None])  # the draw's input and state
+        for side, kept in ((STATE_SIDE, None), (OUTPUT_SIDE, toy)):
             full = [getattr(sys, k).taps if k in KERNEL_BLOCKS else getattr(masks, k) for k in side]
             whole = np.concatenate([w.ravel() for w in full])  # a row: the blocks in turn
             ends = np.cumsum([w.size for w in full])[:-1]
             free = np.concatenate([np.arange(w.size) >= w[0].size * (k == "w_aa")
                                    for k, w in zip(side, full)])  # w_aa tap 0 is zero: not probed
 
-            def losses(points):
-                lead = int(not toy)  # the toy's own row leads the chunk, one over its budget
-                rows = np.tile(whole, (lead + len(points), 1))
-                rows[lead:, free] = points
+            def losses(rows):
                 stacks = {k: np.ascontiguousarray(col).reshape((len(rows),) + w.shape)
                           for k, w, col in zip(side, full, np.split(rows, ends, axis=1))}
                 # a diverging probe's loss is non-finite, which _central_differences reports
                 with np.errstate(over="ignore", invalid="ignore"):
-                    ys, x, a = _probe_outputs(sys, masks, xs, stacks,
-                                              toy[0] if side is OUTPUT_SIDE else None)
-                    if lead:
-                        toy.append((x[:1].copy(), a[:1].copy()))
-                    return _map(lambda y: pipeline_cost(y, targets), ys[lead:], cfg.threads)
+                    ys = _probe_outputs(sys, masks, xs, stacks, kept)
+                    return _map(lambda y: pipeline_cost(y, targets), ys, cfg.threads)
 
-            # a probe's point, row and blocks, traces (w_so * s, w_ao * a, sum; the state side's
+            # a probe's point and blocks, traces (w_so * s, w_ao * a, sum; the state side's
             # input product and sum, drive, state, recursion buffer) and outputs (product, sum)
-            traces = 3 * sys.n_outputs + (2 * sys.n_inputs + 3 * sys.n_state) * (side is STATE_SIDE)
-            probe_bytes = 8 * (3 * whole.size + traces * len(xs) * masks.period + 2 * targets.size)
+            traces = 3 * sys.n_outputs + (2 * sys.n_inputs + 3 * sys.n_state) * (kept is None)
+            probe_bytes = 8 * (2 * whole.size + traces * len(xs) * masks.period + 2 * targets.size)
             fd = np.zeros(whole.size)
-            fd[free] = _central_differences(whole[free], cfg.eps, probe_bytes, losses)
+            fd[free] = _central_differences(whole, free.nonzero()[0], cfg.eps, probe_bytes, losses)
             g = np.concatenate([grads[k].ravel() for k in side])
             for k, gk, fk, ok in zip(side, *(np.split(v, ends) for v in (g, fd, free))):
                 worst[k] = max(worst[k], relative_error(gk[ok], fk[ok]))

@@ -157,12 +157,17 @@ def encode_output_errors(errs, masks: MaskSet) -> Signal:
     return Signal._own(segs.transpose(1, 0, 2).reshape(M, n * P), masks.dt)
 
 
-def _segments_of(sig: Signal, count: int, name: str):
-    if sig.n_samples != 0 and sig.n_samples % count:
+def _segments_of(sig: Signal, rows, name: str):
+    """rows as (n, d), a 1-D array as (n, 1), and sig's n instance segments (n, channels, P)."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim == 1:
+        rows = rows[:, None]
+    if len(rows) == 0:
+        raise LengthError("need at least one instance")
+    if sig.n_samples != 0 and sig.n_samples % len(rows):
         raise LengthError(
-            f"{name} length {sig.n_samples} not divisible into {count} instances")
-    P = sig.n_samples // count
-    return sig.samples.reshape(sig.channels, count, P).transpose(1, 0, 2), P
+            f"{name} length {sig.n_samples} not divisible into {len(rows)} instances")
+    return rows, sig.samples.reshape(sig.channels, len(rows), -1).transpose(1, 0, 2)
 
 
 def input_mask_gradient(e_s: Signal, xs):
@@ -172,12 +177,7 @@ def input_mask_gradient(e_s: Signal, xs):
     per-sample mask gradient carries one dt factor:
         dm[:, :, t] = dt * sum_i e_s_i[:, t] x_i^T,   ds_b[:, t] = dt * sum_i e_s_i[:, t]
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim == 1:
-        xs = xs[:, None]
-    if len(xs) == 0:
-        raise LengthError("need at least one instance")
-    segs, _ = _segments_of(e_s, len(xs), "e_s")  # (n, N, P)
+    xs, segs = _segments_of(e_s, xs, "e_s")  # (n, N, P)
     dm = e_s.dt * np.einsum("irp,ic->rcp", segs, xs)
     ds_b = e_s.dt * segs.sum(axis=0)
     return dm, ds_b
@@ -186,12 +186,7 @@ def input_mask_gradient(e_s: Signal, xs):
 def output_mask_gradient(errs, o: Signal):
     """Exact cost gradients (du, dy_b) from output errors and the recorded output:
     du[:, :, t] = dt * sum_i e_i o_i[:, t]^T,   dy_b = sum_i e_i."""
-    errs = np.asarray(errs, dtype=np.float64)
-    if errs.ndim == 1:
-        errs = errs[:, None]
-    if len(errs) == 0:
-        raise LengthError("need at least one instance")
-    segs, _ = _segments_of(o, len(errs), "o")  # (n, M, P)
+    errs, segs = _segments_of(o, errs, "o")  # (n, M, P)
     du = o.dt * np.einsum("id,icp->dcp", errs, segs)
     dy_b = errs.sum(axis=0)
     return du, dy_b

@@ -22,10 +22,11 @@ import numpy as np
 from .errors import ConfigurationError
 from .masking import MaskSet
 from .signal import Kernel, _positive_dt
-from .system import BackwardPath, NoiseModel, Nonlinearity, PhysicalSystem
+from .system import KERNELS, BackwardPath, NoiseModel, Nonlinearity, PhysicalSystem
 
 _FORMAT_LINE = "format echotrain-system 1"
-_KERNELS = ("w_sa", "w_aa", "w_so", "w_ao")
+# tokens of each one-line record, its tag included ("nonlinearity clip <lo> <hi>": 4)
+_WIDTHS = {"dt": 2, "nonlinearity": 2, "noise": 4, "backward_path": 4, "kernel": 5, "maskset": 4}
 
 
 def _hex(v: float) -> str:
@@ -42,6 +43,12 @@ def _parse_row(tokens, count: int) -> np.ndarray:
     return np.array([float.fromhex(t) for t in tokens])
 
 
+def _flag(token: str) -> bool:
+    if token not in ("0", "1"):
+        raise ValueError(f"expected a 0/1 flag, got {token!r}")
+    return token == "1"
+
+
 def save_system(path, system: PhysicalSystem, masks: MaskSet | None = None) -> None:
     lines = [_FORMAT_LINE, f"dt {_hex(system.dt)}"]
     f = system.f
@@ -56,7 +63,7 @@ def save_system(path, system: PhysicalSystem, masks: MaskSet | None = None) -> N
         bp = system.backward_path
         peak = "none" if bp.normalize_peak is None else _hex(bp.normalize_peak)
         lines.append(f"backward_path {peak} {_hex(bp.scale)} {int(bp.clip)}")
-    for name in _KERNELS:
+    for name in KERNELS:
         k: Kernel = getattr(system, name)
         lines.append(f"kernel {name} {k.rows} {k.cols} {k.length}")
         for tap in k.taps:
@@ -119,6 +126,9 @@ def load_system(path):
         while i < len(lines):
             tok = line(i)
             key = tok[0]
+            width = 4 if tok[:2] == ["nonlinearity", "clip"] else _WIDTHS.get(key, len(tok))
+            if len(tok) > width:
+                raise ValueError(f"unexpected token {tok[width]!r} after the {key} record")
             if key in ("kernel", "maskset") and dt is None:
                 raise ValueError(f"{key} record before the dt record")
             if key == "dt":
@@ -131,15 +141,15 @@ def load_system(path):
                     f = Nonlinearity(tok[1])
                 i += 1
             elif key == "noise":
-                noise = NoiseModel(float.fromhex(tok[1]), bool(int(tok[2])), bool(int(tok[3])))
+                noise = NoiseModel(float.fromhex(tok[1]), _flag(tok[2]), _flag(tok[3]))
                 i += 1
             elif key == "backward_path":
                 peak = None if tok[1] == "none" else float.fromhex(tok[1])
-                backward_path = BackwardPath(peak, float.fromhex(tok[2]), bool(int(tok[3])))
+                backward_path = BackwardPath(peak, float.fromhex(tok[2]), _flag(tok[3]))
                 i += 1
             elif key == "kernel":
                 name, rows, cols, L = tok[1], int(tok[2]), int(tok[3]), int(tok[4])
-                if name not in _KERNELS:
+                if name not in KERNELS:
                     raise ValueError(f"unknown kernel {name!r}")
                 taps = [_parse_row(line(i + 1 + k), rows * cols) for k in range(L)]
                 at = i  # a bad tap array as a whole is the record's fault
@@ -164,13 +174,13 @@ def load_system(path):
             else:
                 raise ValueError(f"unknown record {key!r}")
         at = len(lines) - 1
-        missing = [k for k in _KERNELS if k not in kernels]
+        missing = [k for k in KERNELS if k not in kernels]
         missing += [name for name, value in (("dt", dt), ("nonlinearity", f)) if value is None]
         if missing:
             raise ValueError(f"file ends without {missing}")
         # plant-wide checks (shapes, causality, dt) fall on the last kernel record
         at = kernel_at
-        system = PhysicalSystem(*(kernels[k] for k in _KERNELS), f,
+        system = PhysicalSystem(*(kernels[k] for k in KERNELS), f,
                                 noise=noise, backward_path=backward_path)
         if masks is not None and masks.dt != system.dt:
             raise ValueError("mask set dt differs from the plant dt")

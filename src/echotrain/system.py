@@ -35,6 +35,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigurationError, DimensionError
 from .signal import Kernel, Signal, adjoint_convolve, convolve
 
+KERNELS = ("w_sa", "w_aa", "w_so", "w_ao")  # PhysicalSystem's kernel fields, in order
+
 
 @dataclass(frozen=True)
 class Nonlinearity:
@@ -169,7 +171,7 @@ class PhysicalSystem:
 
     def with_kernel(self, name: str, taps: np.ndarray) -> "PhysicalSystem":
         """Copy of the system with one kernel's taps replaced."""
-        if name not in ("w_sa", "w_aa", "w_so", "w_ao"):
+        if name not in KERNELS:
             raise ConfigurationError(f"unknown kernel {name!r}")
         return replace(self, **{name: Kernel(np.asarray(taps, dtype=np.float64), self.dt)})
 

@@ -303,31 +303,21 @@ def train(system: PhysicalSystem, mask_template: MaskSet, task: Task,
     if masks.dt != system.dt:
         raise ConfigurationError("mask dt must match the system dt")
 
-    noisy = system.noise is not None
+    noise_rng = rng if system.noise is not None else None
     log = TrainingLog(metric_name=task.metric_name)
     t0 = time.perf_counter()
     for it in range(cfg.iterations):
         data = task.sample(cfg.batch_len, rng)
-        total = None
-        cost_acc = 0.0
-        ys_first = None
-        try:
-            for r in range(cfg.noise_repeats):
-                cost, ys, grads = _batch_gradients(
-                    system, masks, task, data, cfg.trainable, rng if noisy else None)
-                cost_acc += cost
-                if r == 0:
-                    ys_first = ys
-                    total = grads
-                else:
-                    total = {k: total[k] + g for k, g in grads.items()}
-        except NumericError as exc:
-            # the plant or its parameters blew up mid-simulation
+        try:  # one (cost, ys, grads) per measurement of the batch
+            runs = [_batch_gradients(system, masks, task, data, cfg.trainable, noise_rng)
+                    for _ in range(cfg.noise_repeats)]
+        except NumericError as exc:  # the plant or its parameters blew up mid-simulation
             raise DivergenceError(f"diverged at iteration {it}: {exc}", log=log)
-        cost = cost_acc / cfg.noise_repeats
+        cost = sum(run[0] for run in runs) / cfg.noise_repeats
         if not np.isfinite(cost):
             raise DivergenceError(f"cost diverged at iteration {it}", log=log)
-        metric = task.metric(ys_first, data)
+        metric = task.metric(runs[0][1], data)
+        total = functools.reduce(lambda a, b: {k: a[k] + b[k] for k in b}, [run[2] for run in runs])
         lr = cfg.lr(it)
         system, masks = apply_update(system, masks, total, lr, cfg)
         log.append(it, cost, metric, lr, time.perf_counter() - t0)

@@ -106,6 +106,46 @@ def test_missing_config_file_is_usage_error(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("case", [
+    "run --config <dir>", "gradcheck --config <dir>", "run --config <latin-1>",
+    "gradcheck --config <latin-1>", "run --out <file>", "run --out <file>/sub",
+    "gradcheck --out <file>", "plant.file = <dir>",
+])
+def test_a_path_it_cannot_use_exits_two_naming_it(tmp_path, capsys, case):
+    smoke = write_cfg(tmp_path, SMOKE)
+    taken = write_cfg(tmp_path, "a regular file\n", name="taken")
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    latin = tmp_path / "latin.cfg"  # SMOKE, then a comment in Latin-1 on line 16
+    latin.write_bytes(SMOKE.encode() + "# caf\xe9\n".encode("latin-1"))
+    gc_latin = tmp_path / "gc_latin.cfg"
+    gc_latin.write_bytes("gradcheck.n_systems = 1\n# caf\xe9\n".encode("latin-1"))
+    custom = write_cfg(tmp_path, f"seed = 3\nplant.kind = custom-file\nplant.file = {folder}\n"
+                       "mask.period = 10\ntask.kind = variable_delay\ntrain.iterations = 1\n",
+                       name="custom.cfg")
+    out = str(tmp_path / "out")
+    argv, named = {
+        "run --config <dir>": (["run", "--config", str(folder), "--out", out], f"{folder}"),
+        "gradcheck --config <dir>": (["gradcheck", "--config", str(folder)], f"{folder}"),
+        "run --config <latin-1>": (["run", "--config", str(latin), "--out", out],
+                                   f"{latin}:16: not UTF-8 text"),
+        "gradcheck --config <latin-1>": (["gradcheck", "--config", str(gc_latin)],
+                                         f"{gc_latin}:2: not UTF-8 text"),
+        "run --out <file>": (["run", "--config", str(smoke), "--out", str(taken)], f"{taken}"),
+        "run --out <file>/sub": (["run", "--config", str(smoke), "--out", f"{taken}/sub"],
+                                 f"{taken}/sub"),
+        "gradcheck --out <file>": (["gradcheck", "--out", str(taken)], f"{taken}"),
+        "plant.file = <dir>": (["run", "--config", str(custom), "--out", out], f"{folder}"),
+    }[case]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: ") and named in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""  # nothing ran: no gradient report, no final metric
+    assert not (tmp_path / "out").exists() and taken.read_text() == "a regular file\n"
+
+
 def test_unknown_subcommand_usage_exit():
     assert main(["frobnicate"]) == 2
 

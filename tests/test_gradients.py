@@ -119,6 +119,26 @@ def test_finite_difference_nonfinite_loss_raises():
         finite_difference_gradient(lambda t: float("nan"), np.zeros(2))
 
 
+def test_central_differences_move_only_the_named_coordinates_of_the_whole_row():
+    # losses sees whole rows, theta with one coordinate of coords moved by
+    # +eps then -eps; a non-finite loss is reported at that coordinate
+    theta = np.arange(6.0)
+    coords = np.array([1, 4])
+    seen = []
+
+    def losses(rows):
+        seen.extend(rows.copy())
+        return [float(r @ r) for r in rows]
+
+    fd = gradients_mod._central_differences(theta, coords, 0.5, 8, losses)
+    moved = [theta + step * np.eye(6)[j] for j in coords for step in (0.5, -0.5)]
+    np.testing.assert_array_equal(seen, moved)
+    np.testing.assert_array_equal(fd, 2 * theta[coords])
+    with pytest.raises(NumericError, match="coordinate 4$"):
+        gradients_mod._central_differences(
+            theta, coords, 0.5, 8, lambda rows: [np.inf if r[4] != 4 else 0.0 for r in rows])
+
+
 def test_grad_check_identity_nonlinearity_very_tight():
     cfg = GradCheckConfig(n_systems=2, nonlinearities=("identity",))
     report = grad_check(cfg, seed=42)
@@ -197,7 +217,7 @@ def test_cost_from_the_recorded_state_is_the_full_forward_cost_bit_for_bit():
         # an output-side change keeps the state: w_so, w_ao, u and y_b each moved
         for name, w in (("w_so", 1.5 * sys.w_so.taps), ("w_ao", sys.w_ao.taps - 0.1),
                         ("u", -masks.u), ("y_b", masks.y_b + 0.2)):
-            ys, _, _ = _probe_outputs(sys, masks, xs, {name: w[None]}, toy)
+            ys = _probe_outputs(sys, masks, xs, {name: w[None]}, toy)
             full = full_forward_outputs(sys, masks, xs, name, w)
             assert np.array_equal(ys[0], full), name
             assert pipeline_cost(ys[0], targets) == pipeline_cost(full, targets), name
@@ -216,7 +236,7 @@ def test_output_side_probes_on_the_recorded_state_equal_full_forward_ones(seed):
         ref = member(sys, masks, name)
 
         def reused(flat, _name=name, _shape=ref.shape):
-            ys, _, _ = _probe_outputs(sys, masks, xs, {_name: flat.reshape((1,) + _shape)}, toy)
+            ys = _probe_outputs(sys, masks, xs, {_name: flat.reshape((1,) + _shape)}, toy)
             return pipeline_cost(ys[0], targets)
 
         def full(flat, _name=name, _shape=ref.shape):
@@ -238,8 +258,8 @@ def test_stacked_probe_outputs_equal_the_probe_plants_forward_bit_for_bit(seed):
     toy = (s.samples[None], forward(sys, s).a.samples[None])
     for name in ALL_BLOCKS:
         probes = [w for _, w in probes_of(sys, masks, [name], cfg.eps)]
-        ys, _, _ = _probe_outputs(sys, masks, xs, {name: np.stack(probes)},
-                                  toy if name in OUTPUT_SIDE else None)
+        ys = _probe_outputs(sys, masks, xs, {name: np.stack(probes)},
+                            toy if name in OUTPUT_SIDE else None)
         assert len(ys) == len(probes)
         for w, y in zip(probes, ys):
             assert np.array_equal(y, full_forward_outputs(sys, masks, xs, name, w)), name
@@ -248,25 +268,36 @@ def test_stacked_probe_outputs_equal_the_probe_plants_forward_bit_for_bit(seed):
 @pytest.mark.parametrize("family, seed", [
     pytest.param(family, seed, id=f"{label}{seed}") for seed in range(20)
     for label, family in (("", GradCheckConfig().nonlinearities), ("clip-", ("clip",)))])
-def test_merged_side_stacks_equal_the_probe_plants_forward_bit_for_bit(family, seed):
-    # the two stacks grad_check runs for its first toy: the state side, the toy
-    # itself then every probe of w_sa, w_aa, m and s_b, and the output side,
-    # every probe of w_so, w_ao, u and y_b on the first row's input and state;
-    # each row is its own plant's forward run on its own input, decoded
-    cfg = GradCheckConfig(nonlinearities=family)
-    sys, masks, xs, _ = random_toy_pipeline(cfg, np.random.default_rng(seed))
-    s = encode_inputs(xs, masks)
-    tr = forward(sys, s)
-    rows = [("m", masks.m)] + probes_of(sys, masks, STATE_SIDE, cfg.eps)
-    ys, x, a = _probe_outputs(sys, masks, xs, stacks_of(sys, masks, STATE_SIDE, rows))
-    assert np.array_equal(x[0], s.samples) and np.array_equal(a[0], tr.a.samples)
-    assert np.array_equal(ys[0], decode_outputs(tr.o, masks))
-    toy = (x[:1], a[:1])
-    probes = probes_of(sys, masks, OUTPUT_SIDE, cfg.eps)
-    outs, _, _ = _probe_outputs(sys, masks, xs, stacks_of(sys, masks, OUTPUT_SIDE, probes), toy)
-    assert len(ys) == len(rows) and len(outs) == len(probes)
-    for (name, w), y in zip(rows + probes, list(ys) + list(outs)):
-        assert np.array_equal(y, full_forward_outputs(sys, masks, xs, name, w)), name
+def test_merged_side_stacks_equal_the_probe_plants_forward_bit_for_bit(monkeypatch, family, seed):
+    # the two stacks grad_check runs for each toy hold its probes and nothing
+    # else: the state side every probe of w_sa, w_aa, m and s_b, the output side
+    # every probe of w_so, w_ao, u and y_b on the draw's input and state; each
+    # row is its own plant's forward run on its own input, decoded
+    draws, runs = [], []  # grad_check's toys, and the (stacks, outputs) of each stack
+    draw, probe = gradients_mod._draw_toy, gradients_mod._probe_outputs
+
+    def drawn(*args):
+        draws.append(draw(*args))
+        return draws[-1]
+
+    def probed(sys, masks, xs, stacks, toy):
+        runs.append((stacks, probe(sys, masks, xs, stacks, toy)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(gradients_mod, "_draw_toy", drawn)
+    monkeypatch.setattr(gradients_mod, "_probe_outputs", probed)
+    cfg = GradCheckConfig(n_systems=2, nonlinearities=family)
+    grad_check(cfg, seed)
+    assert len(runs) == 2 * len(draws) == 4  # one stack per side of each toy
+    for (sys, masks, xs, *_), toy_runs in zip(draws, (runs[:2], runs[2:])):
+        for side, (stacks, ys) in zip((STATE_SIDE, OUTPUT_SIDE), toy_runs):
+            probes = probes_of(sys, masks, side, cfg.eps)
+            want = stacks_of(sys, masks, side, probes)
+            assert stacks.keys() == want.keys()
+            assert all(np.array_equal(stacks[k], want[k]) for k in side)
+            assert len(ys) == len(probes)
+            for (name, w), y in zip(probes, ys):
+                assert np.array_equal(y, full_forward_outputs(sys, masks, xs, name, w)), name
 
 
 def test_grad_check_threads_give_the_serial_report():
@@ -409,11 +440,11 @@ def test_grad_check_makes_one_cost_call_per_probe_and_encodes_each_input_once(mo
     params = sum(getattr(sys, name).taps[int(name == "w_aa"):].size for name in KERNEL_BLOCKS)
     params += sum(getattr(masks, name).size for name in MASK_BLOCKS)
     assert calls["pipeline_cost"] == 2 * params  # the benchmark's traced invariant
-    # the draw's only: the gradient run takes the accepted draw's trace, and the
-    # probes encode and run the toy itself as the first row of the state side's stack
+    # the draw's only: the gradient run and the output side's probes take the
+    # accepted draw's trace
     assert calls["encode_inputs"] == calls["forward"] == attempts
     state = sum(member(sys, masks, name)[int(name == "w_aa"):].size for name in STATE_SIDE)
-    assert batches == [1 + 2 * state] == [169]  # one recursion: the toy and every state probe
+    assert batches == [2 * state] == [168]  # one recursion: every state probe, and no more
 
 
 @pytest.mark.parametrize("broken", [False, True], ids=["reciprocal", "non-reciprocal"])

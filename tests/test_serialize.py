@@ -191,6 +191,30 @@ def test_negative_backward_peak_names_its_line(tmp_path):
         load_lines(tmp_path, lines)
 
 
+@pytest.mark.parametrize("tag, edit, message", [
+    ("noise", lambda tok: tok[:2] + ["7", "-3"], "expected a 0/1 flag, got '7'"),
+    ("noise", lambda tok: tok[:3] + ["01"], "expected a 0/1 flag, got '01'"),
+    ("backward_path", lambda tok: tok[:3] + ["5"], "expected a 0/1 flag, got '5'"),
+    ("dt", lambda tok: tok + ["junk"], "unexpected token 'junk' after the dt record"),
+    ("nonlinearity", lambda tok: tok + ["junk"], "unexpected token 'junk' after the nonlinearity"),
+    ("nonlinearity", lambda tok: ["nonlinearity", "rectifier", "0x1p+0"],
+     "unexpected token '0x1p+0' after the nonlinearity"),
+    ("noise", lambda tok: tok + ["1"], "unexpected token '1' after the noise record"),
+    ("backward_path", lambda tok: tok + ["0"], "unexpected token '0' after the backward_path"),
+    ("kernel", lambda tok: tok + ["4"], "unexpected token '4' after the kernel record"),
+    ("maskset", lambda tok: tok + ["3"], "unexpected token '3' after the maskset record"),
+], ids=["noise-flags-7-3", "noise-flag-01", "backward-clip-5", "dt-trailing",
+        "clip-trailing", "rectifier-trailing", "noise-trailing", "backward-trailing",
+        "kernel-trailing", "maskset-trailing"])
+def test_a_malformed_record_names_its_line(tmp_path, tag, edit, message):
+    # a flag is 0 or 1, and a record ends with its last value
+    lines = saved_lines(tmp_path, masks=True)
+    at = next(i for i, ln in enumerate(lines) if ln.split()[0] == tag)
+    lines[at] = " ".join(edit(lines[at].split()))
+    with pytest.raises(ConfigurationError, match=rf"edited\.txt:{at + 1}: {re.escape(message)}"):
+        load_lines(tmp_path, lines)
+
+
 def test_wrong_tap_count_names_the_line(tmp_path):
     lines = saved_lines(tmp_path)
     head = lines.index("kernel w_sa 3 2 4")
