@@ -271,9 +271,9 @@ def test_stacked_probe_outputs_equal_the_probe_plants_forward_bit_for_bit(seed):
 def test_merged_side_stacks_equal_the_probe_plants_forward_bit_for_bit(monkeypatch, family, seed):
     # the two stacks grad_check runs for each toy hold its probes and nothing
     # else: the state side every probe of w_sa, w_aa, m and s_b, the output side
-    # every probe of w_so, w_ao, u and y_b on the draw's input and state; each
-    # row is its own plant's forward run on its own input, decoded
-    draws, runs = [], []  # grad_check's toys, and the (stacks, outputs) of each stack
+    # every probe of w_so, w_ao, u and y_b on the toy's own encoded input and
+    # state; each row is its own plant's forward run on its own input, decoded
+    draws, runs = [], []  # grad_check's toys, and the (stacks, toy, outputs) of each stack
     draw, probe = gradients_mod._draw_toy, gradients_mod._probe_outputs
 
     def drawn(*args):
@@ -281,8 +281,8 @@ def test_merged_side_stacks_equal_the_probe_plants_forward_bit_for_bit(monkeypat
         return draws[-1]
 
     def probed(sys, masks, xs, stacks, toy):
-        runs.append((stacks, probe(sys, masks, xs, stacks, toy)))
-        return runs[-1][1]
+        runs.append((stacks, toy, probe(sys, masks, xs, stacks, toy)))
+        return runs[-1][2]
 
     monkeypatch.setattr(gradients_mod, "_draw_toy", drawn)
     monkeypatch.setattr(gradients_mod, "_probe_outputs", probed)
@@ -290,14 +290,18 @@ def test_merged_side_stacks_equal_the_probe_plants_forward_bit_for_bit(monkeypat
     grad_check(cfg, seed)
     assert len(runs) == 2 * len(draws) == 4  # one stack per side of each toy
     for (sys, masks, xs, *_), toy_runs in zip(draws, (runs[:2], runs[2:])):
-        for side, (stacks, ys) in zip((STATE_SIDE, OUTPUT_SIDE), toy_runs):
-            probes = probes_of(sys, masks, side, cfg.eps)
-            want = stacks_of(sys, masks, side, probes)
-            assert stacks.keys() == want.keys()
+        s = encode_inputs(xs, masks)
+        (_, none, _), (_, (x, a), _) = toy_runs
+        assert none is None
+        assert np.array_equal(x[0], s.samples) and np.array_equal(a[0], forward(sys, s).a.samples)
+        for side, (stacks, _, ys) in zip((STATE_SIDE, OUTPUT_SIDE), toy_runs):
+            want = stacks_of(sys, masks, side, probes_of(sys, masks, side, cfg.eps))
+            assert stacks.keys() == want.keys() and len(ys) == len(want[side[0]])
             assert all(np.array_equal(stacks[k], want[k]) for k in side)
-            assert len(ys) == len(probes)
-            for (name, w), y in zip(probes, ys):
-                assert np.array_equal(y, full_forward_outputs(sys, masks, xs, name, w)), name
+    sys, masks, xs, *_ = draws[0]
+    for side, (_, _, ys) in zip((STATE_SIDE, OUTPUT_SIDE), runs[:2]):
+        for (name, w), y in zip(probes_of(sys, masks, side, cfg.eps), ys):
+            assert np.array_equal(y, full_forward_outputs(sys, masks, xs, name, w)), name
 
 
 def test_grad_check_threads_give_the_serial_report():
