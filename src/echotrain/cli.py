@@ -289,6 +289,9 @@ def cmd_run(args) -> int:
     exp = build_experiment(ConfigFile.parse(cfg_path), seed_override=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    for name in ("log.csv", "timing.csv", "masks.csv", "system.txt", "summary.txt"):
+        if (out / name).is_dir():  # refused before training, not after it
+            raise UsageError(f"{out / name}: Is a directory")
 
     t0 = time.perf_counter()
     rng = np.random.default_rng(exp.seed)
@@ -334,10 +337,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    check_cfg = GradCheckConfig(threads=args.threads)
+    check_cfg = GradCheckConfig()
     if args.config:
         cfg = ConfigFile.parse(resolve_config_path(args.config))
-        check_cfg = cfg.build(GradCheckConfig, threads=args.threads)
+        check_cfg = cfg.build(GradCheckConfig)
         cfg.reject_unknown()
     if args.out:  # made before the audit, so that an --out in the way ends it unrun
         Path(args.out).mkdir(parents=True, exist_ok=True)
@@ -373,7 +376,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_gc.add_argument("--config", default=None, help="optional gradcheck.* config")
     p_gc.add_argument("--seed", type=_seed, default=0)
     p_gc.add_argument("--out", default=None, help="directory for gradcheck.csv")
-    p_gc.add_argument("--threads", type=int, default=1)
     p_gc.add_argument("--break-adjoint", action="store_true",
                       help="negative control: play the error back through a "
                            "non-reciprocal medium")

@@ -15,7 +15,6 @@ taken on faith: grad_check compares every block against central differences.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,33 +108,16 @@ def _central_differences(theta, coords, eps: float, probe_bytes: int, losses) ->
     return (pairs[:, 0] - pairs[:, 1]) / (2.0 * eps)
 
 
-def _map(fn, items, threads: int) -> list:
-    """[fn(item) for item in items], spread over a pool of threads if threads > 1.
-    Each call runs under the caller's numpy error state, which threads do not inherit."""
-    if threads <= 1:
-        return list(map(fn, items))
-    err = np.geterr()
-
-    def call(item):
-        with np.errstate(**err):
-            return fn(item)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(call, items))
-
-
-def finite_difference_gradient(loss, theta: np.ndarray, eps: float = 1e-5,
-                               threads: int = 1) -> np.ndarray:
+def finite_difference_gradient(loss, theta: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     """Central differences (loss(theta+eps e_j) - loss(theta-eps e_j)) / 2 eps.
 
-    loss must be deterministic (noise off / fixed seed).  threads > 1 farms the
-    independent probes out to a thread pool; the result is identical.
+    loss must be deterministic (noise off / fixed seed).
     """
     if not (eps > 0.0):
         raise ConfigurationError(f"eps must be positive, got {eps}")
     theta = np.asarray(theta, dtype=np.float64).ravel()
     return _central_differences(theta, np.arange(theta.size), eps, 8 * theta.size,
-                                lambda points: _map(loss, points, threads))
+                                lambda points: [loss(p) for p in points])
 
 
 def relative_error(g1, g2) -> float:
@@ -168,11 +150,13 @@ class GradCheckConfig:
     eps: float = 1e-5
     threshold: float = 1e-4
     kink_margin: float = 1e-3  # resample margin; comfortably above 10*eps
-    threads: int = 1
+    threads: int = 1  # only 1: perfbench/workload.py passes it until ROADMAP item 1 drops it
 
     def __post_init__(self):
+        if not (isinstance(self.threads, (int, np.integer)) and self.threads == 1):
+            raise ConfigurationError(f"threads must be 1, got {self.threads!r}", "threads")
         for name in ("n_systems", "n_in", "n_state", "n_out", "dim_x", "dim_y",
-                     "kernel_len", "period", "instances", "threads"):
+                     "kernel_len", "period", "instances"):
             val = getattr(self, name)
             if not (isinstance(val, (int, np.integer)) and val >= 1):
                 raise ConfigurationError(f"{name} must be an integer >= 1, got {val!r}", name)
@@ -367,7 +351,7 @@ def grad_check(cfg: GradCheckConfig, seed: int, break_adjoint: bool = False) -> 
                 # a diverging probe's loss is non-finite, which _central_differences reports
                 with np.errstate(over="ignore", invalid="ignore"):
                     ys = _probe_outputs(sys, masks, xs, stacks, kept)
-                    return _map(lambda y: pipeline_cost(y, targets), ys, cfg.threads)
+                    return [pipeline_cost(y, targets) for y in ys]
 
             # a probe's point and blocks, traces (w_so * s, w_ao * a, sum; the state side's
             # input product and sum, drive, state, recursion buffer) and outputs (product, sum)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, NumericError, UndefinedMetricError
-from .gradients import ALL_BLOCKS, KERNEL_BLOCKS, kernel_gradients
+from .gradients import ALL_BLOCKS, KERNEL_BLOCKS, MASK_BLOCKS, kernel_gradients
 from .masking import (
     MaskSet,
     decode_outputs,
@@ -234,7 +234,7 @@ def apply_update(system: PhysicalSystem, masks: MaskSet, grads: dict,
     gradient is projected onto the live lags before normalization.
     """
     mask_updates = {}
-    for name in ("m", "s_b", "u", "y_b"):
+    for name in MASK_BLOCKS:
         g = grads.get(name)
         if g is not None:
             mask_updates[name] = getattr(masks, name) - lr * normalize_gradient(g)

@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from echotrain.cli import (
     resolve_config_path,
 )
 from echotrain.errors import ConfigurationError
+from echotrain.training import train
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -88,10 +90,26 @@ def test_nonpositive_batch_len_exits_two(tmp_path, capsys, batch_len):
     assert "batch_len" in capsys.readouterr().err
 
 
+def test_time_units_seconds_scales_the_tube_kernel_by_the_sample_period(tmp_path):
+    # plant.time_units = seconds: dt is 1 / sample_rate, dt * taps is the kernel
+    # of the samples build, and a short run trains to finite costs
+    text = resolve_config_path("toy_delay_smoke").read_text()
+    smp, sec = (build_experiment(ConfigFile.parse(write_cfg(
+        tmp_path, text.replace("plant.time_units = samples", f"plant.time_units = {units}"),
+        name=f"{units}.cfg"))) for units in ("samples", "seconds"))
+    assert sec.system.dt == 1 / 2000  # the config's plant.sample_rate
+    np.testing.assert_allclose(sec.system.dt * sec.system.w_aa.taps, smp.system.w_aa.taps,
+                               rtol=1e-12)
+    log, _, _ = train(sec.system, sec.template, sec.task, replace(sec.train_cfg, iterations=3),
+                      np.random.default_rng(sec.seed))
+    assert len(log.costs) == 3 and np.isfinite(log.costs).all()
+
+
 def test_removed_threads_flags_are_usage_errors(tmp_path):
     cfg = write_cfg(tmp_path, SMOKE)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
                  "--threads", "2"]) == 2
+    assert main(["gradcheck", "--threads", "2"]) == 2
     assert main(["reduce-check"]) == 2
 
 
@@ -109,9 +127,10 @@ def test_missing_config_file_is_usage_error(capsys):
 @pytest.mark.parametrize("case", [
     "run --config <dir>", "gradcheck --config <dir>", "run --config <latin-1>",
     "gradcheck --config <latin-1>", "run --out <file>", "run --out <file>/sub",
-    "gradcheck --out <file>", "plant.file = <dir>",
+    "gradcheck --out <file>", "plant.file = <dir>", "run --out <log.csv dir>",
+    "run --out <summary.txt dir>",
 ])
-def test_a_path_it_cannot_use_exits_two_naming_it(tmp_path, capsys, case):
+def test_a_path_it_cannot_use_exits_two_naming_it(tmp_path, capsys, monkeypatch, case):
     smoke = write_cfg(tmp_path, SMOKE)
     taken = write_cfg(tmp_path, "a regular file\n", name="taken")
     folder = tmp_path / "folder"
@@ -124,6 +143,9 @@ def test_a_path_it_cannot_use_exits_two_naming_it(tmp_path, capsys, case):
                        "mask.period = 10\ntask.kind = variable_delay\ntrain.iterations = 1\n",
                        name="custom.cfg")
     out = str(tmp_path / "out")
+    busy = {name: tmp_path / f"busy_{name}" for name in ("log.csv", "summary.txt")}
+    for name, held in busy.items():  # an output directory holding a directory of that name
+        (held / name).mkdir(parents=True)
     argv, named = {
         "run --config <dir>": (["run", "--config", str(folder), "--out", out], f"{folder}"),
         "gradcheck --config <dir>": (["gradcheck", "--config", str(folder)], f"{folder}"),
@@ -136,14 +158,21 @@ def test_a_path_it_cannot_use_exits_two_naming_it(tmp_path, capsys, case):
                                  f"{taken}/sub"),
         "gradcheck --out <file>": (["gradcheck", "--out", str(taken)], f"{taken}"),
         "plant.file = <dir>": (["run", "--config", str(custom), "--out", out], f"{folder}"),
+        **{f"run --out <{name} dir>": (["run", "--config", str(smoke), "--out", str(held)],
+                                       f"{held / name}: Is a directory")
+           for name, held in busy.items()},
     }[case]
+    real, trained = echotrain.cli.train, []
+    monkeypatch.setattr(echotrain.cli, "train", lambda *args: trained.append(args) or real(*args))
     capsys.readouterr()
-    assert main(argv) == 2
+    assert main(argv) == 2 and not trained
     captured = capsys.readouterr()
     assert captured.err.startswith("usage error: ") and named in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""  # nothing ran: no gradient report, no final metric
     assert not (tmp_path / "out").exists() and taken.read_text() == "a regular file\n"
+    for name, held in busy.items():  # nothing trained, so no output written
+        assert [p.name for p in held.iterdir()] == [name] and not any((held / name).iterdir())
 
 
 def test_unknown_subcommand_usage_exit():

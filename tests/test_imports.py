@@ -91,7 +91,7 @@ def test_every_private_definition_is_used_in_the_package():
 def test_the_package_keeps_its_line_budget():
     # counted as `wc -l src/echotrain/*.py` counts them: newline characters
     lines = sum(p.read_bytes().count(b"\n") for p in PACKAGE.glob("*.py"))
-    assert lines <= 2800, (f"src/echotrain/*.py has {lines} lines, over the budget of 2800 "
+    assert lines <= 2790, (f"src/echotrain/*.py has {lines} lines, over the budget of 2790 "
                            "that ROADMAP.md item 5 (aim 2, lean core) sets: pay for new "
                            "code with deletions")
 
