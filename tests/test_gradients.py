@@ -194,6 +194,46 @@ def stacks_of(sys, masks, names, probes):
             for k in names}
 
 
+def test_cost_from_the_recorded_state_is_the_full_forward_cost_bit_for_bit():
+    cfg = GradCheckConfig()
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        sys, masks, xs, targets = random_toy_pipeline(cfg, rng)
+        s = encode_inputs(xs, masks)
+        toy = (s.samples[None], forward(sys, s).a.samples[None])
+        # an output-side change keeps the state: w_so, w_ao, u and y_b each moved
+        for name, w in (("w_so", 1.5 * sys.w_so.taps), ("w_ao", sys.w_ao.taps - 0.1),
+                        ("u", -masks.u), ("y_b", masks.y_b + 0.2)):
+            ys = _probe_outputs(sys, masks, xs, {name: w[None]}, toy)
+            full = full_forward_outputs(sys, masks, xs, name, w)
+            assert np.array_equal(ys[0], full), name
+            assert pipeline_cost(ys[0], targets) == pipeline_cost(full, targets), name
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_output_side_probes_on_the_recorded_state_equal_full_forward_ones(seed):
+    # the first toy grad_check(GradCheckConfig(), seed) audits: the central
+    # differences of its output-side blocks, taken on the recorded state through
+    # the stacked outputs, are those of full forward runs
+    cfg = GradCheckConfig()
+    sys, masks, xs, targets = random_toy_pipeline(cfg, np.random.default_rng(seed))
+    s = encode_inputs(xs, masks)
+    toy = (s.samples[None], forward(sys, s).a.samples[None])
+    for name in OUTPUT_SIDE:
+        ref = member(sys, masks, name)
+
+        def reused(flat, _name=name, _shape=ref.shape):
+            ys = _probe_outputs(sys, masks, xs, {_name: flat.reshape((1,) + _shape)}, toy)
+            return pipeline_cost(ys[0], targets)
+
+        def full(flat, _name=name, _shape=ref.shape):
+            return pipeline_cost(full_forward_outputs(sys, masks, xs, _name,
+                                                      flat.reshape(_shape)), targets)
+
+        np.testing.assert_array_equal(finite_difference_gradient(reused, ref.ravel(), cfg.eps),
+                                      finite_difference_gradient(full, ref.ravel(), cfg.eps))
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_stacked_probe_outputs_equal_the_probe_plants_forward_bit_for_bit(seed):
     # every probe of the first toy grad_check(GradCheckConfig(), seed) audits:
