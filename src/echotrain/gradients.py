@@ -32,7 +32,7 @@ from .masking import (
 )
 from .signal import Kernel, Signal, _convolve_stack, convolve
 from .system import (KERNELS as KERNEL_BLOCKS, BackwardTrace, ForwardTrace, Nonlinearity,
-                     PhysicalSystem, _activate, _causal_feedback, backward, forward)
+                     PhysicalSystem, _activate, _causal_feedback, _jacobian, backward, forward)
 
 MASK_BLOCKS = ("m", "s_b", "u", "y_b")
 ALL_BLOCKS = KERNEL_BLOCKS + MASK_BLOCKS
@@ -90,18 +90,22 @@ def kernel_gradients(sys: PhysicalSystem, fwd: ForwardTrace, bwd: BackwardTrace,
     return out
 
 
-def _central_differences(theta, coords, eps: float, probe_bytes: int, losses) -> np.ndarray:
-    """(loss(theta + eps e_j) - loss(theta - eps e_j)) / 2 eps for each j of coords; losses
-    maps a chunk of probe points, rows theta + eps e_j and theta - eps e_j in turn, to
-    their losses, and a chunk of probes of probe_bytes each holds <= _STACK_BYTES."""
+def _probe_points(theta, coords, eps: float, probe_bytes: int, lead: bool = False):
+    """Chunks of probe points: rows theta + eps e_j and theta - eps e_j in turn for each j
+    of coords, after theta itself if lead; a chunk of rows of probe_bytes each holds
+    <= _STACK_BYTES."""
     step = max(1, _STACK_BYTES // max(probe_bytes, 1))
-    vals = []
-    for lo in range(0, 2 * coords.size, step):
-        rows = np.arange(lo, min(lo + step, 2 * coords.size))
-        points = np.tile(theta, (rows.size, 1))
-        points[np.arange(rows.size), coords[rows // 2]] += np.where(rows % 2, -eps, eps)
-        vals += losses(points)
-    pairs = np.reshape(vals, (-1, 2))
+    for lo in range(-lead, 2 * coords.size, step):
+        rows = np.arange(lo, min(lo + step, 2 * coords.size))  # row -1 is theta itself
+        points, moved = np.tile(theta, (rows.size, 1)), rows >= 0
+        points[moved, coords[rows[moved] // 2]] += np.where(rows[moved] % 2, -eps, eps)
+        yield points
+
+
+def _central_differences(losses, coords, eps: float) -> np.ndarray:
+    """(loss(theta + eps e_j) - loss(theta - eps e_j)) / 2 eps for each j of coords, from
+    the losses of the probe rows of _probe_points(theta, coords, eps, ...) in turn."""
+    pairs = np.reshape(losses, (-1, 2))
     bad = ~np.isfinite(pairs).all(axis=1)
     if bad.any():
         raise NumericError(f"loss non-finite at coordinate {coords[np.argmax(bad)]}")
@@ -115,9 +119,9 @@ def finite_difference_gradient(loss, theta: np.ndarray, eps: float = 1e-5) -> np
     """
     if not (eps > 0.0):
         raise ConfigurationError(f"eps must be positive, got {eps}")
-    theta = np.asarray(theta, dtype=np.float64).ravel()
-    return _central_differences(theta, np.arange(theta.size), eps, 8 * theta.size,
-                                lambda points: [loss(p) for p in points])
+    theta, coords = np.asarray(theta, dtype=np.float64).ravel(), np.arange(np.size(theta))
+    losses = [loss(p) for ps in _probe_points(theta, coords, eps, 8 * theta.size) for p in ps]
+    return _central_differences(losses, coords, eps)
 
 
 def relative_error(g1, g2) -> float:
@@ -205,8 +209,10 @@ def random_toy_pipeline(cfg: GradCheckConfig, rng: np.random.Generator):
 
 
 def _draw_toy(cfg: GradCheckConfig, rng: np.random.Generator):
-    """random_toy_pipeline's draw and the accepted toy's encoded input s and
-    clean forward trace tr: (sys, masks, xs, targets, s, tr)."""
+    """random_toy_pipeline's draw with the accepted toy's encoded input s, clean forward
+    trace tr and state-side probe stack: (sys, masks, xs, targets, s, tr, _side_stack(...)).
+    Each attempt runs its toy as the lead row of that stack, and s, tr and the kink test
+    (is every pre-activation sample over kink_margin from a kink of f?) read that row."""
     for _ in range(64):
         dt = float(rng.uniform(*cfg.dt_range))
         kind = cfg.nonlinearities[int(rng.integers(len(cfg.nonlinearities)))]
@@ -222,39 +228,23 @@ def _draw_toy(cfg: GradCheckConfig, rng: np.random.Generator):
         gain = dt * float(np.sum(np.linalg.norm(aa, ord=2, axis=(1, 2))))
         if gain > 0.9:
             aa *= 0.9 / gain
-        sys = PhysicalSystem(
-            w_sa=Kernel(taps(cfg.n_state, cfg.n_in), dt),
-            w_aa=Kernel(aa, dt),
-            w_so=Kernel(taps(cfg.n_out, cfg.n_in), dt),
-            w_ao=Kernel(taps(cfg.n_out, cfg.n_state), dt),
-            f=f,
-        )
-        masks = MaskSet(
-            m=rng.standard_normal((cfg.n_in, cfg.dim_x, cfg.period)),
-            u=rng.standard_normal((cfg.dim_y, cfg.n_out, cfg.period)),
-            s_b=0.3 * rng.standard_normal((cfg.n_in, cfg.period)),
-            y_b=0.3 * rng.standard_normal(cfg.dim_y),
-            period=cfg.period,
-            dt=dt,
-        )
+        sys = PhysicalSystem(w_sa=Kernel(taps(cfg.n_state, cfg.n_in), dt), w_aa=Kernel(aa, dt),
+                             w_so=Kernel(taps(cfg.n_out, cfg.n_in), dt),
+                             w_ao=Kernel(taps(cfg.n_out, cfg.n_state), dt), f=f)
+        masks = MaskSet(m=rng.standard_normal((cfg.n_in, cfg.dim_x, cfg.period)),
+                        u=rng.standard_normal((cfg.dim_y, cfg.n_out, cfg.period)),
+                        s_b=0.3 * rng.standard_normal((cfg.n_in, cfg.period)),
+                        y_b=0.3 * rng.standard_normal(cfg.dim_y), period=cfg.period, dt=dt)
         xs = rng.standard_normal((cfg.instances, cfg.dim_x))
         targets = rng.standard_normal((cfg.instances, cfg.dim_y))
-        s = encode_inputs(xs, masks)
-        tr = forward(sys, s)
-        if _kink_margin(sys, s, tr) > cfg.kink_margin:
-            return sys, masks, xs, targets, s, tr
+        state = _side_stack(sys, masks, xs, STATE_SIDE, cfg.eps)
+        s, a, o = (Signal._own(v, dt) for v in state[1])  # the lead row: the toy's own run
+        tr = ForwardTrace(a, o, _jacobian(f, a.samples))
+        pre = convolve(sys.w_sa, s).samples + convolve(sys.w_aa, a).samples  # f's argument
+        kinks = {"rectifier": (0.0,), "clip": (f.lo, f.hi)}.get(f.kind, ())  # where f bends
+        if min((np.min(np.abs(pre - k)) for k in kinks), default=np.inf) > cfg.kink_margin:
+            return sys, masks, xs, targets, s, tr, state
     raise ConfigurationError("could not draw a kink-safe toy system; widen margins")
-
-
-def _kink_margin(sys: PhysicalSystem, s: Signal, tr: ForwardTrace) -> float:
-    """Distance of the closest pre-activation sample of the run tr of sys on s
-    to a nonlinearity kink."""
-    if sys.f.kind == "identity":
-        return np.inf
-    pre = convolve(sys.w_sa, s).samples + convolve(sys.w_aa, tr.a).samples
-    if sys.f.kind == "rectifier":
-        return float(np.min(np.abs(pre))) if pre.size else np.inf
-    return float(min(np.min(np.abs(pre - sys.f.lo)), np.min(np.abs(pre - sys.f.hi))))
 
 
 def pipeline_cost(ys: np.ndarray, targets) -> float:
@@ -302,11 +292,11 @@ def _non_reciprocal(sys: PhysicalSystem) -> PhysicalSystem:
 
 
 def _probe_outputs(sys: PhysicalSystem, masks: MaskSet, xs: np.ndarray, stacks: dict,
-                   toy: tuple | None = None) -> np.ndarray:
-    """The clean decoded outputs (P, n, dim_y) of P probes: stacks maps blocks to
-    stacks of P members, the others are the toy's own [None].  Without toy the
-    probes run the state equation as one batched recursion; output-side probes
-    keep the toy's input and state toy = (x, a), each a stack of one."""
+                   toy: tuple | None = None) -> tuple:
+    """The clean decoded outputs (P, n, dim_y) of P probes and copies of the first one's
+    traces x, a, o: stacks maps blocks to stacks of P members, the others are the toy's
+    own [None].  Without toy the probes run the state equation as one batched recursion;
+    output-side probes keep the toy's input and state toy = (x, a), stacks of one each."""
     taps = {k: stacks.get(k, getattr(sys, k).taps[None]) for k in KERNEL_BLOCKS}
     mask = {k: stacks.get(k, getattr(masks, k)[None]) for k in MASK_BLOCKS}
     if toy is None:
@@ -317,7 +307,36 @@ def _probe_outputs(sys: PhysicalSystem, masks: MaskSet, xs: np.ndarray, stacks: 
     else:
         x, a = toy
     o = _convolve_stack(taps["w_so"], sys.dt, x) + _convolve_stack(taps["w_ao"], sys.dt, a)
-    return _decode_stack(o, mask["u"], mask["y_b"], sys.dt)
+    return _decode_stack(o, mask["u"], mask["y_b"], sys.dt), *(v[0].copy() for v in (x, a, o))
+
+
+def _side_stack(sys: PhysicalSystem, masks: MaskSet, xs: np.ndarray, side: tuple, eps: float,
+                toy: tuple | None = None) -> tuple:
+    """(ys, lead, ends, free): the decoded outputs of the probes of side's blocks, run in
+    _probe_points' chunks of the row of those blocks in turn; the traces [x, a, o]
+    of the toy's own row, which leads the state side (toy None; else None); the
+    ends of all but the last block in the row; and the row's probed coordinates, all but
+    w_aa's tap 0 (zero: not a parameter).  Output-side probes keep toy = (x, a)."""
+    full = [getattr(sys, k).taps if k in KERNEL_BLOCKS else getattr(masks, k) for k in side]
+    whole = np.concatenate([w.ravel() for w in full])
+    ends = np.cumsum([w.size for w in full])[:-1]
+    free = np.concatenate([np.arange(w.size) >= w[0].size * (k == "w_aa")
+                           for k, w in zip(side, full)])
+    # a probe's point and blocks, traces (w_so * s, w_ao * a, sum; the state side's input
+    # product and sum, drive, state, recursion buffer) and outputs (product, sum)
+    traces = 3 * sys.n_outputs + (2 * sys.n_inputs + 3 * sys.n_state) * (toy is None)
+    probe_bytes = 8 * (2 * whole.size + (traces * masks.period + 2 * masks.y_b.size) * len(xs))
+    ys, lead = [], None
+    for rows in _probe_points(whole, free.nonzero()[0], eps, probe_bytes, toy is None):
+        stacks = {k: np.ascontiguousarray(col).reshape((len(rows),) + w.shape)
+                  for k, w, col in zip(side, full, np.split(rows, ends, axis=1))}
+        # a diverging probe's outputs are non-finite, which _central_differences reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            y, *first = _probe_outputs(sys, masks, xs, stacks, toy)
+        if toy is None and lead is None:  # row 0 of the first chunk is the toy
+            lead, y = first, y[1:]
+        ys.append(y)
+    return np.concatenate(ys), lead, ends, free
 
 
 def grad_check(cfg: GradCheckConfig, seed: int, break_adjoint: bool = False) -> GradCheckReport:
@@ -325,40 +344,25 @@ def grad_check(cfg: GradCheckConfig, seed: int, break_adjoint: bool = False) -> 
 
     break_adjoint plays the error back through _non_reciprocal(plant) -- a
     deliberate corruption that must make the check fail (negative control).
-    Forward runs and the FD losses stay on the true plant; the gradient run
-    takes the accepted draw's encoded input and forward trace.  A toy's probes
-    run as two stacks (_probe_outputs), one per side of the state equation;
-    the output side keeps the draw's input and state.  Each probe is one
-    pipeline_cost call on its decoded outputs.
+    Forward runs and the FD losses stay on the true plant.  A toy's probes run
+    as two stacks (_side_stack), one per side of the state equation.  The draw
+    runs the state side led by the toy's own row, whose input and trace feed
+    the gradient run and the output side: grad_check runs no forward.  Each
+    probe is one pipeline_cost call on its decoded outputs.
     """
     rng = np.random.default_rng(seed)
     worst = {name: 0.0 for name in ALL_BLOCKS}
     for _ in range(cfg.n_systems):
-        sys, masks, xs, targets, s, tr = _draw_toy(cfg, rng)
+        sys, masks, xs, targets, s, tr, state = _draw_toy(cfg, rng)
         grads = _trace_gradients(sys, masks, xs, targets, s, tr,
                                  _non_reciprocal(sys) if break_adjoint else None)
         toy = (s.samples[None], tr.a.samples[None])  # the draw's input and state
-        for side, kept in ((STATE_SIDE, None), (OUTPUT_SIDE, toy)):
-            full = [getattr(sys, k).taps if k in KERNEL_BLOCKS else getattr(masks, k) for k in side]
-            whole = np.concatenate([w.ravel() for w in full])  # a row: the blocks in turn
-            ends = np.cumsum([w.size for w in full])[:-1]
-            free = np.concatenate([np.arange(w.size) >= w[0].size * (k == "w_aa")
-                                   for k, w in zip(side, full)])  # w_aa tap 0 is zero: not probed
-
-            def losses(rows):
-                stacks = {k: np.ascontiguousarray(col).reshape((len(rows),) + w.shape)
-                          for k, w, col in zip(side, full, np.split(rows, ends, axis=1))}
-                # a diverging probe's loss is non-finite, which _central_differences reports
-                with np.errstate(over="ignore", invalid="ignore"):
-                    ys = _probe_outputs(sys, masks, xs, stacks, kept)
-                    return [pipeline_cost(y, targets) for y in ys]
-
-            # a probe's point and blocks, traces (w_so * s, w_ao * a, sum; the state side's
-            # input product and sum, drive, state, recursion buffer) and outputs (product, sum)
-            traces = 3 * sys.n_outputs + (2 * sys.n_inputs + 3 * sys.n_state) * (kept is None)
-            probe_bytes = 8 * (2 * whole.size + traces * len(xs) * masks.period + 2 * targets.size)
-            fd = np.zeros(whole.size)
-            fd[free] = _central_differences(whole, free.nonzero()[0], cfg.eps, probe_bytes, losses)
+        output = _side_stack(sys, masks, xs, OUTPUT_SIDE, cfg.eps, toy)
+        for side, (ys, _, ends, free) in ((STATE_SIDE, state), (OUTPUT_SIDE, output)):
+            fd = np.zeros(free.size)
+            with np.errstate(over="ignore", invalid="ignore"):  # as in _side_stack
+                losses = [pipeline_cost(y, targets) for y in ys]
+            fd[free] = _central_differences(losses, free.nonzero()[0], cfg.eps)
             g = np.concatenate([grads[k].ravel() for k in side])
             for k, gk, fk, ok in zip(side, *(np.split(v, ends) for v in (g, fd, free))):
                 worst[k] = max(worst[k], relative_error(gk[ok], fk[ok]))

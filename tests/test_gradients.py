@@ -107,23 +107,21 @@ def test_finite_difference_nonfinite_loss_raises():
 
 
 def test_central_differences_move_only_the_named_coordinates_of_the_whole_row():
-    # losses sees whole rows, theta with one coordinate of coords moved by
-    # +eps then -eps; a non-finite loss is reported at that coordinate
+    # the probe points are whole rows, theta with one coordinate of coords moved by
+    # +eps then -eps, after theta itself if lead, which sits in the first chunk;
+    # a non-finite loss is reported at its coordinate
     theta = np.arange(6.0)
     coords = np.array([1, 4])
-    seen = []
-
-    def losses(rows):
-        seen.extend(rows.copy())
-        return [float(r @ r) for r in rows]
-
-    fd = gradients_mod._central_differences(theta, coords, 0.5, 8, losses)
     moved = [theta + step * np.eye(6)[j] for j in coords for step in (0.5, -0.5)]
-    np.testing.assert_array_equal(seen, moved)
+    two = gradients_mod._STACK_BYTES // 2  # the bytes of a probe when a chunk holds two
+    for lead, rows in ((False, moved), (True, [theta] + moved)):
+        chunks = list(gradients_mod._probe_points(theta, coords, 0.5, two, lead))
+        assert [len(c) for c in chunks] == [2, 2, 1][: len(rows) // 2 + len(rows) % 2]
+        np.testing.assert_array_equal(np.concatenate(chunks), rows)
+    fd = gradients_mod._central_differences([float(r @ r) for r in moved], coords, 0.5)
     np.testing.assert_array_equal(fd, 2 * theta[coords])
     with pytest.raises(NumericError, match="coordinate 4$"):
-        gradients_mod._central_differences(
-            theta, coords, 0.5, 8, lambda rows: [np.inf if r[4] != 4 else 0.0 for r in rows])
+        gradients_mod._central_differences([0.0, 0.0, np.inf, 0.0], coords, 0.5)
 
 
 def test_grad_check_identity_nonlinearity_very_tight():
@@ -187,6 +185,12 @@ def probes_of(sys, masks, names, eps):
     return probes
 
 
+def rows_of(sys, masks, side, eps):
+    """(block, member) of every row of grad_check's stack of side: the toy's own
+    (its w_sa, every block its own) leads the state side, then its probes."""
+    return [("w_sa", sys.w_sa.taps)] * (side == STATE_SIDE) + probes_of(sys, masks, side, eps)
+
+
 def stacks_of(sys, masks, names, probes):
     """Every block of names as a full stack, one row per probe: the probe's
     member for its block, the toy's own member for the others."""
@@ -204,7 +208,7 @@ def test_cost_from_the_recorded_state_is_the_full_forward_cost_bit_for_bit():
         # an output-side change keeps the state: w_so, w_ao, u and y_b each moved
         for name, w in (("w_so", 1.5 * sys.w_so.taps), ("w_ao", sys.w_ao.taps - 0.1),
                         ("u", -masks.u), ("y_b", masks.y_b + 0.2)):
-            ys = _probe_outputs(sys, masks, xs, {name: w[None]}, toy)
+            ys = _probe_outputs(sys, masks, xs, {name: w[None]}, toy)[0]
             full = full_forward_outputs(sys, masks, xs, name, w)
             assert np.array_equal(ys[0], full), name
             assert pipeline_cost(ys[0], targets) == pipeline_cost(full, targets), name
@@ -223,7 +227,7 @@ def test_output_side_probes_on_the_recorded_state_equal_full_forward_ones(seed):
         ref = member(sys, masks, name)
 
         def reused(flat, _name=name, _shape=ref.shape):
-            ys = _probe_outputs(sys, masks, xs, {_name: flat.reshape((1,) + _shape)}, toy)
+            ys = _probe_outputs(sys, masks, xs, {_name: flat.reshape((1,) + _shape)}, toy)[0]
             return pipeline_cost(ys[0], targets)
 
         def full(flat, _name=name, _shape=ref.shape):
@@ -248,7 +252,7 @@ def test_stacked_probe_outputs_equal_the_probe_plants_forward_bit_for_bit(seed):
     for name in ALL_BLOCKS:
         probes = [w for _, w in probes_of(sys, masks, [name], cfg.eps)]
         ys = _probe_outputs(sys, masks, xs, {name: np.stack(probes)},
-                            toy if name in OUTPUT_SIDE else None)
+                            toy if name in OUTPUT_SIDE else None)[0]
         assert len(ys) == len(probes)
         for w, y in zip(probes, ys):
             assert np.array_equal(y, full_forward_outputs(sys, masks, xs, name, w)), name
@@ -258,10 +262,11 @@ def test_stacked_probe_outputs_equal_the_probe_plants_forward_bit_for_bit(seed):
     pytest.param(family, seed, id=f"{label}{seed}") for seed in range(20)
     for label, family in (("", GradCheckConfig().nonlinearities), ("clip-", ("clip",)))])
 def test_merged_side_stacks_equal_the_probe_plants_forward_bit_for_bit(monkeypatch, family, seed):
-    # the two stacks grad_check runs for each toy hold its probes and nothing
-    # else: the state side every probe of w_sa, w_aa, m and s_b, the output side
-    # every probe of w_so, w_ao, u and y_b on the toy's own encoded input and
-    # state; each row is its own plant's forward run on its own input, decoded
+    # the two stacks grad_check runs for each toy: the state side the toy's own
+    # row, then every probe of w_sa, w_aa, m and s_b; the output side every probe
+    # of w_so, w_ao, u and y_b on the toy's own encoded input and state.  Each
+    # row is its own plant's forward run on its own input, decoded.  Each draw
+    # attempt runs a state side; only an accepted draw's output side follows
     draws, runs = [], []  # grad_check's toys, and the (stacks, toy, outputs) of each stack
     draw, probe = gradients_mod._draw_toy, gradients_mod._probe_outputs
 
@@ -270,26 +275,27 @@ def test_merged_side_stacks_equal_the_probe_plants_forward_bit_for_bit(monkeypat
         return draws[-1]
 
     def probed(sys, masks, xs, stacks, toy):
-        runs.append((stacks, toy, probe(sys, masks, xs, stacks, toy)))
-        return runs[-1][2]
+        out = probe(sys, masks, xs, stacks, toy)
+        runs.append((stacks, toy, out[0]))
+        return out
 
     monkeypatch.setattr(gradients_mod, "_draw_toy", drawn)
     monkeypatch.setattr(gradients_mod, "_probe_outputs", probed)
     cfg = GradCheckConfig(n_systems=2, nonlinearities=family)
     grad_check(cfg, seed)
-    assert len(runs) == 2 * len(draws) == 4  # one stack per side of each toy
-    for (sys, masks, xs, *_), toy_runs in zip(draws, (runs[:2], runs[2:])):
+    kept = [i for i, (_, toy, _) in enumerate(runs) if toy is not None]  # the output sides
+    assert len(kept) == len(draws) == 2 and all(runs[i - 1][1] is None for i in kept)
+    for (sys, masks, xs, *_), i in zip(draws, kept):
         s = encode_inputs(xs, masks)
-        (_, none, _), (_, (x, a), _) = toy_runs
-        assert none is None
+        x, a = runs[i][1]
         assert np.array_equal(x[0], s.samples) and np.array_equal(a[0], forward(sys, s).a.samples)
-        for side, (stacks, _, ys) in zip((STATE_SIDE, OUTPUT_SIDE), toy_runs):
-            want = stacks_of(sys, masks, side, probes_of(sys, masks, side, cfg.eps))
+        for side, (stacks, _, ys) in zip((STATE_SIDE, OUTPUT_SIDE), runs[i - 1 : i + 1]):
+            want = stacks_of(sys, masks, side, rows_of(sys, masks, side, cfg.eps))
             assert stacks.keys() == want.keys() and len(ys) == len(want[side[0]])
             assert all(np.array_equal(stacks[k], want[k]) for k in side)
-    sys, masks, xs, *_ = draws[0]
-    for side, (_, _, ys) in zip((STATE_SIDE, OUTPUT_SIDE), runs[:2]):
-        for (name, w), y in zip(probes_of(sys, masks, side, cfg.eps), ys):
+    (sys, masks, xs, *_), i = draws[0], kept[0]
+    for side, (_, _, ys) in zip((STATE_SIDE, OUTPUT_SIDE), runs[i - 1 : i + 1]):
+        for (name, w), y in zip(rows_of(sys, masks, side, cfg.eps), ys):
             assert np.array_equal(y, full_forward_outputs(sys, masks, xs, name, w)), name
 
 
@@ -400,8 +406,13 @@ def test_grad_check_config_takes_its_edge_values():
     GradCheckConfig(nonlinearities=("clip",), dt_range=(0.3, 0.3), kink_margin=0.0)
 
 
-@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("seed", [0, 1, 2, 42], ids=["0", "1", "2", "42-redrawn"])
 def test_grad_check_makes_one_cost_call_per_probe_and_encodes_each_input_once(monkeypatch, seed):
+    # the traced audit_counts invariant's tier-1 twin.  Each draw attempt runs
+    # one state-side recursion, its toy's own row and every state probe; the
+    # kink test, the gradient run and the output side read that lead row, so
+    # grad_check makes no forward or encode_inputs call of its own.  Only the
+    # accepted toy's probes are costed.  Seed 42's first clip draw is rejected
     calls = {"pipeline_cost": 0, "encode_inputs": 0, "forward": 0}
     batches = []  # the batch of each recursion the probes run
 
@@ -422,39 +433,81 @@ def test_grad_check_makes_one_cost_call_per_probe_and_encodes_each_input_once(mo
     monkeypatch.setattr(gradients_mod, "_causal_feedback", batched)
     cfg = GradCheckConfig(n_systems=1, nonlinearities=("clip",))
     sys, masks, _, _ = random_toy_pipeline(cfg, np.random.default_rng(seed))  # grad_check's toy
-    attempts = calls["encode_inputs"]  # one kink test per draw attempt
-    calls.update(dict.fromkeys(calls, 0))
+    attempts = len(batches)  # one state-side recursion per draw attempt
+    assert (attempts > 1) == (seed == 42)
+    assert calls == dict.fromkeys(calls, 0)  # the draw makes none of these calls either
+    batches.clear()
     grad_check(cfg, seed)
     params = sum(getattr(sys, name).taps[int(name == "w_aa"):].size for name in KERNEL_BLOCKS)
     params += sum(getattr(masks, name).size for name in MASK_BLOCKS)
-    assert calls["pipeline_cost"] == 2 * params  # the benchmark's traced invariant
-    # the draw's only: the gradient run and the output side's probes take the
-    # accepted draw's trace
-    assert calls["encode_inputs"] == calls["forward"] == attempts
+    # the benchmark's traced invariant: a rejected draw's probes are never costed
+    assert calls == {"pipeline_cost": 2 * params, "encode_inputs": 0, "forward": 0}
+    assert 2 * params == 296
     state = sum(member(sys, masks, name)[int(name == "w_aa"):].size for name in STATE_SIDE)
-    assert batches == [2 * state] == [168]  # one recursion: every state probe, and no more
+    assert batches == [2 * state + 1] * attempts and 2 * state + 1 == 169
 
 
 @pytest.mark.parametrize("broken", [False, True], ids=["reciprocal", "non-reciprocal"])
 @pytest.mark.parametrize("kind", GradCheckConfig().nonlinearities)
-def test_the_draws_trace_feeds_the_gradient_run_bit_for_bit(kind, broken):
-    # grad_check's gradient run takes the accepted draw's encoded input and
-    # forward trace: they are the toy's own, and give pipeline_gradients exactly
+def test_the_draws_trace_feeds_the_gradient_run_bit_for_bit(monkeypatch, kind, broken):
+    # every draw attempt's lead row, the toy's own row of its state-side stack,
+    # is the toy's encode_inputs and forward run bit for bit; the accepted
+    # draw's s and tr are read off it and give pipeline_gradients exactly
+    attempts = []  # (sys, masks, xs, lead) of each draw attempt
+    stack = gradients_mod._side_stack
+
+    def spied(sys, masks, xs, side, eps, toy=None):
+        out = stack(sys, masks, xs, side, eps, toy)
+        attempts.append((sys, masks, xs, out[1]))
+        return out
+
+    monkeypatch.setattr(gradients_mod, "_side_stack", spied)
     cfg = GradCheckConfig(nonlinearities=(kind,))
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        sys, masks, xs, targets, s, tr = gradients_mod._draw_toy(cfg, rng)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        sys, masks, xs, targets, s, tr, _ = gradients_mod._draw_toy(cfg, rng)
+        for toy, toy_masks, toy_xs, lead in attempts:
+            ref_s = encode_inputs(toy_xs, toy_masks)
+            ref = forward(toy, ref_s)
+            for got, want in zip(lead, (ref_s, ref.a, ref.o)):
+                assert np.array_equal(got, want.samples)
         ref_s = encode_inputs(xs, masks)
         ref = forward(sys, ref_s)
         for got, want in ((s, ref_s), (tr.a, ref.a), (tr.o, ref.o)):
             assert np.array_equal(got.samples, want.samples)
         assert np.array_equal(tr.jac, ref.jac)
+        attempts.clear()
         medium = _non_reciprocal(sys) if broken else None
         grads = gradients_mod._trace_gradients(sys, masks, xs, targets, s, tr, medium)
         want = pipeline_gradients(sys, masks, xs, targets, medium=medium)
         assert grads.keys() == want.keys() == set(ALL_BLOCKS)
         for name in ALL_BLOCKS:
             assert np.array_equal(grads[name], want[name]), name
+
+
+@pytest.mark.parametrize("kind", GradCheckConfig().nonlinearities)
+def test_the_lead_row_draws_what_a_forward_kink_test_draws(monkeypatch, kind):
+    # random_toy_pipeline accepts the draws that a kink test on each attempt's
+    # own encode_inputs and forward run accepts, after the same rng draws
+    cfg = GradCheckConfig(nonlinearities=(kind,))
+
+    def lone(sys, masks, xs, side, eps):  # no probes: the toy's own run alone
+        s = encode_inputs(xs, masks)
+        tr = forward(sys, s)
+        return None, (s.samples, tr.a.samples, tr.o.samples), None, None
+
+    for seed in range(20):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_toy_pipeline(cfg, rng)
+        with monkeypatch.context() as patched:
+            patched.setattr(gradients_mod, "_side_stack", lone)
+            want = random_toy_pipeline(cfg, ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        (sys, masks, xs, targets), (ref_sys, ref_masks, ref_xs, ref_targets) = got, want
+        for name in ALL_BLOCKS:
+            assert np.array_equal(member(sys, masks, name), member(ref_sys, ref_masks, name))
+        assert sys.f == ref_sys.f and sys.dt == ref_sys.dt
+        assert np.array_equal(xs, ref_xs) and np.array_equal(targets, ref_targets)
 
 
 def naive_entries(cfg, seed):
