@@ -312,11 +312,11 @@ def _probe_outputs(sys: PhysicalSystem, masks: MaskSet, xs: np.ndarray, stacks: 
 
 def _side_stack(sys: PhysicalSystem, masks: MaskSet, xs: np.ndarray, side: tuple, eps: float,
                 toy: tuple | None = None) -> tuple:
-    """(ys, lead, ends, free): the decoded outputs of the probes of side's blocks, run in
-    _probe_points' chunks of the row of those blocks in turn; the traces [x, a, o]
-    of the toy's own row, which leads the state side (toy None; else None); the
-    ends of all but the last block in the row; and the row's probed coordinates, all but
-    w_aa's tap 0 (zero: not a parameter).  Output-side probes keep toy = (x, a)."""
+    """Run the probes of side's blocks in _probe_points' chunks of their row (the blocks in
+    turn; w_aa's tap 0 is zero, not a parameter, and not probed): (ys, lead, ends, free)
+    are the probes' decoded outputs, the traces [x, a, o] of the toy's own row, which
+    leads the state side (toy None; else lead is None), where each block but the last
+    ends in the row, and which coordinates are probed.  Output sides keep toy = (x, a)."""
     full = [getattr(sys, k).taps if k in KERNEL_BLOCKS else getattr(masks, k) for k in side]
     whole = np.concatenate([w.ravel() for w in full])
     ends = np.cumsum([w.size for w in full])[:-1]
