@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError, DivergenceError, NumericError
 from .gradients import GradCheckConfig, grad_check
 from .masking import MaskSet, masks_to_csv
 from .models import (
@@ -252,21 +252,24 @@ def build_experiment(cfg: ConfigFile, seed_override=None) -> Experiment:
     if _one_tube(system) and {"w_sa", "w_aa"} & set(train_cfg.trainable):
         raise UsageError(f"{cfg.where('train.trainable')}: the plant's one tube kernel "
                          "is both w_sa and w_aa; training either would untie them")
-    # a batch's dense float64 traces: the task's draw, then the plant's channels
-    # over batch_len * period samples; refused before the draw allocates them
-    trace_bytes = 8 * train_cfg.batch_len * (task.dim_x + task.dim_y + template.period * (
-        system.n_inputs + system.n_state + system.n_outputs))
-    if trace_bytes > 1 << 30:
-        raise UsageError(f"{cfg.where('train.batch_len')}: train.batch_len = "
-                         f"{train_cfg.batch_len} asks for {trace_bytes / 2**30:.3g} GiB "
-                         "of batch traces, over the 1 GiB bound")
-    try:  # one batch from a throwaway generator: the run's own stays untouched
-        batch = task.sample(train_cfg.batch_len, np.random.default_rng(0))
-        if not batch.cost_mask.any():
-            raise ConfigurationError("no instance of a batch enters the cost")
-    except ConfigurationError as exc:
-        raise UsageError(f"{cfg.where('train.batch_len')}: train.batch_len = "
-                         f"{train_cfg.batch_len} is too short for {task.name}: {exc}") from None
+    eval_instances = cfg.get("eval.instances", int, default=0, minimum=0)
+    for key, n in (("train.batch_len", train_cfg.batch_len), ("eval.instances", eval_instances)):
+        if n == 0:  # eval.instances = 0: no evaluation
+            continue
+        # a sequence's dense float64 traces: the task's draw, then the plant's channels
+        # over n * period samples; refused before the draw allocates them
+        trace_bytes = 8 * n * (task.dim_x + task.dim_y + template.period * (
+            system.n_inputs + system.n_state + system.n_outputs))
+        if trace_bytes > 1 << 30:
+            raise UsageError(f"{cfg.where(key)}: {key} = {n} asks for "
+                             f"{trace_bytes / 2**30:.3g} GiB of traces, over the 1 GiB bound")
+        try:  # one sequence from a throwaway generator: the run's own stays untouched
+            batch = task.sample(n, np.random.default_rng(0))
+            if not batch.cost_mask.any():
+                raise ConfigurationError("no instance of a sequence enters the cost")
+        except ConfigurationError as exc:
+            raise UsageError(f"{cfg.where(key)}: {key} = {n} is too short for "
+                             f"{task.name}: {exc}") from None
 
     exp = Experiment(
         system=system,
@@ -274,7 +277,7 @@ def build_experiment(cfg: ConfigFile, seed_override=None) -> Experiment:
         task=task,
         train_cfg=train_cfg,
         seed=seed,
-        eval_instances=cfg.get("eval.instances", int, default=0, minimum=0),
+        eval_instances=eval_instances,
         eval_seed=cfg.get("eval.seed", int, default=12345, minimum=0),
     )
     cfg.reject_unknown()
@@ -313,9 +316,12 @@ def cmd_run(args) -> int:
     final_metric = log.metrics[-1]
     eval_note = "final training batch"
     if exp.eval_instances > 0:
-        final_metric, _, _ = evaluate(system, masks, exp.task, exp.eval_instances,
-                                      np.random.default_rng(exp.eval_seed),
-                                      noise_rng=np.random.default_rng(exp.eval_seed + 1))
+        try:  # a plant finite over training batches may still blow up on the longer sequence
+            final_metric, _, _ = evaluate(system, masks, exp.task, exp.eval_instances,
+                                          np.random.default_rng(exp.eval_seed),
+                                          noise_rng=np.random.default_rng(exp.eval_seed + 1))
+        except NumericError as exc:
+            raise DivergenceError(f"evaluation diverged: {exc}") from None
         eval_note = f"fresh sequence of {exp.eval_instances} instances"
     with open(out / "summary.txt", "w") as fh:
         fh.write(f"task={exp.task.name}\n")

@@ -31,17 +31,15 @@ from .masking import (
     output_mask_gradient,
 )
 from .signal import Kernel, Signal, _convolve_stack, convolve
-from .system import (KERNELS as KERNEL_BLOCKS, BackwardTrace, ForwardTrace, Nonlinearity,
-                     PhysicalSystem, _activate, _causal_feedback, _jacobian, backward, forward)
+from .system import (KERNELS as KERNEL_BLOCKS, NONLINEARITIES, BackwardTrace, ForwardTrace,
+                     Nonlinearity, PhysicalSystem, _activate, _causal_feedback, _jacobian,
+                     backward, forward)
 
 MASK_BLOCKS = ("m", "s_b", "u", "y_b")
 ALL_BLOCKS = KERNEL_BLOCKS + MASK_BLOCKS
 STATE_SIDE = ("w_sa", "w_aa", "m", "s_b")
 OUTPUT_SIDE = ("w_so", "w_ao", "u", "y_b")  # blocks the state equation never sees
 _STACK_BYTES = 2 << 20  # the bytes the probes of one finite-difference chunk may hold
-_NONLINEARITIES = {"rectifier": Nonlinearity.rectifier,  # the toy family's choices
-                   "clip": lambda: Nonlinearity.clip(-1.0, 1.0),
-                   "identity": Nonlinearity.identity}
 
 
 def _tap_gradient(e_dst: np.ndarray, src: np.ndarray, L: int, dt: float,
@@ -90,7 +88,7 @@ def kernel_gradients(sys: PhysicalSystem, fwd: ForwardTrace, bwd: BackwardTrace,
     return out
 
 
-def _probe_points(theta, coords, eps: float, probe_bytes: int, lead: bool = False):
+def _probe_points(theta, coords, eps: float, probe_bytes: int, lead: bool):
     """Chunks of probe points: rows theta + eps e_j and theta - eps e_j in turn for each j
     of coords, after theta itself if lead; a chunk of rows of probe_bytes each holds
     <= _STACK_BYTES."""
@@ -110,18 +108,6 @@ def _central_differences(losses, coords, eps: float) -> np.ndarray:
     if bad.any():
         raise NumericError(f"loss non-finite at coordinate {coords[np.argmax(bad)]}")
     return (pairs[:, 0] - pairs[:, 1]) / (2.0 * eps)
-
-
-def finite_difference_gradient(loss, theta: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Central differences (loss(theta+eps e_j) - loss(theta-eps e_j)) / 2 eps.
-
-    loss must be deterministic (noise off / fixed seed).
-    """
-    if not (eps > 0.0):
-        raise ConfigurationError(f"eps must be positive, got {eps}")
-    theta, coords = np.asarray(theta, dtype=np.float64).ravel(), np.arange(np.size(theta))
-    losses = [loss(p) for ps in _probe_points(theta, coords, eps, 8 * theta.size) for p in ps]
-    return _central_differences(losses, coords, eps)
 
 
 def relative_error(g1, g2) -> float:
@@ -150,7 +136,7 @@ class GradCheckConfig:
     period: int = 8
     instances: int = 6
     dt_range: tuple = (0.1, 1.2)
-    nonlinearities: tuple = ("rectifier", "clip", "identity")
+    nonlinearities: tuple = NONLINEARITIES
     eps: float = 1e-5
     threshold: float = 1e-4
     kink_margin: float = 1e-3  # resample margin; comfortably above 10*eps
@@ -168,8 +154,8 @@ class GradCheckConfig:
             val = getattr(self, name)
             if not 0.0 < val < np.inf:
                 raise ConfigurationError(f"{name} must be positive and finite, got {val}", name)
-        if not (self.nonlinearities and set(self.nonlinearities) <= _NONLINEARITIES.keys()):
-            raise ConfigurationError(f"nonlinearities must name some of {sorted(_NONLINEARITIES)},"
+        if not (self.nonlinearities and set(self.nonlinearities) <= set(NONLINEARITIES)):
+            raise ConfigurationError(f"nonlinearities must name some of {sorted(NONLINEARITIES)},"
                                      f" got {self.nonlinearities!r}", "nonlinearities")
         lo, hi = self.dt_range
         if not 0.0 < lo <= hi < np.inf:
@@ -216,7 +202,7 @@ def _draw_toy(cfg: GradCheckConfig, rng: np.random.Generator):
     for _ in range(64):
         dt = float(rng.uniform(*cfg.dt_range))
         kind = cfg.nonlinearities[int(rng.integers(len(cfg.nonlinearities)))]
-        f = _NONLINEARITIES[kind]()
+        f = Nonlinearity(kind)
 
         def taps(rows, cols):
             return 0.4 * rng.standard_normal((cfg.kernel_len, rows, cols))

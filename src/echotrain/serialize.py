@@ -49,6 +49,15 @@ def _flag(token: str) -> bool:
     return token == "1"
 
 
+def _check_masks(system: PhysicalSystem, masks: MaskSet) -> None:
+    """A mask set stored with a plant drives it: the same dt and channel counts."""
+    if masks.dt != system.dt:
+        raise ConfigurationError("mask dt must match the system dt")
+    if (masks.n_in, masks.n_out) != (system.n_inputs, system.n_outputs):
+        raise ConfigurationError(f"mask set has {masks.n_in} input and {masks.n_out} output "
+                                 f"channels, the plant {system.n_inputs} and {system.n_outputs}")
+
+
 def save_system(path, system: PhysicalSystem, masks: MaskSet | None = None) -> None:
     lines = [_FORMAT_LINE, f"dt {_hex(system.dt)}"]
     f = system.f
@@ -69,8 +78,7 @@ def save_system(path, system: PhysicalSystem, masks: MaskSet | None = None) -> N
         for tap in k.taps:
             lines.append(_hexrow(tap))
     if masks is not None:
-        if masks.dt != system.dt:
-            raise ConfigurationError("mask dt must match the system dt")
+        _check_masks(system, masks)
         lines.append(f"maskset {masks.dim_x} {masks.dim_y} {masks.period}")
         lines.append(f"mask_channels {masks.n_in} {masks.n_out}")
         for t in range(masks.period):
@@ -168,7 +176,7 @@ def load_system(path):
                         for t in range(period)]
                 u = np.stack(rows, axis=-1).reshape(dim_y, n_out, period)
                 y_b = _parse_row(line(base + 3 * period, "yb"), dim_y)
-                at = i
+                at = masks_at = i
                 masks = MaskSet(m=m, u=u, s_b=s_b, y_b=y_b, period=period, dt=dt)
                 i = base + 3 * period + 1
             else:
@@ -182,8 +190,9 @@ def load_system(path):
         at = kernel_at
         system = PhysicalSystem(*(kernels[k] for k in KERNELS), f,
                                 noise=noise, backward_path=backward_path)
-        if masks is not None and masks.dt != system.dt:
-            raise ValueError("mask set dt differs from the plant dt")
+        if masks is not None:  # a mask set that cannot drive the plant is its record's fault
+            at = masks_at
+            _check_masks(system, masks)
     except IndexError:
         raise ConfigurationError(f"{path}:{lines[at][0]}: record is missing a value") from None
     except (ValueError, ArithmeticError) as exc:

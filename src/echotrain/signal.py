@@ -118,13 +118,10 @@ class Kernel:
         return self._lags
 
     @staticmethod
-    def delta(gain_matrix, dt: float, lag: int = 0, length: int | None = None) -> "Kernel":
+    def delta(gain_matrix, dt: float, lag: int = 0) -> "Kernel":
         """Discrete delta kernel: single tap gain_matrix/dt at the given lag."""
         g = np.atleast_2d(np.asarray(gain_matrix, dtype=np.float64))
-        L = (lag + 1) if length is None else length
-        if lag >= L:
-            raise ConfigurationError(f"lag {lag} does not fit in {L} taps")
-        taps = np.zeros((L, g.shape[0], g.shape[1]))
+        taps = np.zeros((lag + 1, g.shape[0], g.shape[1]))
         taps[lag] = g / dt
         return Kernel(taps, dt)
 

@@ -36,18 +36,19 @@ from .errors import ConfigurationError, DimensionError
 from .signal import Kernel, Signal, adjoint_convolve, convolve
 
 KERNELS = ("w_sa", "w_aa", "w_so", "w_ao")  # PhysicalSystem's kernel fields, in order
+NONLINEARITIES = ("rectifier", "clip", "identity")  # the kinds of f
 
 
 @dataclass(frozen=True)
 class Nonlinearity:
     """Pointwise f with a binary Jacobian diagonal (1 where locally identity)."""
 
-    kind: str  # "rectifier" | "clip" | "identity"
+    kind: str  # one of NONLINEARITIES
     lo: float = -1.0
     hi: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("rectifier", "clip", "identity"):
+        if self.kind not in NONLINEARITIES:
             raise ConfigurationError(f"unknown nonlinearity kind {self.kind!r}")
         if self.kind == "clip" and not (self.lo < self.hi):
             raise ConfigurationError(f"clip needs lo < hi, got ({self.lo}, {self.hi})")

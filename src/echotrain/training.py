@@ -252,11 +252,9 @@ def apply_update(system: PhysicalSystem, masks: MaskSet, grads: dict,
         g_live = np.zeros_like(g)
         g_live[live] = g[live]
         taps = kern.taps - lr * normalize_gradient(g_live)
-        if name == "w_aa":
-            taps[0] = 0.0  # strict causality, regardless of structure
-            if cfg.w_aa_gain_bound is not None:
-                bound = cfg.w_aa_gain_bound / system.dt
-                taps = np.clip(taps, -bound, bound)
+        if name == "w_aa" and cfg.w_aa_gain_bound is not None:
+            bound = cfg.w_aa_gain_bound / system.dt
+            taps = np.clip(taps, -bound, bound)
         system = system.with_kernel(name, taps)
     return system, masks
 

@@ -303,6 +303,37 @@ train.batch_len = 20
     assert (out / "log.csv").exists()  # partial log retained
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_run_exits_one_when_only_the_evaluation_diverges(tmp_path, capsys):
+    # 1.05 feedback stays finite over a 20-sample training batch but overflows
+    # on the 20 000-sample evaluation sequence
+    from echotrain.serialize import save_system
+    from echotrain.signal import Kernel
+    from echotrain.system import Nonlinearity, PhysicalSystem
+
+    aa = np.zeros((2, 1, 1))
+    aa[1, 0, 0] = 1.05
+    plant = tmp_path / "growing.txt"
+    save_system(plant, PhysicalSystem(
+        w_sa=Kernel.delta(np.eye(1), 1.0), w_aa=Kernel(aa, 1.0), w_so=Kernel.zero(1, 1, 1.0),
+        w_ao=Kernel.delta(np.eye(1), 1.0), f=Nonlinearity.rectifier()))
+    cfg = write_cfg(tmp_path, f"""\
+seed = 1
+plant.kind = custom-file
+plant.file = {plant}
+mask.period = 2
+task.kind = variable_delay
+train.iterations = 2
+train.batch_len = 10
+eval.instances = 10000
+""")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: evaluation diverged") and err.count("\n") == 1, err
+    assert (out / "log.csv").exists() and not (out / "summary.txt").exists()
+
+
 def test_run_on_truncated_plant_file_exits_two(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SMOKE)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "first")]) == 0
@@ -365,6 +396,9 @@ def test_out_of_range_config_value_exits_two_naming_the_file(tmp_path, capsys, b
     ("toy_delay_smoke", "plant.kernel_seed", "-1"),
     ("optical_labels", "plant.weight_seed", "-1"),
     ("toy_delay_smoke", "eval.seed", "-1"),
+    ("toy_delay_smoke", "eval.instances", "2"),      # variable_delay needs 3 instances
+    ("optical_labels", "eval.instances", "1"),       # below task.window = 3
+    ("optical_labels", "eval.instances", "100000000"),  # 4.4 TiB of traces, over the bound
 ])
 def test_config_value_rejected_at_build_names_its_line(tmp_path, capsys, base, key, value):
     path, line = mutated(tmp_path, base, key, value)
@@ -397,6 +431,41 @@ train.trainable = m,{tube}
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert f"{path}:8: " in err and "w_sa and w_aa" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("init_masks", ["true", "false"])
+def test_a_plant_file_whose_masks_do_not_fit_the_plant_exits_two(tmp_path, capsys, init_masks):
+    # a 1-input plant's records, then a mask set saved with a 2-input plant;
+    # init_masks or not, the loaded mask set's channel counts make the template
+    from echotrain.masking import MaskSet
+    from echotrain.serialize import save_system
+    from echotrain.signal import Kernel
+    from echotrain.system import Nonlinearity, PhysicalSystem
+
+    def plant(n_in):
+        return PhysicalSystem(w_sa=Kernel.delta(np.ones((1, n_in)), 1.0),
+                              w_aa=Kernel.zero(1, 1, 1.0), w_so=Kernel.zero(1, n_in, 1.0),
+                              w_ao=Kernel.delta(np.eye(1), 1.0), f=Nonlinearity.identity())
+
+    save_system(tmp_path / "one.txt", plant(1))
+    save_system(tmp_path / "two.txt", plant(2), MaskSet.zeros(2, 1, 1, 1, 10, 1.0))
+    head = (tmp_path / "one.txt").read_text().splitlines()
+    tail = (tmp_path / "two.txt").read_text().splitlines()
+    mixed = tmp_path / "mixed.txt"
+    mixed.write_text("\n".join(head + tail[tail.index("maskset 1 1 10"):]) + "\n")
+    cfg = write_cfg(tmp_path, f"""\
+seed = 1
+plant.kind = custom-file
+plant.file = {mixed}
+task.kind = variable_delay
+train.iterations = 2
+train.batch_len = 10
+train.init_masks = {init_masks}
+""")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{mixed}:{len(head) + 1}: mask set has 2 input" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

@@ -17,7 +17,6 @@ from echotrain.gradients import (
     GradCheckConfig,
     _non_reciprocal,
     _probe_outputs,
-    finite_difference_gradient,
     grad_check,
     kernel_gradients,
     pipeline_cost,
@@ -89,21 +88,6 @@ def test_kernel_gradients_match_fd_on_random_system():
 
         fd = fd_gradient(loss, kern.taps[lag0:].ravel(), eps=1e-5)
         assert rel_err(bundle[name][lag0:].ravel(), fd) < 1e-5, name
-
-
-def test_finite_difference_on_quadratic_and_linear():
-    theta = np.array([1.0, -2.0, 3.5])
-    g = finite_difference_gradient(lambda t: 0.5 * float(t @ t), theta, eps=1e-5)
-    np.testing.assert_allclose(g, theta, atol=1e-9)
-
-    c = np.array([2.0, 0.0, -1.0])
-    g = finite_difference_gradient(lambda t: float(c @ t), theta, eps=1e-5)
-    np.testing.assert_allclose(g, c, atol=1e-10)
-
-
-def test_finite_difference_nonfinite_loss_raises():
-    with pytest.raises(NumericError):
-        finite_difference_gradient(lambda t: float("nan"), np.zeros(2))
 
 
 def test_central_differences_move_only_the_named_coordinates_of_the_whole_row():
@@ -234,8 +218,8 @@ def test_output_side_probes_on_the_recorded_state_equal_full_forward_ones(seed):
             return pipeline_cost(full_forward_outputs(sys, masks, xs, _name,
                                                       flat.reshape(_shape)), targets)
 
-        np.testing.assert_array_equal(finite_difference_gradient(reused, ref.ravel(), cfg.eps),
-                                      finite_difference_gradient(full, ref.ravel(), cfg.eps))
+        np.testing.assert_array_equal(fd_gradient(reused, ref.ravel(), cfg.eps),
+                                      fd_gradient(full, ref.ravel(), cfg.eps))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -511,7 +495,7 @@ def test_the_lead_row_draws_what_a_forward_kink_test_draws(monkeypatch, kind):
 
 
 def naive_entries(cfg, seed):
-    """grad_check's report entries from finite_difference_gradient with a full
+    """grad_check's report entries from the fd_gradient oracle with a full
     forward run per probe: no stacked probes and no shared input or state."""
     rng = np.random.default_rng(seed)
     worst = dict.fromkeys(ALL_BLOCKS, 0.0)
@@ -527,7 +511,7 @@ def naive_entries(cfg, seed):
                 ys = full_forward_outputs(sys, masks, xs, _name, w)
                 return 0.5 * float(np.sum((ys - targets) ** 2))
 
-            fd = finite_difference_gradient(loss, full[lag0:].ravel(), cfg.eps)
+            fd = fd_gradient(loss, full[lag0:].ravel(), cfg.eps)
             worst[name] = max(worst[name], relative_error(grads[name][lag0:], fd))
     return [(name, worst[name], worst[name] < cfg.threshold) for name in ALL_BLOCKS]
 
@@ -607,8 +591,7 @@ def directional_misses(name, backward_medium=None):
         for v in [g / norm] + [np.where(live, rng.standard_normal(full.shape), 0.0)
                                for _ in range(2)]:
             v = v / np.linalg.norm(v)
-            fd = finite_difference_gradient(lambda h: cost(block, full + h[0] * v),
-                                            np.zeros(1), eps=step)[0]
+            fd = fd_gradient(lambda h: cost(block, full + h[0] * v), np.zeros(1), eps=step)[0]
             worst[block] = max(worst[block], abs(fd - float(np.vdot(g, v))) / norm)
     return worst
 

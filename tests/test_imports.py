@@ -74,24 +74,40 @@ def private_definitions(tree):
                     if name.startswith("_") and not name.startswith("__"))
 
 
-def test_every_private_definition_is_used_in_the_package():
-    # a private helper kept alive only by a test is dead code: delete it
-    trees = {p.name: parse(p) for p in sorted(PACKAGE.glob("*.py"))}
+def used_names(trees):
+    """Every name the trees read, bare or as an attribute."""
     used = set()
-    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+    for node in (node for tree in trees for node in ast.walk(tree)):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
+    return used
+
+
+def test_every_private_definition_is_used_in_the_package():
+    # a private helper kept alive only by a test is dead code: delete it
+    trees = {p.name: parse(p) for p in sorted(PACKAGE.glob("*.py"))}
+    used = used_names(trees.values())
     unused = [f"{module}:{line}: {name}" for module, tree in trees.items()
               for name, line in private_definitions(tree) if name not in used]
     assert not unused, "private definitions nothing in the package uses: " + ", ".join(unused)
 
 
+def test_every_public_export_is_used_in_the_package_or_a_demo():
+    # an export only a test calls is a second, unused API: delete it
+    demos = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+    used = used_names(parse(p) for p in MODULES + demos)
+    exported = [a.name for node in parse(PACKAGE / "__init__.py").body
+                if isinstance(node, ast.ImportFrom) for a in node.names]
+    unused = [name for name in exported if name not in used]
+    assert not unused, "exports nothing in the package or its demos uses: " + ", ".join(unused)
+
+
 def test_the_package_keeps_its_line_budget():
     # counted as `wc -l src/echotrain/*.py` counts them: newline characters
     lines = sum(p.read_bytes().count(b"\n") for p in PACKAGE.glob("*.py"))
-    assert lines <= 2790, (f"src/echotrain/*.py has {lines} lines, over the budget of 2790 "
+    assert lines <= 2784, (f"src/echotrain/*.py has {lines} lines, over the budget of 2784 "
                            "that ROADMAP.md item 5 (aim 2, lean core) sets: pay for new "
                            "code with deletions")
 

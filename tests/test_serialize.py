@@ -1,6 +1,7 @@
 import contextlib
 import io
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -229,6 +230,28 @@ def test_wrong_tap_count_names_the_line(tmp_path):
     short[head + 1] = " ".join(short[head + 1].split()[:-1])
     with pytest.raises(ConfigurationError, match=rf"edited\.txt:{head + 2}: expected 6 values, got 5"):
         load_lines(tmp_path, short)
+
+
+def test_a_mask_set_for_other_channels_is_neither_saved_nor_loaded(tmp_path):
+    rng = np.random.default_rng(4)
+    sys = rand_system(rng)  # 2 inputs, 2 outputs
+    masks = MaskSet(m=rng.standard_normal((1, 2, 3)), u=rng.standard_normal((2, 2, 3)),
+                    s_b=rng.standard_normal((1, 3)), y_b=rng.standard_normal(2),
+                    period=3, dt=sys.dt)  # 1 input channel
+    message = "mask set has 1 input and 2 output channels, the plant 2 and 2"
+    with pytest.raises(ConfigurationError, match=message):
+        save_system(tmp_path / "refused.txt", sys, masks)
+    assert not (tmp_path / "refused.txt").exists()
+    # the same pair by hand: the plant's records, then the masks as saved with a plant they fit
+    fits = replace(sys, w_sa=Kernel(sys.w_sa.taps[:, :, :1], sys.dt),
+                   w_so=Kernel(sys.w_so.taps[:, :, :1], sys.dt))
+    save_system(tmp_path / "plant.txt", sys)
+    save_system(tmp_path / "fits.txt", fits, masks)
+    head = (tmp_path / "plant.txt").read_text().splitlines()
+    tail = (tmp_path / "fits.txt").read_text().splitlines()
+    tail = tail[next(i for i, ln in enumerate(tail) if ln.startswith("maskset")):]
+    with pytest.raises(ConfigurationError, match=rf"edited\.txt:{len(head) + 1}: {message}"):
+        load_lines(tmp_path, head + tail)
 
 
 def damaged(data: bytes):

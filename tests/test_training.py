@@ -1,3 +1,4 @@
+import copy
 import platform
 from dataclasses import replace
 
@@ -7,19 +8,28 @@ import pytest
 from echotrain.cli import ConfigFile, build_experiment, resolve_config_path
 from echotrain.errors import ConfigurationError
 from echotrain.gradients import (
+    KERNEL_BLOCKS,
+    MASK_BLOCKS,
     GradCheckConfig,
     kernel_gradients,
     pipeline_gradients,
     random_toy_pipeline,
     relative_error,
 )
-from echotrain.masking import MaskSet, decode_outputs, encode_inputs, encode_output_errors
+from echotrain.masking import (
+    MaskSet,
+    decode_outputs,
+    encode_inputs,
+    encode_output_errors,
+    init_masks,
+)
 from echotrain.models import OpticalParams, make_optical_system
 from echotrain.signal import Kernel
 from echotrain.system import Nonlinearity, PhysicalSystem, backward, forward
 from echotrain.training import (
     TrainConfig,
     _batch_gradients,
+    apply_update,
     delayed_copy_task,
     mse_cost,
     normalize_gradient,
@@ -353,3 +363,47 @@ def test_optical_iteration_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 17e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def same_blocks(sys_a, masks_a, sys_b, masks_b):
+    return (all(np.array_equal(getattr(sys_a, k).taps, getattr(sys_b, k).taps)
+                for k in KERNEL_BLOCKS)
+            and all(np.array_equal(getattr(masks_a, k), getattr(masks_b, k)) for k in MASK_BLOCKS))
+
+
+@pytest.mark.parametrize("name", ["toy_delay_smoke", "optical_labels"])
+def test_noise_free_repeats_train_as_one_measurement_bit_for_bit(name):
+    # without noise both measurements of a batch give the same g: g + g
+    # normalizes to g / |g| exactly, and the mean of two equal costs is the cost
+    exp = build_experiment(ConfigFile.parse(resolve_config_path(name)))
+    plant = replace(exp.system, noise=None)
+    (log1, sys1, masks1), (log2, sys2, masks2) = (
+        train(plant, exp.template, exp.task, replace(exp.train_cfg, iterations=10,
+                                                     noise_repeats=repeats),
+              np.random.default_rng(exp.seed)) for repeats in (1, 2))
+    assert np.array_equal(log1.costs, log2.costs)
+    assert np.array_equal(log1.metrics, log2.metrics)
+    assert same_blocks(sys1, masks1, sys2, masks2)
+
+
+def test_noisy_repeats_update_by_the_sum_of_measurements_drawn_in_turn():
+    # one optical_labels iteration with noise_repeats = 2: the masks, then the
+    # batch, then two noisy measurements of it, all from the one generator
+    exp = build_experiment(ConfigFile.parse(resolve_config_path("optical_labels")))
+    cfg = replace(exp.train_cfg, iterations=1, noise_repeats=2)
+    assert exp.system.noise is not None and cfg.init_masks
+    rng = np.random.default_rng(exp.seed)
+    ref = copy.deepcopy(rng)
+    log, system, masks = train(exp.system, exp.template, exp.task, cfg, rng)
+
+    t = exp.template
+    start = init_masks(t.n_in, exp.task.dim_x, t.n_out, exp.task.dim_y, t.period, t.dt,
+                       cfg.init_std_input_mask, cfg.init_std_output_mask, ref)
+    data = exp.task.sample(cfg.batch_len, ref)
+    (c1, _, g1), (c2, _, g2) = (_batch_gradients(exp.system, start, exp.task, data,
+                                                 cfg.trainable, ref) for _ in range(2))
+    assert not np.array_equal(g1["m"], g2["m"])  # two measurements, two noise draws
+    want = apply_update(exp.system, start, {k: g1[k] + g2[k] for k in g1}, cfg.lr(0), cfg)
+    assert log.costs[0] == (c1 + c2) / 2
+    assert same_blocks(system, masks, *want)
+    assert rng.bit_generator.state == ref.bit_generator.state
