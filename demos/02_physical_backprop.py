@@ -30,7 +30,7 @@ plant = PhysicalSystem(
     w_aa=Kernel(aa, dt),
     w_so=Kernel(0.4 * rng.standard_normal((4, 2, 2)), dt),
     w_ao=Kernel(0.4 * rng.standard_normal((4, 2, 3)), dt),
-    f=Nonlinearity.rectifier(),
+    f=Nonlinearity("rectifier"),
 )
 
 s0 = rng.standard_normal((2, n))

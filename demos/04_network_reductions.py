@@ -16,7 +16,7 @@ rng = np.random.default_rng(3)
 # a 3-hidden-layer rectifier network as a physical plant
 sizes = [4, 6, 5, 4, 2]
 ws = tuple(rng.standard_normal((sizes[i + 1], sizes[i])) for i in range(4))
-net = DenseNet(ws, Nonlinearity.rectifier())
+net = DenseNet(ws, Nonlinearity("rectifier"))
 x = rng.standard_normal(4)
 h = x
 for W in ws[:-1]:
@@ -32,7 +32,7 @@ print(f"  max err: {np.max(np.abs(plant - dense)):.2e}")
 rnn = DenseRNN(rng.standard_normal((5, 2)),
                0.4 * rng.standard_normal((5, 5)),
                rng.standard_normal((2, 5)),
-               Nonlinearity.rectifier(), period=3)
+               Nonlinearity("rectifier"), period=3)
 xs = rng.standard_normal((6, 2))
 states, outputs = rnn_state_trajectory(rnn, xs)
 h, dense_states = np.zeros(5), []

@@ -267,6 +267,8 @@ def build_experiment(cfg: ConfigFile, seed_override=None) -> Experiment:
             batch = task.sample(n, np.random.default_rng(0))
             if not batch.cost_mask.any():
                 raise ConfigurationError("no instance of a sequence enters the cost")
+            if key == "eval.instances" and not np.isfinite(task.metric(batch.targets, batch)):
+                raise ConfigurationError(f"the {task.metric_name} of such a sequence is undefined")
         except ConfigurationError as exc:
             raise UsageError(f"{cfg.where(key)}: {key} = {n} is too short for "
                              f"{task.name}: {exc}") from None

@@ -16,7 +16,7 @@ gradients of the end-to-end discrete cost, finite-difference validated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,7 @@ class MaskSet:
         for name, ndim in (("m", 3), ("u", 3), ("s_b", 2), ("y_b", 1)):
             # copied, as Signal(...) and Kernel copy, so the caller's arrays stay
             # its own; a member of another MaskSet (read-only, owning its data)
-            # is shared, so replace() copies only the members it changes
+            # is shared, so dataclasses.replace() copies only the members it changes
             arr = getattr(self, name)
             shared = isinstance(arr, np.ndarray) and arr.base is None and not arr.flags.writeable
             object.__setattr__(self, name, _as_readonly_f64(arr, ndim, f"mask member {name}",
@@ -89,9 +89,6 @@ class MaskSet:
     @property
     def dim_y(self) -> int:
         return self.u.shape[0]
-
-    def replace(self, **kw) -> "MaskSet":
-        return replace(self, **kw)
 
 
 def init_masks(n_in: int, dim_x: int, n_out: int, dim_y: int, period: int, dt: float,

@@ -173,7 +173,7 @@ def make_acoustic_system(kernel: Kernel, period: int | None = None):
         w_aa=kernel,
         w_so=Kernel.zero(1, 1, kernel.dt),
         w_ao=Kernel.delta(np.eye(1), kernel.dt),
-        f=Nonlinearity.rectifier(),
+        f=Nonlinearity("rectifier"),
     )
     return system, MaskSet.zeros(1, 1, 1, 1, period, kernel.dt)
 
@@ -237,7 +237,7 @@ def make_optical_system(p: OpticalParams, W: np.ndarray | None = None,
         w_aa=Kernel.delta(W, p.dt, lag=p.delay_samples),
         w_so=Kernel.zero(p.n_nodes, p.n_nodes, p.dt),
         w_ao=Kernel.delta(eye, p.dt),
-        f=Nonlinearity.clip(-1.0, 1.0),
+        f=Nonlinearity("clip", -1.0, 1.0),
         noise=NoiseModel(p.snr_db, on_forward=True, on_backward=True) if noise else None,
         backward_path=BackwardPath(
             normalize_peak=p.backward_normalize_peak,

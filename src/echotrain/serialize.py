@@ -129,6 +129,7 @@ def load_system(path):
 
     dt = f = noise = backward_path = masks = kernel_at = None
     kernels = {}
+    first_at = {}  # index into lines of each record kind's first record
     i = 1
     try:
         while i < len(lines):
@@ -137,6 +138,10 @@ def load_system(path):
             width = 4 if tok[:2] == ["nonlinearity", "clip"] else _WIDTHS.get(key, len(tok))
             if len(tok) > width:
                 raise ValueError(f"unexpected token {tok[width]!r} after the {key} record")
+            kind = " ".join(tok[:2]) if key == "kernel" else key
+            if kind in first_at:
+                raise ValueError(f"repeated {kind} record, first at line {lines[first_at[kind]][0]}")
+            first_at[kind] = i
             if key in ("kernel", "maskset") and dt is None:
                 raise ValueError(f"{key} record before the dt record")
             if key == "dt":
@@ -144,7 +149,7 @@ def load_system(path):
                 i += 1
             elif key == "nonlinearity":
                 if tok[1] == "clip":
-                    f = Nonlinearity.clip(float.fromhex(tok[2]), float.fromhex(tok[3]))
+                    f = Nonlinearity("clip", float.fromhex(tok[2]), float.fromhex(tok[3]))
                 else:
                     f = Nonlinearity(tok[1])
                 i += 1

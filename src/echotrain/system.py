@@ -53,18 +53,6 @@ class Nonlinearity:
         if self.kind == "clip" and not (self.lo < self.hi):
             raise ConfigurationError(f"clip needs lo < hi, got ({self.lo}, {self.hi})")
 
-    @staticmethod
-    def rectifier() -> "Nonlinearity":
-        return Nonlinearity("rectifier")
-
-    @staticmethod
-    def clip(lo: float, hi: float) -> "Nonlinearity":
-        return Nonlinearity("clip", float(lo), float(hi))
-
-    @staticmethod
-    def identity() -> "Nonlinearity":
-        return Nonlinearity("identity")
-
 
 def _activate(f: Nonlinearity, x: np.ndarray) -> np.ndarray:
     """f(x) alone, by plain ufuncs; the identity returns x itself."""
@@ -201,6 +189,7 @@ class BackwardTrace:
 
 
 _FFT_MIN_FEEDBACK_MACS = 45_000  # B * live lags per block; README "Partitioned FFT engine"
+_CORRELATE_MIN_FEEDBACK_MACS = 5_000  # the same count, from which np.convolve takes a block
 
 
 def _fast_len(n: int) -> int:
@@ -221,15 +210,15 @@ def _partitioned_convolve(w: np.ndarray, n: int, block: int, gate) -> np.ndarray
     at a time, by uniformly partitioned overlap-save (Wefers 2015), in a lone
     recursion's layout: gate maps (1, 1, B) blocks and y is (1, 1, n).
 
-    The taps w are cut into partitions of `block` taps; each live (not
-    all-zero) partition is transformed once.  w must vanish below lag `block`
-    (the caller's block is the first live lag), so each block's feedback is
-    complete before the block is emitted.  y sits after keep = N - block zeros;
-    each block's window (the keep samples before it, then the block) is read
-    off y, transformed once and multiplied into a frequency-domain accumulator
-    for each later block it reaches.  A block's feedback sum is one inverse
-    transform of its accumulator, read at [keep, N): free of circular wrap for
-    N = _fast_len(block + span) (numpy.fft's transforms), with the live taps at
+    The taps w are cut into partitions of `block` taps, transformed once.  w
+    must vanish below lag `block` (the caller's block is the first live lag),
+    so each block's feedback is complete before the block is emitted.  y sits
+    after keep = N - block zeros; each block's window (the keep samples before
+    it, then the block) is read off y and transformed once into a delay line
+    of the last q window spectra, each written twice so that any q blocks in
+    a row form one slice.  A block's feedback sum is one inverse transform of
+    that slice times the partitions' spectra, read at [keep, N): free of
+    circular wrap for N = _fast_len(block + span), with the live taps at
     offsets below `span` within their partitions; _fast_len(2 * block) at most.
     """
     nz = np.flatnonzero(w[:n])  # taps at lags >= n never reach the output
@@ -238,21 +227,18 @@ def _partitioned_convolve(w: np.ndarray, n: int, block: int, gate) -> np.ndarray
     parts[part, offset] = w[nz]
     nfft = _fast_len(block + 1 + int(offset.max(initial=0)))  # block + span
     keep = nfft - block
-    live = np.flatnonzero((parts != 0.0).any(axis=1))
-    reach = list(zip(live.tolist(), np.fft.rfft(parts[live], nfft)))  # (index, spectrum)
-    acc = np.zeros((len(parts), nfft // 2 + 1), dtype=complex)  # block j's slot: j % len(acc)
+    q = max(len(parts) - 1, 1)  # the partitions past the first; one row if none
+    reach = np.fft.rfft(parts[:0:-1], nfft)  # partitions q, ..., 1
+    spec = np.zeros((2 * q, nfft // 2 + 1), dtype=complex)  # block j at rows j % q (+ q)
     y, back = np.zeros((1, 1, keep + n)), np.empty(nfft)
-    spec = np.empty(nfft // 2 + 1, dtype=complex)
     for j, t0 in enumerate(range(0, n, block)):
         t1 = min(t0 + block, n)
-        np.fft.irfft(acc[j % len(acc)], nfft, out=back)
+        np.fft.irfft((spec[j % q : j % q + q] * reach).sum(axis=0), nfft, out=back)
         y[:, :, keep + t0 : keep + t1] = gate(back[None, None, keep : keep + t1 - t0], t0, t1)
         if t1 == n:  # no later block to reach
             break
-        acc[j % len(acc)] = 0.0
-        np.fft.rfft(y[0, 0, t0 : t0 + nfft], nfft, out=spec)
-        for p, part_spec in reach:
-            acc[(j + p) % len(acc)] += spec * part_spec
+        np.fft.rfft(y[0, 0, t0 : t0 + nfft], nfft, out=spec[j % q])
+        spec[j % q + q] = spec[j % q]
     return y[:, :, keep:]
 
 
@@ -267,9 +253,11 @@ def _causal_feedback(taps: np.ndarray, dt: float, batch: int, n: int, gate) -> n
     the recursion explicit.  A lone scalar recursion with B * (live lags) >=
     _FFT_MIN_FEEDBACK_MACS runs on the partitioned FFT engine
     (_partitioned_convolve, the only FFT path in the package).  All others run
-    direct: y sits after m zero columns (m the largest live lag below n); a
-    block gathers the B-sample windows of its past of all K live lags into H,
-    one product W_cat @ H with W_cat[p, r, c*K + k] = W_p[lag_k][r, c].  Each
+    direct: y sits after m zero columns (m the largest live lag below n).  A
+    lone scalar recursion with B * (live lags) >= _CORRELATE_MIN_FEEDBACK_MACS
+    takes each block's sums as one np.convolve over all lags in [B, m]; any
+    other block gathers the B-sample windows of its past of all K live lags into
+    H, one product W_cat @ H with W_cat[p, r, c*K + k] = W_p[lag_k][r, c].  Each
     item's W_cat and H are laid out as a lone recursion's (hence the batch
     index below), so numpy makes the same BLAS call: items that share their
     live lags are bit for bit their own recursions.
@@ -288,11 +276,17 @@ def _causal_feedback(taps: np.ndarray, dt: float, batch: int, n: int, gate) -> n
     w_cat = w_cat.reshape(len(taps), n_state, -1)
     y = np.zeros((batch, n_state, m + n))
     windows = sliding_window_view(y, block, axis=2)  # windows[p, c, j] = y[p, c, j:j+B]
+    span = dt * taps[0, block : m + 1, 0, 0]  # the lone scalar W over lags B..m
+    correlate = batch == n_state == 1 and block * lags.size >= _CORRELATE_MIN_FEEDBACK_MACS
     with np.errstate(over="ignore", invalid="ignore"):  # Signal's checks report divergence
         for t0 in range(0, n, block):
             t1 = min(t0 + block, n)
-            h = np.ascontiguousarray(windows[:, :, m + t0 - lags, : t1 - t0])
-            y[:, :, m + t0 : m + t1] = gate(dt * (w_cat @ h.reshape(batch, -1, t1 - t0)), t0, t1)
+            if correlate:
+                fb = np.convolve(y[0, 0, t0 : m + t1 - block], span, "valid")[None, None]
+            else:
+                h = np.ascontiguousarray(windows[:, :, m + t0 - lags, : t1 - t0])
+                fb = dt * (w_cat @ h.reshape(batch, -1, t1 - t0))
+            y[:, :, m + t0 : m + t1] = gate(fb, t0, t1)
     return y[:, :, m:]
 
 

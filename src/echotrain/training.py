@@ -13,7 +13,7 @@ import ctypes
 import functools
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -239,7 +239,7 @@ def apply_update(system: PhysicalSystem, masks: MaskSet, grads: dict,
         if g is not None:
             mask_updates[name] = getattr(masks, name) - lr * normalize_gradient(g)
     if mask_updates:
-        masks = masks.replace(**mask_updates)
+        masks = replace(masks, **mask_updates)
 
     for name in KERNEL_BLOCKS:
         g = grads.get(name)

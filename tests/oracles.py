@@ -107,6 +107,33 @@ def plant_backward_naive(w_sa, w_aa, w_so, w_ao, dt, jac, e_o, clip=None):
     return e_a, e_s
 
 
+def scalar_plant_naive(w_sa, w_aa, w_so, w_ao, dt, f, s, e_o):
+    """plant_forward_naive, then plant_backward_naive on e_o, for a plant of
+    scalar kernels (L, 1, 1), sample by sample over each kernel's nonzero taps
+    only, so that kernels of thousands of taps stay cheap.  Returns a, o, jac,
+    e_a and e_s, each (1, n)."""
+    w = [np.asarray(k)[:, 0, 0] for k in (w_sa, w_aa, w_so, w_ao)]
+    s, e_o, n = s[0], e_o[0], s.shape[1]
+
+    def past(k, x, i):  # sum over live lags j of w[k][j] * x[i - j]
+        j = np.flatnonzero(w[k][: i + 1])
+        return w[k][j] @ x[i - j]
+
+    def future(k, x, i):  # sum over live lags j of w[k][j] * x[i + j]
+        j = np.flatnonzero(w[k][: n - i])
+        return w[k][j] @ x[i + j]
+
+    a, o, jac, e_a, e_s = (np.zeros(n) for _ in range(5))
+    for i in range(n):
+        a[i], jac[i] = f(dt * (past(0, s, i) + past(1, a, i)))
+        o[i] = dt * (past(2, s, i) + past(3, a, i))
+    for i in reversed(range(n)):
+        e_a[i] = jac[i] * dt * (future(3, e_o, i) + future(1, e_a, i))
+    for i in range(n):
+        e_s[i] = dt * (future(0, e_a, i) + future(2, e_o, i))
+    return tuple(x[None] for x in (a, o, jac, e_a, e_s))
+
+
 def fd_gradient(loss, theta, eps=1e-5):
     """Central finite differences of a scalar loss over a flat parameter vector."""
     theta = np.asarray(theta, dtype=np.float64)

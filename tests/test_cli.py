@@ -284,7 +284,7 @@ def test_run_divergence_exits_one_and_keeps_partial_log(tmp_path):
         w_aa=Kernel(aa, 1.0),
         w_so=Kernel.zero(1, 1, 1.0),
         w_ao=Kernel.delta(np.eye(1), 1.0),
-        f=Nonlinearity.identity(),
+        f=Nonlinearity("identity"),
     )
     plant = tmp_path / "unstable.txt"
     save_system(plant, unstable)
@@ -316,7 +316,7 @@ def test_run_exits_one_when_only_the_evaluation_diverges(tmp_path, capsys):
     plant = tmp_path / "growing.txt"
     save_system(plant, PhysicalSystem(
         w_sa=Kernel.delta(np.eye(1), 1.0), w_aa=Kernel(aa, 1.0), w_so=Kernel.zero(1, 1, 1.0),
-        w_ao=Kernel.delta(np.eye(1), 1.0), f=Nonlinearity.rectifier()))
+        w_ao=Kernel.delta(np.eye(1), 1.0), f=Nonlinearity("rectifier")))
     cfg = write_cfg(tmp_path, f"""\
 seed = 1
 plant.kind = custom-file
@@ -352,6 +352,29 @@ train.iterations = 3
     assert main(["run", "--config", str(custom), "--out", str(tmp_path / "second")]) == 2
     err = capsys.readouterr().err
     assert f"{plant}:5:" in err and "Traceback" not in err
+
+
+def test_run_on_plant_file_with_a_repeated_record_exits_two(tmp_path, capsys):
+    # a second dt record would have set dt 2.0 silently; the file is refused at it
+    from echotrain.serialize import save_system
+
+    exp = build_experiment(ConfigFile.parse(resolve_config_path("toy_delay_smoke")))
+    plant = tmp_path / "system.txt"
+    save_system(plant, exp.system)
+    lines = plant.read_text().splitlines()
+    plant.write_text("\n".join(lines + ["dt 0x1p+1"]) + "\n")
+    custom = write_cfg(tmp_path, f"""\
+seed = 3
+plant.kind = custom-file
+plant.file = {plant}
+mask.period = 10
+task.kind = variable_delay
+train.iterations = 3
+""", name="custom.cfg")
+    assert main(["run", "--config", str(custom), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{plant}:{len(lines) + 1}: repeated dt record, first at line 2" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
 def mutated(tmp_path, base, key, value):
@@ -397,6 +420,7 @@ def test_out_of_range_config_value_exits_two_naming_the_file(tmp_path, capsys, b
     ("optical_labels", "plant.weight_seed", "-1"),
     ("toy_delay_smoke", "eval.seed", "-1"),
     ("toy_delay_smoke", "eval.instances", "2"),      # variable_delay needs 3 instances
+    ("toy_delay_smoke", "eval.instances", "3"),      # one instance in the cost: no nrmse
     ("optical_labels", "eval.instances", "1"),       # below task.window = 3
     ("optical_labels", "eval.instances", "100000000"),  # 4.4 TiB of traces, over the bound
 ])
@@ -446,7 +470,7 @@ def test_a_plant_file_whose_masks_do_not_fit_the_plant_exits_two(tmp_path, capsy
     def plant(n_in):
         return PhysicalSystem(w_sa=Kernel.delta(np.ones((1, n_in)), 1.0),
                               w_aa=Kernel.zero(1, 1, 1.0), w_so=Kernel.zero(1, n_in, 1.0),
-                              w_ao=Kernel.delta(np.eye(1), 1.0), f=Nonlinearity.identity())
+                              w_ao=Kernel.delta(np.eye(1), 1.0), f=Nonlinearity("identity"))
 
     save_system(tmp_path / "one.txt", plant(1))
     save_system(tmp_path / "two.txt", plant(2), MaskSet.zeros(2, 1, 1, 1, 10, 1.0))

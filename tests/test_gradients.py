@@ -41,7 +41,7 @@ def test_zero_error_gives_zero_kernel_gradients():
         w_aa=Kernel(aa, dt),
         w_so=Kernel(0.3 * rng.standard_normal((3, 1, 2)), dt),
         w_ao=Kernel(0.3 * rng.standard_normal((3, 1, 2)), dt),
-        f=Nonlinearity.rectifier(),
+        f=Nonlinearity("rectifier"),
     )
     s = Signal(rng.standard_normal((2, 20)), dt)
     tr = forward(sys, s)
@@ -60,7 +60,7 @@ def test_single_tap_identity_system_collapse():
         w_aa=Kernel.zero(1, 1, dt),
         w_so=Kernel(rng.standard_normal((1, 2, 2)), dt),
         w_ao=Kernel.zero(2, 1, dt),
-        f=Nonlinearity.identity(),
+        f=Nonlinearity("identity"),
     )
     s = Signal(rng.standard_normal((2, 15)), dt)
     tr = forward(sys, s)
@@ -147,7 +147,7 @@ def full_forward_outputs(sys, masks, xs, name, w):
     """The decoded outputs of the probe that sets block name to w, from its own
     plant and masks: encoded, run forward and decoded in full."""
     plant, own = ((sys.with_kernel(name, w), masks) if name in KERNEL_BLOCKS
-                  else (sys, masks.replace(**{name: w})))
+                  else (sys, replace(masks, **{name: w})))
     return decode_outputs(forward(plant, encode_inputs(xs, own)).o, own)
 
 
@@ -571,7 +571,7 @@ def directional_misses(name, backward_medium=None):
         elif block in KERNEL_BLOCKS:
             sys = plant.with_kernel(block, theta)
         else:
-            pm = masks.replace(**{block: theta})
+            pm = replace(masks, **{block: theta})
         ys = decode_outputs(forward(sys, encode_inputs(data.inputs, pm)).o, pm)
         return exp.task.cost(ys, data)[0]
 

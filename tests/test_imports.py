@@ -107,7 +107,7 @@ def test_every_public_export_is_used_in_the_package_or_a_demo():
 def test_the_package_keeps_its_line_budget():
     # counted as `wc -l src/echotrain/*.py` counts them: newline characters
     lines = sum(p.read_bytes().count(b"\n") for p in PACKAGE.glob("*.py"))
-    assert lines <= 2784, (f"src/echotrain/*.py has {lines} lines, over the budget of 2784 "
+    assert lines <= 2782, (f"src/echotrain/*.py has {lines} lines, over the budget of 2782 "
                            "that ROADMAP.md item 5 (aim 2, lean core) sets: pay for new "
                            "code with deletions")
 

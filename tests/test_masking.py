@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -117,7 +118,7 @@ def test_stacked_codec_items_are_lone_encodes_and_decodes_bit_for_bit(size):
         assert len(enc) == (size if own["m"] or own["s_b"] else 1)
         assert len(dec) == (size if own["u"] or own["y_b"] or own["o"] else 1)
         for p in range(size):
-            pm = sets[0].replace(**{k: getattr(sets[p], k) for k in members[:4] if own[k]})
+            pm = replace(sets[0], **{k: getattr(sets[p], k) for k in members[:4] if own[k]})
             o = Signal(outs[p if own["o"] else 0], 0.3)
             assert np.array_equal(enc[p % len(enc)], encode_inputs(xs, pm).samples), own
             assert np.array_equal(dec[p % len(dec)], decode_outputs(o, pm)), own
@@ -187,7 +188,7 @@ def test_output_mask_gradient_trivial_cases():
 def test_encode_map_adjointness():
     # zero bias: <encode(xs), e>_dt == sum_i x_i . (dt * sum_t m[:,:,t]^T e_i[:,t])
     rng = np.random.default_rng(8)
-    masks = rand_masks(rng, period=5, dt=0.4).replace(s_b=np.zeros((2, 5)))
+    masks = replace(rand_masks(rng, period=5, dt=0.4), s_b=np.zeros((2, 5)))
     xs = rng.standard_normal((3, 2))
     e = Signal(rng.standard_normal((2, 15)), 0.4)
     lhs = 0.4 * float(np.vdot(encode_inputs(xs, masks).samples, e.samples))
@@ -214,7 +215,7 @@ def small_system(rng, n_in, n_out, dt):
         w_aa=Kernel(aa, dt),
         w_so=Kernel(0.4 * rng.standard_normal((L, n_out, n_in)), dt),
         w_ao=Kernel(0.4 * rng.standard_normal((L, n_out, n_state)), dt),
-        f=Nonlinearity.rectifier(),
+        f=Nonlinearity("rectifier"),
     )
 
 
@@ -236,16 +237,17 @@ def test_mask_gradients_match_finite_differences_end_to_end():
     du, dyb = output_mask_gradient(errs, tr.o)
 
     def loss_m(flat):
-        return full_pipeline_cost(sys, masks.replace(m=flat.reshape(masks.m.shape)), xs, targets)
+        return full_pipeline_cost(sys, replace(masks, m=flat.reshape(masks.m.shape)), xs, targets)
 
     def loss_sb(flat):
-        return full_pipeline_cost(sys, masks.replace(s_b=flat.reshape(masks.s_b.shape)), xs, targets)
+        return full_pipeline_cost(sys, replace(masks, s_b=flat.reshape(masks.s_b.shape)), xs,
+                                  targets)
 
     def loss_u(flat):
-        return full_pipeline_cost(sys, masks.replace(u=flat.reshape(masks.u.shape)), xs, targets)
+        return full_pipeline_cost(sys, replace(masks, u=flat.reshape(masks.u.shape)), xs, targets)
 
     def loss_yb(flat):
-        return full_pipeline_cost(sys, masks.replace(y_b=flat), xs, targets)
+        return full_pipeline_cost(sys, replace(masks, y_b=flat), xs, targets)
 
     assert rel_err(dm.ravel(), fd_gradient(loss_m, masks.m.ravel())) < 1e-5
     assert rel_err(dsb.ravel(), fd_gradient(loss_sb, masks.s_b.ravel())) < 1e-5
@@ -318,7 +320,7 @@ def test_mask_set_copies_the_callers_arrays():
     u[0, 0, 0] = 2.0
     assert masks.u[0, 0, 0] == 1.0
     assert not (masks.m.flags.writeable or masks.u.flags.writeable)
-    moved = masks.replace(m=np.ones((1, 2, 3)))
+    moved = replace(masks, m=np.ones((1, 2, 3)))
     assert moved.u is masks.u and moved.s_b is masks.s_b  # unchanged members are shared
     assert not np.shares_memory(MaskSet(m=masks.m[:], u=masks.u, s_b=masks.s_b, y_b=masks.y_b,
                                         period=3, dt=0.1).m, masks.m)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -231,7 +233,7 @@ def test_optical_gradients_match_fd_with_distortion_off():
     bundle = pipeline_gradients(sys, masks, xs, targets)
 
     def loss_m(flat):
-        pm = masks.replace(m=flat.reshape(masks.m.shape))
+        pm = replace(masks, m=flat.reshape(masks.m.shape))
         return pipeline_cost(decode_outputs(forward(sys, encode_inputs(xs, pm)).o, pm), targets)
 
     fd = fd_gradient(loss_m, masks.m.ravel(), eps=1e-5)

@@ -25,7 +25,7 @@ def test_single_hidden_layer_identity_is_matrix_product():
     rng = np.random.default_rng(0)
     W0 = rng.standard_normal((4, 3))
     W1 = rng.standard_normal((2, 4))
-    net = DenseNet((W0, W1), Nonlinearity.identity())
+    net = DenseNet((W0, W1), Nonlinearity("identity"))
     x = rng.standard_normal(3)
     out = mlp_settled_output(net, x)
     np.testing.assert_allclose(out, W1 @ W0 @ x, rtol=1e-12, atol=1e-13)
@@ -35,7 +35,7 @@ def test_three_layer_rectifier_matches_dense_oracle():
     rng = np.random.default_rng(1)
     sizes = [3, 5, 4, 3, 2]
     ws = [rng.standard_normal((sizes[i + 1], sizes[i])) for i in range(4)]
-    net = DenseNet(tuple(ws), Nonlinearity.rectifier())
+    net = DenseNet(tuple(ws), Nonlinearity("rectifier"))
     x = rng.standard_normal(3)
     out = mlp_settled_output(net, x)
     expect = dense_mlp_forward(ws, relu, x)
@@ -49,7 +49,7 @@ def test_mlp_settling_time_by_perturbation():
     L = 3
     sizes = [2, 3, 3, 3, 2]
     ws = [rng.standard_normal((sizes[i + 1], sizes[i])) for i in range(L + 1)]
-    net = DenseNet(tuple(ws), Nonlinearity.identity())
+    net = DenseNet(tuple(ws), Nonlinearity("identity"))
     sys = build_mlp_system(net)
     n, i0 = 12, 5
     x0, x1 = rng.standard_normal(2), rng.standard_normal(2)
@@ -80,7 +80,7 @@ def test_mlp_forward_equivalence_many_instances():
 def test_rnn_without_feedback_is_per_step_map():
     rng = np.random.default_rng(4)
     rnn = DenseRNN(rng.standard_normal((3, 2)), np.zeros((3, 3)),
-                   rng.standard_normal((2, 3)), Nonlinearity.rectifier())
+                   rng.standard_normal((2, 3)), Nonlinearity("rectifier"))
     xs = rng.standard_normal((7, 2))
     _, os_ = rnn_state_trajectory(rnn, xs)
     for k, x in enumerate(xs):
@@ -94,7 +94,7 @@ def test_rnn_trajectory_matches_dense_oracle(period):
     rnn = DenseRNN(rng.standard_normal((n_units, dim)),
                    0.6 * rng.standard_normal((n_units, n_units)),
                    rng.standard_normal((2, n_units)),
-                   Nonlinearity.rectifier(), period=period)
+                   Nonlinearity("rectifier"), period=period)
     xs = rng.standard_normal((30, dim))
     states, outputs = rnn_state_trajectory(rnn, xs)
     hs, os_ = dense_rnn_forward(rnn.w_s, rnn.w_a, rnn.w_o, relu, xs)
@@ -150,7 +150,7 @@ def rnn_reduction_errors(instances, rng):
         rnn = DenseRNN(rng.standard_normal((n_units, dim)),
                        (0.8 / np.sqrt(n_units)) * rng.standard_normal((n_units, n_units)),
                        rng.standard_normal((dim_o, n_units)),
-                       Nonlinearity.rectifier(), period=period)
+                       Nonlinearity("rectifier"), period=period)
         xs = rng.standard_normal((T, dim))
         targets = rng.standard_normal((T, dim_o))
 
@@ -196,7 +196,7 @@ def test_rnn_bptt_gradients_match_dense_oracle():
     rnn = DenseRNN(rng.standard_normal((n_units, dim)),
                    0.5 * rng.standard_normal((n_units, n_units)),
                    rng.standard_normal((2, n_units)),
-                   Nonlinearity.rectifier(), period=1)
+                   Nonlinearity("rectifier"), period=1)
     xs = rng.standard_normal((T, dim))
     targets = rng.standard_normal((T, 2))
     dW_s, dW_a, dW_o = rnn_physical_bptt(rnn, xs, targets)
@@ -216,7 +216,7 @@ def test_rnn_gradients_with_nonunit_dt_and_period():
     rnn = DenseRNN(rng.standard_normal((3, 2)),
                    0.5 * rng.standard_normal((3, 3)),
                    rng.standard_normal((1, 3)),
-                   Nonlinearity.rectifier(), period=2)
+                   Nonlinearity("rectifier"), period=2)
     xs = rng.standard_normal((8, 2))
     targets = rng.standard_normal((8, 1))
     dW_s, dW_a, dW_o = rnn_physical_bptt(rnn, xs, targets, dt=0.25)
@@ -234,7 +234,7 @@ def test_equivalence_survives_inert_zero_taps():
     rnn = DenseRNN(rng.standard_normal((3, 2)),
                    0.5 * rng.standard_normal((3, 3)),
                    rng.standard_normal((2, 3)),
-                   Nonlinearity.rectifier())
+                   Nonlinearity("rectifier"))
     xs = rng.standard_normal((10, 2))
     sys = build_rnn_system(rnn)
 

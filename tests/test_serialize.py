@@ -24,7 +24,7 @@ def rand_system(rng, dt=2.5e-5):
         w_aa=Kernel(aa, dt),
         w_so=Kernel(rng.standard_normal((2, 2, 2)), dt),
         w_ao=Kernel(rng.standard_normal((1, 2, 3)), dt),
-        f=Nonlinearity.clip(-1.0, 1.0),
+        f=Nonlinearity("clip", -1.0, 1.0),
         noise=NoiseModel(17.731, on_forward=True, on_backward=True),
         backward_path=BackwardPath(normalize_peak=0.5, scale=0.37, clip=True),
     )
@@ -214,6 +214,21 @@ def test_a_malformed_record_names_its_line(tmp_path, tag, edit, message):
     lines[at] = " ".join(edit(lines[at].split()))
     with pytest.raises(ConfigurationError, match=rf"edited\.txt:{at + 1}: {re.escape(message)}"):
         load_lines(tmp_path, lines)
+
+
+@pytest.mark.parametrize("kind", ["dt", "nonlinearity", "noise", "backward_path", "kernel w_sa",
+                                  "kernel w_aa", "kernel w_so", "kernel w_ao", "maskset"])
+def test_a_repeated_record_names_its_line_and_the_first(tmp_path, kind):
+    # one record of each kind: a second one, appended whole, would have
+    # replaced the first without a word (a second dt 0x1p+1 set dt 2.0)
+    lines = saved_lines(tmp_path, masks=True)
+    tags = ("dt", "nonlinearity", "noise", "backward_path", "kernel", "maskset")
+    starts = [i for i, ln in enumerate(lines) if ln.split()[0] in tags] + [len(lines)]
+    at = next(k for k, i in enumerate(starts[:-1]) if lines[i].startswith(kind + " "))
+    record = ["dt 0x1p+1"] if kind == "dt" else lines[starts[at] : starts[at + 1]]
+    message = f"repeated {kind} record, first at line {starts[at] + 1}"
+    with pytest.raises(ConfigurationError, match=rf"edited\.txt:{len(lines) + 1}: {message}"):
+        load_lines(tmp_path, lines + record)
 
 
 def test_wrong_tap_count_names_the_line(tmp_path):

@@ -23,10 +23,11 @@ from oracles import (
     plant_backward_naive,
     plant_forward_naive,
     rel_err,
+    scalar_plant_naive,
 )
 
-NONLINEARITIES = {"rectifier": Nonlinearity.rectifier(), "clip": Nonlinearity.clip(-1.0, 1.0),
-                  "identity": Nonlinearity.identity()}
+NONLINEARITIES = {"rectifier": Nonlinearity("rectifier"),
+                  "clip": Nonlinearity("clip", -1.0, 1.0), "identity": Nonlinearity("identity")}
 
 
 def rand_system(rng, n_in=2, n_state=3, n_out=2, L=4, dt=0.1, kind="rectifier",
@@ -59,16 +60,16 @@ def gate(nl, x):
 
 
 def test_activation_and_jacobian_examples():
-    v, j = gate(Nonlinearity.rectifier(), np.array([2.0, -1.0, 0.0]))
+    v, j = gate(Nonlinearity("rectifier"), np.array([2.0, -1.0, 0.0]))
     np.testing.assert_array_equal(v, [2.0, 0.0, 0.0])
     np.testing.assert_array_equal(j, [1.0, 0.0, 0.0])
 
-    v, j = gate(Nonlinearity.clip(-1, 1), np.array([0.5, 1.5, -3.0]))
+    v, j = gate(Nonlinearity("clip", -1.0, 1.0), np.array([0.5, 1.5, -3.0]))
     np.testing.assert_array_equal(v, [0.5, 1.0, -1.0])
     np.testing.assert_array_equal(j, [1.0, 0.0, 0.0])
 
     x = np.array([-2.0, 0.0, 7.0])
-    v, j = gate(Nonlinearity.identity(), x)
+    v, j = gate(Nonlinearity("identity"), x)
     np.testing.assert_array_equal(v, x)
     np.testing.assert_array_equal(j, [1.0, 1.0, 1.0])
 
@@ -101,7 +102,7 @@ def test_forward_one_hidden_layer_reduction():
         w_aa=Kernel.zero(3, 3, dt),
         w_so=Kernel.zero(2, 2, dt),
         w_ao=Kernel.delta(W_a, dt),
-        f=Nonlinearity.identity(),
+        f=Nonlinearity("identity"),
     )
     s = Signal(rng.standard_normal((2, 10)), dt)
     tr = forward(sys, s)
@@ -134,7 +135,7 @@ def test_forward_blocked_equals_naive_with_long_gap_kernel():
         w_aa=Kernel(aa, dt),
         w_so=Kernel.zero(2, 2, dt),
         w_ao=Kernel.delta(np.eye(2), dt),
-        f=Nonlinearity.rectifier(),
+        f=Nonlinearity("rectifier"),
     )
     s = Signal(rng.standard_normal((2, 50)), dt)
     tr = forward(sys, s)
@@ -180,7 +181,7 @@ def test_backward_linear_case_factorizes():
         w_aa=Kernel.zero(3, 3, dt),
         w_so=Kernel(rng.standard_normal((2, 2, 2)), dt),
         w_ao=Kernel(rng.standard_normal((3, 2, 3)), dt),
-        f=Nonlinearity.identity(),
+        f=Nonlinearity("identity"),
     )
     s = Signal(rng.standard_normal((2, 20)), dt)
     tr = forward(sys, s)
@@ -386,7 +387,7 @@ def test_direct_recursion_matches_naive_forward_and_transposed(case):
         w_aa=Kernel(aa, dt),
         w_so=Kernel(rng.standard_normal((3, 2, 2)), dt),
         w_ao=Kernel(rng.standard_normal((2, 2, n_state)), dt),
-        f=Nonlinearity.clip(-1.0, 1.0),
+        f=Nonlinearity("clip", -1.0, 1.0),
     )
     s = Signal(rng.standard_normal((2, n)), dt)
     e_o = Signal(rng.standard_normal((2, n)), dt)
@@ -395,6 +396,59 @@ def test_direct_recursion_matches_naive_forward_and_transposed(case):
     taps = (sys.w_sa.taps, sys.w_aa.taps, sys.w_so.taps, sys.w_ao.taps)
     a, o, jac = plant_forward_naive(*taps, dt, naive_f(sys.f), s.samples)
     e_a, e_s = plant_backward_naive(*taps, dt, jac, e_o.samples)
+    np.testing.assert_array_equal(tr.jac, jac)
+    for fast, slow in ((tr.a, a), (tr.o, o), (bw.e_a, e_a), (bw.e_s, e_s)):
+        np.testing.assert_allclose(fast.samples, slow, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(slow)))
+
+
+# ---------------------------------------------------------------------------
+# a lone scalar recursion with B * live lags >= _CORRELATE_MIN_FEEDBACK_MACS
+# (below the FFT engine's crossover) takes each block's sums as one np.convolve
+# over the live span [B, m]: (live lags, n, path).  Every n is off a multiple of
+# the block B, and the early blocks' spans reach back past the trace's start
+CORRELATE_CASES = {
+    "echo_runs": ((*range(50, 90), *range(120, 160), *range(200, 240)), 467, "correlate"),
+    "edge_4999_macs": ((4999,), 2 * 4999 + 3, "direct"),
+    "edge_5000_macs": ((5000,), 2 * 5000 + 3, "correlate"),
+}
+
+
+@pytest.mark.parametrize("case", CORRELATE_CASES)
+def test_correlated_recursion_matches_naive_forward_and_transposed(monkeypatch, case):
+    lags, n, path = CORRELATE_CASES[case]
+    assert (lags[0] * len(lags) >= system_mod._CORRELATE_MIN_FEEDBACK_MACS) == (
+        path == "correlate")
+    assert lags[0] * len(lags) < system_mod._FFT_MIN_FEEDBACK_MACS
+    np_convolve, calls = np.convolve, []
+
+    def spy(*args, **kwargs):
+        calls.append(len(args[1]))
+        return np_convolve(*args, **kwargs)
+
+    monkeypatch.setattr(np, "convolve", spy)
+    rng, dt = np.random.default_rng(51), 0.7
+    aa = np.zeros((lags[-1] + 1, 1, 1))
+    aa[list(lags)] = rng.standard_normal((len(lags), 1, 1))
+    aa *= 0.8 / (dt * np.sum(np.abs(aa)))  # loop gain 0.8
+    sys = PhysicalSystem(
+        w_sa=Kernel(rng.standard_normal((2, 1, 1)), dt),
+        w_aa=Kernel(aa, dt),
+        w_so=Kernel(rng.standard_normal((2, 1, 1)), dt),
+        w_ao=Kernel(rng.standard_normal((2, 1, 1)), dt),
+        f=Nonlinearity("clip", -1.0, 1.0),
+    )
+    s = Signal(2.0 * rng.standard_normal((1, n)), dt)
+    e_o = Signal(rng.standard_normal((1, n)), dt)
+    tr = forward(sys, s)
+    bw = backward(sys, tr, e_o)
+    blocks = -(-n // lags[0])
+    # every block of the forward and the backward recursion: one call over the span
+    assert calls == ([lags[-1] + 1 - lags[0]] * 2 * blocks if path == "correlate" else [])
+    taps = (sys.w_sa.taps, sys.w_aa.taps, sys.w_so.taps, sys.w_ao.taps)
+    a, o, jac, e_a, e_s = scalar_plant_naive(*taps, dt, naive_f(sys.f), s.samples,
+                                             e_o.samples)
+    assert 0.0 < np.mean(jac) < 1.0  # the clip bites
     np.testing.assert_array_equal(tr.jac, jac)
     for fast, slow in ((tr.a, a), (tr.o, o), (bw.e_a, e_a), (bw.e_s, e_s)):
         np.testing.assert_allclose(fast.samples, slow, rtol=0,
@@ -469,7 +523,7 @@ def test_feedback_path_follows_block_times_live_lags(monkeypatch):
     def path(w_aa, n):
         blocks.clear()
         plant = PhysicalSystem(one, Kernel(w_aa, 1.0), Kernel.zero(1, 1, 1.0), one,
-                               Nonlinearity.rectifier())
+                               Nonlinearity("rectifier"))
         forward(plant, Signal(np.random.default_rng(0).standard_normal((1, n)), 1.0))
         return "fft" if blocks else "direct"
 

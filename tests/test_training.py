@@ -107,7 +107,7 @@ def identity_delay_plant(P, dt=1.0):
         w_aa=Kernel.zero(1, 1, dt),
         w_so=Kernel.zero(1, 1, dt),
         w_ao=Kernel.delta(np.eye(1), dt),
-        f=Nonlinearity.identity(),
+        f=Nonlinearity("identity"),
     )
 
 
@@ -296,7 +296,7 @@ def test_divergence_raises_with_log_intact():
         w_aa=Kernel(aa, dt),
         w_so=Kernel.zero(1, 1, dt),
         w_ao=Kernel.delta(np.eye(1), dt),
-        f=Nonlinearity.identity(),
+        f=Nonlinearity("identity"),
     )
     cfg = TrainConfig(iterations=5, batch_len=20, lr0=0.25, seed=1)
     with pytest.raises(DivergenceError, match="iteration 0: .*non-finite") as excinfo:
