@@ -189,7 +189,8 @@ class BackwardTrace:
 
 
 _FFT_MIN_FEEDBACK_MACS = 45_000  # B * live lags per block; README "Partitioned FFT engine"
-_CORRELATE_MIN_FEEDBACK_MACS = 5_000  # the same count, from which np.convolve takes a block
+_CORRELATE_MIN_FEEDBACK_MACS = 5_000  # the same count, from which np.convolve may take a block
+_CORRELATE_MACS_PER_GATHERED = 4  # np.convolve's B * span over B * K at most, below the tie; README
 
 
 def _fast_len(n: int) -> int:
@@ -210,35 +211,33 @@ def _partitioned_convolve(w: np.ndarray, n: int, block: int, gate) -> np.ndarray
     at a time, by uniformly partitioned overlap-save (Wefers 2015), in a lone
     recursion's layout: gate maps (1, 1, B) blocks and y is (1, 1, n).
 
-    The taps w are cut into partitions of `block` taps, transformed once.  w
-    must vanish below lag `block` (the caller's block is the first live lag),
-    so each block's feedback is complete before the block is emitted.  y sits
-    after keep = N - block zeros; each block's window (the keep samples before
-    it, then the block) is read off y and transformed once into a delay line
-    of the last q window spectra, each written twice so that any q blocks in
-    a row form one slice.  A block's feedback sum is one inverse transform of
-    that slice times the partitions' spectra, read at [keep, N): free of
-    circular wrap for N = _fast_len(block + span), with the live taps at
-    offsets below `span` within their partitions; _fast_len(2 * block) at most.
+    w vanishes below lag `block` (the first live lag), so each block's feedback
+    is complete before the block is emitted.  y sits after keep = N - block
+    zeros.  The partitions of `block` taps that hold a tap are transformed
+    once, and each block's window (the keep samples before it, then the block)
+    once, into a ring of the last q window spectra.  A block's feedback is one
+    inverse transform of the spectra of the blocks that live partitions reach
+    times those partitions' spectra, summed oldest block first and read at
+    [keep, N): free of wrap for N = _fast_len(block + span) <=
+    _fast_len(2 * block), the live taps at partition offsets below `span`.
     """
-    nz = np.flatnonzero(w[:n])  # taps at lags >= n never reach the output
-    part, offset = np.divmod(nz, block)
-    parts = np.zeros((1 + part.max(initial=0), block))
-    parts[part, offset] = w[nz]
-    nfft = _fast_len(block + 1 + int(offset.max(initial=0)))  # block + span
+    w = np.trim_zeros(w[:n], "b")  # up to the last live lag below n: no later tap reaches y
+    parts = np.pad(w, (0, -len(w) % block)).reshape(-1, block)[:0:-1]  # partitions q, ..., 1
+    nfft = _fast_len(block + 1 + int(np.flatnonzero(parts.any(axis=0)).max(initial=0)))
     keep = nfft - block
-    q = max(len(parts) - 1, 1)  # the partitions past the first; one row if none
-    reach = np.fft.rfft(parts[:0:-1], nfft)  # partitions q, ..., 1
-    spec = np.zeros((2 * q, nfft // 2 + 1), dtype=complex)  # block j at rows j % q (+ q)
+    q = max(len(parts), 1)  # one row if no partition follows the first
+    live = np.flatnonzero(parts.any(axis=1))  # the partitions with a tap, oldest block first
+    reach = np.fft.rfft(parts[live], nfft)
+    rows = (live + np.arange(q)[:, None]) % q  # rows[j % q]: the ring rows block j reads
+    spec = np.zeros((q, nfft // 2 + 1), dtype=complex)  # block j's window at row j % q
     y, back = np.zeros((1, 1, keep + n)), np.empty(nfft)
     for j, t0 in enumerate(range(0, n, block)):
         t1 = min(t0 + block, n)
-        np.fft.irfft((spec[j % q : j % q + q] * reach).sum(axis=0), nfft, out=back)
+        np.fft.irfft((spec.take(rows[j % q], axis=0) * reach).sum(axis=0), nfft, out=back)
         y[:, :, keep + t0 : keep + t1] = gate(back[None, None, keep : keep + t1 - t0], t0, t1)
         if t1 == n:  # no later block to reach
             break
         np.fft.rfft(y[0, 0, t0 : t0 + nfft], nfft, out=spec[j % q])
-        spec[j % q + q] = spec[j % q]
     return y[:, :, keep:]
 
 
@@ -250,15 +249,13 @@ def _causal_feedback(taps: np.ndarray, dt: float, batch: int, n: int, gate) -> n
     a caller adds its drive, and keeps any other trace, inside its gate.
 
     W[0] must be zero; blocks of size B = the first lag live in any item keep
-    the recursion explicit.  A lone scalar recursion with B * (live lags) >=
-    _FFT_MIN_FEEDBACK_MACS runs on the partitioned FFT engine
-    (_partitioned_convolve, the only FFT path in the package).  All others run
-    direct: y sits after m zero columns (m the largest live lag below n).  A
-    lone scalar recursion with B * (live lags) >= _CORRELATE_MIN_FEEDBACK_MACS
-    takes each block's sums as one np.convolve over all lags in [B, m]; any
-    other block gathers the B-sample windows of its past of all K live lags into
-    H, one product W_cat @ H with W_cat[p, r, c*K + k] = W_p[lag_k][r, c].  Each
-    item's W_cat and H are laid out as a lone recursion's (hence the batch
+    the recursion explicit.  With K live lags below n, the last at m, a lone
+    scalar recursion takes the FFT engine (_partitioned_convolve) or one
+    np.convolve per block over the lags [B, m] when its B * K and span pass
+    the bounds above (README "Partitioned FFT engine").  Any other block
+    gathers the B-sample windows of its past at the K lags into H (y after m
+    zero columns), one product W_cat @ H, W_cat[p, r, c*K + k] = W_p[lag_k][r, c].
+    Each item's W_cat and H are laid out as a lone recursion's (hence the batch
     index below), so numpy makes the same BLAS call: items that share their
     live lags are bit for bit their own recursions.
     """
@@ -272,12 +269,15 @@ def _causal_feedback(taps: np.ndarray, dt: float, batch: int, n: int, gate) -> n
     block, m = (int(lags[0]), int(lags[-1])) if lags.size else (n, 0)
     if batch == n_state == 1 and block * lags.size >= _FFT_MIN_FEEDBACK_MACS:
         return _partitioned_convolve(dt * taps[0, :, 0, 0], n, block, gate)
-    w_cat = taps[np.arange(len(taps))[:, None], lags].transpose(0, 2, 3, 1)
-    w_cat = w_cat.reshape(len(taps), n_state, -1)
     y = np.zeros((batch, n_state, m + n))
-    windows = sliding_window_view(y, block, axis=2)  # windows[p, c, j] = y[p, c, j:j+B]
-    span = dt * taps[0, block : m + 1, 0, 0]  # the lone scalar W over lags B..m
-    correlate = batch == n_state == 1 and block * lags.size >= _CORRELATE_MIN_FEEDBACK_MACS
+    correlate = batch == n_state == 1 and block * lags.size >= max(
+        _CORRELATE_MIN_FEEDBACK_MACS, block * (m + 1 - block) / _CORRELATE_MACS_PER_GATHERED)
+    if correlate:
+        span = dt * taps[0, block : m + 1, 0, 0]  # the lone scalar W over lags B..m
+    else:
+        w_cat = taps[np.arange(len(taps))[:, None], lags].transpose(0, 2, 3, 1)
+        w_cat = w_cat.reshape(len(taps), n_state, -1)
+        windows = sliding_window_view(y, block, axis=2)  # windows[p, c, j] = y[p, c, j:j+B]
     with np.errstate(over="ignore", invalid="ignore"):  # Signal's checks report divergence
         for t0 in range(0, n, block):
             t1 = min(t0 + block, n)

@@ -404,22 +404,27 @@ def test_direct_recursion_matches_naive_forward_and_transposed(case):
 
 # ---------------------------------------------------------------------------
 # a lone scalar recursion with B * live lags >= _CORRELATE_MIN_FEEDBACK_MACS
-# (below the FFT engine's crossover) takes each block's sums as one np.convolve
-# over the live span [B, m]: (live lags, n, path).  Every n is off a multiple of
-# the block B, and the early blocks' spans reach back past the trace's start
+# (below the FFT engine's crossover) whose span [B, m] holds at most
+# _CORRELATE_MACS_PER_GATHERED lags per live one takes each block's sums as one
+# np.convolve over that span: (live lags, n, path).  Every n is off a multiple
+# of the block B, and the early blocks' spans reach back past the trace's start
 CORRELATE_CASES = {
     "echo_runs": ((*range(50, 90), *range(120, 160), *range(200, 240)), 467, "correlate"),
     "edge_4999_macs": ((4999,), 2 * 4999 + 3, "direct"),
     "edge_5000_macs": ((5000,), 2 * 5000 + 3, "correlate"),
+    "edge_span_4_lags_per_live": ((*range(100, 149), 299), 703, "correlate"),
+    "edge_span_past_4_lags_per_live": ((*range(100, 149), 300), 703, "direct"),
+    "far_sparse_tap": ((*range(100, 150), 5000), 10_007, "direct"),
 }
 
 
 @pytest.mark.parametrize("case", CORRELATE_CASES)
 def test_correlated_recursion_matches_naive_forward_and_transposed(monkeypatch, case):
     lags, n, path = CORRELATE_CASES[case]
-    assert (lags[0] * len(lags) >= system_mod._CORRELATE_MIN_FEEDBACK_MACS) == (
-        path == "correlate")
-    assert lags[0] * len(lags) < system_mod._FFT_MIN_FEEDBACK_MACS
+    macs, span = lags[0] * len(lags), lags[-1] + 1 - lags[0]
+    assert (macs >= system_mod._CORRELATE_MIN_FEEDBACK_MACS and span
+            <= system_mod._CORRELATE_MACS_PER_GATHERED * len(lags)) == (path == "correlate")
+    assert macs < system_mod._FFT_MIN_FEEDBACK_MACS
     np_convolve, calls = np.convolve, []
 
     def spy(*args, **kwargs):
@@ -444,7 +449,7 @@ def test_correlated_recursion_matches_naive_forward_and_transposed(monkeypatch, 
     bw = backward(sys, tr, e_o)
     blocks = -(-n // lags[0])
     # every block of the forward and the backward recursion: one call over the span
-    assert calls == ([lags[-1] + 1 - lags[0]] * 2 * blocks if path == "correlate" else [])
+    assert calls == ([span] * 2 * blocks if path == "correlate" else [])
     taps = (sys.w_sa.taps, sys.w_aa.taps, sys.w_so.taps, sys.w_ao.taps)
     a, o, jac, e_a, e_s = scalar_plant_naive(*taps, dt, naive_f(sys.f), s.samples,
                                              e_o.samples)
@@ -539,6 +544,22 @@ def test_feedback_path_follows_block_times_live_lags(monkeypatch):
         lags = np.flatnonzero(w_aa)
         assert (lags[0], lags.size) == (block, live)
         assert path(w_aa, n) == want
+
+
+def test_bundled_desk_tube_takes_the_correlation(monkeypatch):
+    # its span [92, 748] holds 657 lags for 303 live ones, within 4 per live lag
+    np_convolve, calls = np.convolve, []
+
+    def spy(*args, **kwargs):
+        calls.append(len(args[1]))
+        return np_convolve(*args, **kwargs)
+
+    sys = build_experiment(ConfigFile.parse(resolve_config_path("acoustic_delay_task"))).system
+    lags = sys.w_aa.nonzero_lags()
+    assert (lags[0], lags[-1], lags.size) == (92, 748, 303)
+    monkeypatch.setattr(np, "convolve", spy)
+    forward(sys, Signal(np.random.default_rng(0).standard_normal((1, 2000)), sys.dt))
+    assert calls == [657] * -(-2000 // 92)
 
 
 # ---------------------------------------------------------------------------
